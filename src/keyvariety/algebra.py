@@ -411,44 +411,52 @@ def nullspace_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     return basis
 
 
+def _inverse_mod_p(v: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise v^(p-2) mod p by square-and-multiply: the inverse of each
+    nonzero residue (Fermat), and 0 for v = 0 when p > 2."""
+    result = np.ones_like(v)
+    base = v
+    e = p - 2
+    while e:
+        if e & 1:
+            result = result * base % p
+        base = base * base % p
+        e >>= 1
+    return result
+
+
 def matrix_rank_mod_p_batch(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks over F_p of a batch of small matrices, shape (B, r, c).
 
-    Vectorized Gaussian elimination across the batch; result matches
-    matrix_rank_mod_p row by row.
+    Row-echelon elimination vectorized across the batch, over the shorter
+    side (a batch with r > c is transposed). Step i takes the first nonzero
+    column of row i as its pivot, inverts the pivot by Fermat's little
+    theorem (v^(p-2)) and clears that column from the rows below; the rank
+    is the number of rows that are nonzero when reached. Residues stay below
+    p and products below p^2 < 2^62, so every prime SmallPrime accepts
+    (p < 2^31) is exact, and no memory of size p is allocated. The result
+    matches matrix_rank_mod_p row by row.
     """
     A = np.asarray(mats, dtype=np.int64) % p
+    if A.shape[1] > A.shape[2]:
+        A = np.ascontiguousarray(A.transpose(0, 2, 1))
     B, r, c = A.shape
-    if B == 0:
-        return np.zeros(0, dtype=np.int64)
-    inv_table = np.zeros(p, dtype=np.int64)
-    for v in range(1, p):
-        inv_table[v] = pow(v, -1, p)
-    row = np.zeros(B, dtype=np.int64)
-    bidx = np.arange(B)
-    ridx = np.arange(r)[None, :]
-    for col in range(c):
-        col_vals = A[:, :, col]
-        eligible = (ridx >= row[:, None]) & (col_vals != 0)
-        has = eligible.any(axis=1)
-        if not has.any():
-            continue
-        piv = np.where(has, eligible.argmax(axis=1), 0)
-        # swap row[b] <-> piv[b] where a pivot exists
-        perm = np.tile(np.arange(r), (B, 1))
-        hb = bidx[has]
-        perm[hb, row[has]] = piv[has]
-        perm[hb, piv[has]] = row[has]
-        A = A[bidx[:, None], perm, :]
-        safe_row = np.minimum(row, r - 1)
-        prow = A[bidx, safe_row, :]
-        pv = prow[bidx, col]
-        prow_n = (prow * inv_table[pv][:, None]) % p
-        A[hb, row[has], :] = prow_n[has]
-        factors = np.where((ridx != row[:, None]) & has[:, None], A[:, :, col], 0)
-        A = (A - factors[:, :, None] * prow_n[:, None, :]) % p
-        row = row + has.astype(np.int64)
-    return row
+    rank = np.zeros(B, dtype=np.int64)
+    for i in range(r):
+        row = A[:, i, :]
+        nonzero = row != 0
+        rank += nonzero.any(axis=1)
+        if i == r - 1:
+            break
+        # a zero row gets pivot column 0 and value 0; it clears nothing
+        piv = nonzero.argmax(axis=1)[:, None, None]
+        pivot = np.take_along_axis(row, piv[:, 0], axis=1)[:, 0]
+        below = A[:, i + 1:, :]
+        factors = np.take_along_axis(below, piv, axis=2)[:, :, 0]
+        factors = factors * _inverse_mod_p(pivot, p)[:, None] % p
+        below -= factors[:, :, None] * row[:, None, :]
+        below %= p
+    return rank
 
 
 def jacobian_rank(fs: Sequence[Polynomial], pt: PointAffineRep, p: int) -> int:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -23,11 +22,12 @@ from .incidence import (FIBER_CASES, fiber_birationality_check, fiber_over,
                         g5_plane_fiber_dichotomy, g6q_vertex_fiber_oracle,
                         g8_plane_fiber_profile, count_two_subspaces,
                         gaussian_binomial_2, projected_veronese_points)
-from .invariants import (ci_degree, estimate_dimension, grassmann_degree,
-                         hilbert_ci_degree, singular_scan,
+from .invariants import (BudgetExceeded, ci_degree, estimate_dimension,
+                         grassmann_degree, hilbert_ci_degree, singular_scan,
                          two_path_count_check)
 from .numerology import (case_table_check, normal_bundle_ledger,
                          primitivity_checks, run_ledger)
+from .projspace import default_threads
 from .sections import (DEFAULT_SECTION_SEEDS, SectionSpec, cut,
                        parse_section_file, random_section, section_report)
 
@@ -49,12 +49,7 @@ class RunConfig:
     sample_cap: int = 1024
 
     def resolved_threads(self) -> int:
-        if self.threads:
-            return self.threads
-        env = os.environ.get("KEYVARIETY_THREADS")
-        if env:
-            return max(1, int(env))
-        return os.cpu_count() or 1
+        return self.threads or default_threads()
 
 
 @dataclass
@@ -240,7 +235,7 @@ def check_singular(config: RunConfig, threads: int) -> list:
                     "singular-locus", case, p,
                     {"sets_equal": True, "symmetric_difference": 0},
                     {"sets_equal": report.sets_equal,
-                     "symmetric_difference": len(report.symmetric_difference_sample),
+                     "symmetric_difference": report.symmetric_difference_count,
                      "singular_points": report.jacobian_singular.count},
                     "Jacobian singular set equals the rank-locus description",
                     ok=bool(report.sets_equal)))
@@ -248,15 +243,16 @@ def check_singular(config: RunConfig, threads: int) -> list:
                 report = singular_scan(spec, None, p, threads=threads,
                                        sample_cap=4 * p * p)
                 sing = set(report.jacobian_singular.sample)
+                size = report.jacobian_singular.count
                 veronese, _ = projected_veronese_points(p)
                 embedded = {tuple(v) + (0,) * 7 for v in veronese}
                 records.append(_rec(
                     "singular-locus", case, p,
                     {"equals_veronese": True, "size": p * p + p + 1},
-                    {"equals_veronese": sing == embedded, "size": len(sing)},
+                    {"equals_veronese": sing == embedded, "size": size},
                     "the singular set is the projected Veronese surface in "
                     "the vertex plane",
-                    ok=(sing == embedded and len(sing) == p * p + p + 1)))
+                    ok=(sing == embedded and size == p * p + p + 1)))
             else:
                 report = singular_scan(spec, None, p, threads=threads)
                 holds = report.containment_holds
@@ -602,6 +598,9 @@ def main(argv=None) -> int:
             return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,8 +11,8 @@ import numpy as np
 
 from .algebra import SmallPrime, matrix_rank_mod_p_batch
 from .catalog import VarietySpec, RankLocusSpec, pinned_coordinate_change
-from .projspace import (CompiledSystem, ScanPlan, proj_point_count,
-                        scan_system)
+from .projspace import (CompiledSystem, ScanPlan, _run_chunks,
+                        proj_point_count, scan_system)
 
 DEFAULT_POINT_BUDGET = 100_000_000
 _RANK_BLOCK = 1 << 17
@@ -135,12 +135,16 @@ def bracket_dimension(count: int, p: int, max_dim: int) -> int:
     return d
 
 
+def _check_budget(plan: ScanPlan, budget: int) -> None:
+    if plan.total > budget:
+        raise BudgetExceeded(f"P^{plan.ambient_dim}(F_{plan.prime}) has "
+                             f"{plan.total} points, budget {budget}")
+
+
 def count_points(spec: VarietySpec, p: int, threads: int | None = None,
                  budget: int = DEFAULT_POINT_BUDGET) -> int:
     plan = ScanPlan(spec.ambient_dim, SmallPrime(p))
-    if plan.total > budget:
-        raise BudgetExceeded(
-            f"P^{spec.ambient_dim}(F_{p}) has {plan.total} points, budget {budget}")
+    _check_budget(plan, budget)
     return scan_system(plan, list(spec.generators), threads=threads).matched
 
 
@@ -189,25 +193,33 @@ class SingularScanReport:
     jacobian_singular: PointSetSummary
     rank_locus: PointSetSummary | None
     sets_equal: bool | None
+    symmetric_difference_count: int
     symmetric_difference_sample: tuple
     containment_plane: str | None = None
     containment_holds: bool | None = None
 
 
-def _jacobian_singular_mask(spec: VarietySpec, pts: np.ndarray, p: int) -> np.ndarray:
+def _jacobian_singular_mask(spec: VarietySpec, pts: np.ndarray, p: int,
+                            threads: int | None = None) -> np.ndarray:
+    """Rank < codimension of the Jacobian at each point, evaluated and ranked
+    in _RANK_BLOCK blocks on the scan workers and joined in block order."""
     gens = spec.generators
     nv = len(spec.vars)
     codim = spec.ambient_dim - spec.expected_dim
     partials = [g.partial(i) for g in gens for i in range(nv)]
     system = CompiledSystem(partials)
-    out = np.zeros(pts.shape[0], dtype=bool)
-    for start in range(0, pts.shape[0], _RANK_BLOCK):
-        block = pts[start:start + _RANK_BLOCK]
+
+    def work(rng: tuple[int, int]) -> np.ndarray:
+        block = pts[rng[0]:rng[1]]
         vals = system.eval_block(block, p)                  # (ngens*nv, B)
         mats = vals.reshape(len(gens), nv, block.shape[0]).transpose(2, 0, 1)
-        ranks = matrix_rank_mod_p_batch(mats, p)
-        out[start:start + block.shape[0]] = ranks < codim
-    return out
+        return matrix_rank_mod_p_batch(mats, p) < codim
+
+    n = pts.shape[0]
+    ranges = [(s, min(s + _RANK_BLOCK, n)) for s in range(0, n, _RANK_BLOCK)]
+    if not ranges:
+        return np.zeros(0, dtype=bool)
+    return np.concatenate(_run_chunks(work, ranges, threads))
 
 
 def _rank_locus_mask(spec: VarietySpec, locus: RankLocusSpec,
@@ -236,7 +248,7 @@ def singular_scan(spec: VarietySpec, locus: RankLocusSpec | None, p: int,
     p = SmallPrime(p)
     plan = ScanPlan(spec.ambient_dim, p)
     _, pts = scan_system(plan, list(spec.generators), threads=threads, collect=True)
-    sing = _jacobian_singular_mask(spec, pts, p)
+    sing = _jacobian_singular_mask(spec, pts, p, threads)
     sing_pts = pts[sing]
     jac_summary = PointSetSummary(
         int(sing.sum()),
@@ -248,15 +260,15 @@ def singular_scan(spec: VarietySpec, locus: RankLocusSpec | None, p: int,
             zero_idx = [spec.var_index(v)
                         for v in spec.planes[plane_name].vanishing_vars]
             holds = bool((sing_pts[:, zero_idx] % p == 0).all()) if len(sing_pts) else True
-        return SingularScanReport(p, pts.shape[0], jac_summary, None, None, (),
+        return SingularScanReport(p, pts.shape[0], jac_summary, None, None, 0, (),
                                   containment_plane=plane_name,
                                   containment_holds=holds)
     member = _rank_locus_mask(spec, locus, pts, p)
     diff = sing ^ member
-    diff_pts = pts[diff]
+    diff_count = int(diff.sum())
     return SingularScanReport(
         p, pts.shape[0], jac_summary,
         PointSetSummary(int(member.sum()),
                         tuple(tuple(r) for r in pts[member][:sample_cap].tolist())),
-        bool(not diff.any()),
-        tuple(tuple(r) for r in diff_pts[:sample_cap].tolist()))
+        diff_count == 0, diff_count,
+        tuple(tuple(r) for r in pts[diff][:sample_cap].tolist()))

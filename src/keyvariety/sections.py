@@ -18,8 +18,8 @@ import numpy as np
 
 from .algebra import ParseError, Polynomial, SmallPrime, fraction_matrix_rank, parse_poly
 from .catalog import VarietySpec, form_vanishes_on_plane
-from .invariants import (DEFAULT_POINT_BUDGET, _jacobian_singular_mask,
-                         bracket_dimension)
+from .invariants import (DEFAULT_POINT_BUDGET, _check_budget,
+                         _jacobian_singular_mask, bracket_dimension)
 from .projspace import ScanPlan, scan_system
 
 # committed seeds for the shipped section checks (one per case); the g8 seed
@@ -173,14 +173,12 @@ def section_report(spec: VarietySpec, primes: Sequence[int],
     for p in primes:
         p = SmallPrime(p)
         plan = ScanPlan(spec.ambient_dim, p)
-        if plan.total > budget:
-            raise RuntimeError("scan budget exceeded")
+        _check_budget(plan, budget)
         _, pts = scan_system(plan, list(spec.generators), threads=threads,
                              collect=True)
         count = pts.shape[0]
         est = bracket_dimension(count, p, spec.ambient_dim)
-        sing = _jacobian_singular_mask(spec, pts, p) if count else \
-            np.zeros(0, dtype=bool)
+        sing = _jacobian_singular_mask(spec, pts, p, threads)
         plane_count = None
         off_plane = None
         if plane is not None:

@@ -145,6 +145,46 @@ def test_batch_rank_matches_single(seed, p):
         assert batch[k] == matrix_rank_mod_p(mats[k].tolist(), p)
 
 
+_BATCH_SHAPES = st.sampled_from([(1, 1), (1, 6), (6, 1), (4, 2), (5, 3),
+                                  (15, 12), (3, 16), (4, 4)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), _BATCH_SHAPES, st.sampled_from([2, 3, 5, 7]))
+def test_batch_rank_matches_single_any_shape(seed, shape, p):
+    rng = np.random.default_rng(seed)
+    # sparse entries so that rank-deficient matrices are common
+    mats = rng.integers(0, p, size=(12,) + shape) * (rng.random((12,) + shape) < 0.4)
+    batch = matrix_rank_mod_p_batch(mats, p)
+    for k in range(mats.shape[0]):
+        assert batch[k] == matrix_rank_mod_p(mats[k].tolist(), p)
+
+
+@pytest.mark.parametrize("shape", [(3, 16), (15, 12)])
+def test_batch_rank_at_largest_prime(shape):
+    import tracemalloc
+
+    p = 2**31 - 1
+    assert SmallPrime(p) == p
+    rng = np.random.default_rng(7)
+    mats = rng.integers(0, p, size=(8,) + shape)
+    # make row 1 a multiple of row 0 and row 2 a combination of rows 0 and 1
+    mats[:, 1] = mats[:, 0] * 12345 % p
+    mats[:, 2] = (mats[:, 0] * (p - 3) + mats[:, 1] * 99991) % p
+    mats[1] = 0
+    tracemalloc.start()
+    try:
+        batch = matrix_rank_mod_p_batch(mats, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an inverse table of size p would need 16 GiB
+    assert peak < 1 << 20
+    expected = [matrix_rank_mod_p(m.tolist(), p) for m in mats]
+    assert batch.tolist() == expected
+    assert expected[1] == 0 and expected[0] == min(shape[0] - 2, shape[1])
+
+
 def test_jacobian_rank_single_form():
     ring = ("y1", "y2", "y3", "x1", "x2", "x3")
     f = parse_poly("y1*x1 + y2*x2 + y3*x3", ring)

@@ -110,6 +110,13 @@ def test_cli_count_rejects_bad_prime(capsys):
     assert main(["count", "--case", "grass_2_5", "--prime", "6"]) == 2
 
 
+def test_cli_count_over_budget_exits_2(capsys):
+    # P^15(F_5) is far over the point budget; it fails before any scan
+    assert main(["count", "--case", "g5", "--prime", "5"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_cli_fiber_command(capsys):
     point = "0:0:0:0:1:0:0:0:0:1:0:0:0:0:0:0"
     assert main(["fiber", "--case", "g5", "--prime", "2",

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from keyvariety.catalog import build_case
+from keyvariety import invariants
+from keyvariety.catalog import RankLocusSpec, build_case
 from keyvariety.invariants import (BudgetExceeded, bracket_dimension,
                                    ci_degree, count_points, estimate_dimension,
                                    grassmann_degree, hilbert_ci_degree,
@@ -97,6 +99,33 @@ def test_singular_scan_equality_p2(case, expected_sing):
     assert rep.sets_equal is True
     assert rep.symmetric_difference_sample == ()
     assert rep.jacobian_singular.count == rep.rank_locus.count == expected_sing
+
+
+def test_singular_scan_reports_true_difference_count():
+    # with an empty rank-locus description the difference is the whole
+    # singular set, which is far larger than the capped sample
+    spec = build_case("g6q_sigma_bar")
+    empty = RankLocusSpec(spec.case_id, "no branches", ())
+    rep = singular_scan(spec, empty, 2, threads=2, sample_cap=1)
+    assert rep.sets_equal is False
+    assert rep.rank_locus.count == 0
+    assert len(rep.symmetric_difference_sample) == 1
+    assert rep.symmetric_difference_count == rep.jacobian_singular.count == 151
+
+
+def test_jacobian_mask_independent_of_threads(monkeypatch):
+    from keyvariety.projspace import ScanPlan, scan_system
+
+    spec = build_case("g6q_sigma_bar")
+    _, pts = scan_system(ScanPlan(spec.ambient_dim, 2), list(spec.generators),
+                         threads=1, collect=True)
+    monkeypatch.setattr(invariants, "_RANK_BLOCK", 100)
+    assert pts.shape[0] > 5 * invariants._RANK_BLOCK
+    one = invariants._jacobian_singular_mask(spec, pts, 2, threads=1)
+    two = invariants._jacobian_singular_mask(spec, pts, 2, threads=2)
+    assert one.shape == (pts.shape[0],)
+    assert np.array_equal(one, two)
+    assert int(one.sum()) == 151
 
 
 def test_g8_singular_set_is_projected_veronese():
