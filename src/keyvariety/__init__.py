@@ -17,8 +17,7 @@ from .invariants import (DimensionEstimate, SingularScanReport, ci_degree,
                          estimate_dimension, grassmann_degree, singular_scan)
 from .numerology import (ClassLattice, case_table_check, normal_bundle_ledger,
                          run_ledger, verify_identity)
-from .projspace import (ScanPlan, ScanResult, enumerate_points,
-                        proj_point_count, scan)
+from .projspace import ScanPlan, ScanResult, enumerate_points, proj_point_count
 from .sections import SectionSpec, cut, section_report
 
 __all__ = [name for name in dir() if not name.startswith("_")]

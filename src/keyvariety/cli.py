@@ -17,8 +17,8 @@ from . import __version__
 from .algebra import PointAffineRep, SmallPrime
 from .catalog import (ALL_CASES, CASE_ALIASES, MAIN_CASES, build_case,
                       plane_containment_check)
-from .incidence import (FIBER_CASES, fiber_birationality_check, fiber_over,
-                        g4_intersection_plane_fiber_check,
+from .incidence import (FIBER_CASES, base_points, fiber_birationality_check,
+                        fiber_over, g4_intersection_plane_fiber_check,
                         g5_plane_fiber_dichotomy, g6q_vertex_fiber_oracle,
                         g8_plane_fiber_profile, count_two_subspaces,
                         gaussian_binomial_2, projected_veronese_points)
@@ -27,7 +27,7 @@ from .invariants import (BudgetExceeded, ci_degree, estimate_dimension,
                          two_path_count_check)
 from .numerology import (case_table_check, normal_bundle_ledger,
                          primitivity_checks, run_ledger)
-from .projspace import default_threads
+from .projspace import clear_point_sets, default_threads
 from .sections import (DEFAULT_SECTION_SEEDS, SectionSpec, cut,
                        parse_section_file, random_section, section_report)
 
@@ -161,6 +161,8 @@ def parse_config(path: str) -> RunConfig:
         if threads < 1:
             raise ConfigError("threads must be >= 1")
     sample_cap = int(values.get("sample_cap", 1024))
+    if sample_cap < 0:
+        raise ConfigError("sample_cap must be >= 0")
     return RunConfig(cases, primes, checks, threads,
                      values.get("output_path"), sample_cap)
 
@@ -187,9 +189,8 @@ def check_count(config: RunConfig, threads: int) -> list:
                     "count", case, p, count_two_subspaces(n, p), direct,
                     "Plucker scan matches direct 2-subspace enumeration"))
             if case == "B6":
-                pairs = _b6_pair_count(p)
                 records.append(_rec(
-                    "count", case, p, pairs, direct,
+                    "count", case, p, len(base_points("g4", p)), direct,
                     "Segre model count matches incident pair enumeration"))
         for plane, pspec in spec.planes.items():
             if pspec.contained:
@@ -198,13 +199,6 @@ def check_count(config: RunConfig, threads: int) -> list:
                     plane_containment_check(spec, plane),
                     f"declared plane {plane} lies on the variety (symbolic)"))
     return records
-
-
-def _b6_pair_count(p: int) -> int:
-    from .projspace import ScanPlan, enumerate_points
-    plane = list(enumerate_points(ScanPlan(2, SmallPrime(p))))
-    return sum(1 for w in plane for u in plane
-               if sum(a * b for a, b in zip(w.coords, u.coords)) % p == 0)
 
 
 def check_dimension(config: RunConfig, threads: int) -> list:
@@ -465,19 +459,26 @@ _CHECK_FUNCS = {
 def run(config: RunConfig, threads: int | None = None) -> dict:
     """Execute the configured checks in deterministic order. The optional
     thread override affects execution only; the report echoes the config, so
-    reports stay byte-identical across worker counts."""
+    reports stay byte-identical across worker counts. The checks share one
+    scan per (generators, prime) through the point-set memo, which is
+    emptied when the run ends. An over-budget scan ends the run."""
     effective = threads or config.resolved_threads()
     records: list[CheckRecord] = []
-    for name in config.checks:
-        t0 = time.monotonic()
-        try:
-            records.extend(_CHECK_FUNCS[name](config, effective))
-        except Exception as exc:  # a failed check must not abort the others
-            records.append(CheckRecord(name, "*", None, "completed",
-                                       f"{type(exc).__name__}: {exc}", "fail",
-                                       "check aborted"))
-        print(f"[keyvariety] check {name}: {time.monotonic() - t0:.1f}s",
-              file=sys.stderr)
+    try:
+        for name in config.checks:
+            t0 = time.monotonic()
+            try:
+                records.extend(_CHECK_FUNCS[name](config, effective))
+            except BudgetExceeded:
+                raise
+            except Exception as exc:  # a failed check must not abort the others
+                records.append(CheckRecord(name, "*", None, "completed",
+                                           f"{type(exc).__name__}: {exc}",
+                                           "fail", "check aborted"))
+            print(f"[keyvariety] check {name}: {time.monotonic() - t0:.1f}s",
+                  file=sys.stderr)
+    finally:
+        clear_point_sets()
     report = {
         "tool_version": __version__,
         "config": {

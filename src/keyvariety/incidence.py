@@ -19,7 +19,7 @@ from .algebra import (OffVarietyError, PointAffineRep, SmallPrime,
                       matrix_rank_mod_p, nullspace_mod_p)
 from .catalog import (build_case, g8_dual_net_matrix, g8_lift_to_wedge,
                       pair_labels)
-from .projspace import ScanPlan, enumerate_points, scan_system
+from .projspace import ScanPlan, enumerate_points, point_set
 
 FIBER_CASES = ("g8", "g4", "g6q", "g5")
 
@@ -144,8 +144,7 @@ def base_points(case: str, p: int) -> tuple:
     p = SmallPrime(p)
     if case == "g8":
         spec = build_case("B5")
-        _, pts = scan_system(ScanPlan(spec.ambient_dim, p), list(spec.generators),
-                             collect=True)
+        pts = point_set(ScanPlan(spec.ambient_dim, p), spec.generators)
         out = []
         for row in pts.tolist():
             full = g8_lift_to_wedge(row, p)
@@ -155,8 +154,7 @@ def base_points(case: str, p: int) -> tuple:
         return tuple(out)
     if case == "g6q":
         spec = build_case("Q3_g6q")
-        _, pts = scan_system(ScanPlan(spec.ambient_dim, p), list(spec.generators),
-                             collect=True)
+        pts = point_set(ScanPlan(spec.ambient_dim, p), spec.generators)
         out = []
         for row in pts.tolist():
             x23, x25, x34, x35, x45 = row
@@ -349,8 +347,7 @@ def g4_intersection_plane_fiber_check(p: int):
     fiber count vs. the independent hyperplane-section count of the base
     surface in its Segre model. Returns (profile, mismatches)."""
     b6 = build_case("B6")
-    _, segre_pts = scan_system(ScanPlan(b6.ambient_dim, SmallPrime(p)),
-                               list(b6.generators), collect=True)
+    segre_pts = point_set(ScanPlan(b6.ambient_dim, SmallPrime(p)), b6.generators)
     segre = [tuple(r) for r in segre_pts.tolist()]
     profile: Counter = Counter()
     mismatches = []
@@ -390,8 +387,7 @@ def fiber_birationality_check(case: str, p: int):
     """Exhaustively confirm that the resolution is one-to-one over the locus
     the fiber dichotomies leave untouched. Returns (#checked, #violations)."""
     spec = _case_spec(case)
-    _, pts = scan_system(ScanPlan(spec.ambient_dim, SmallPrime(p)),
-                         list(spec.generators), collect=True)
+    pts = point_set(ScanPlan(spec.ambient_dim, SmallPrime(p)), spec.generators)
     checked = violations = 0
     for row in pts.tolist():
         coords = tuple(row)

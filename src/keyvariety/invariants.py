@@ -11,15 +11,11 @@ import numpy as np
 
 from .algebra import SmallPrime, matrix_rank_mod_p_batch
 from .catalog import VarietySpec, RankLocusSpec, pinned_coordinate_change
-from .projspace import (CompiledSystem, ScanPlan, _run_chunks,
-                        proj_point_count, scan_system)
+from .projspace import (DEFAULT_POINT_BUDGET, BudgetExceeded,  # noqa: F401
+                        CompiledSystem, ScanPlan, _check_budget, _run_chunks,
+                        point_set, proj_point_count, scan_system)
 
-DEFAULT_POINT_BUDGET = 100_000_000
 _RANK_BLOCK = 1 << 17
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +131,11 @@ def bracket_dimension(count: int, p: int, max_dim: int) -> int:
     return d
 
 
-def _check_budget(plan: ScanPlan, budget: int) -> None:
-    if plan.total > budget:
-        raise BudgetExceeded(f"P^{plan.ambient_dim}(F_{plan.prime}) has "
-                             f"{plan.total} points, budget {budget}")
-
-
 def count_points(spec: VarietySpec, p: int, threads: int | None = None,
                  budget: int = DEFAULT_POINT_BUDGET) -> int:
     plan = ScanPlan(spec.ambient_dim, SmallPrime(p))
     _check_budget(plan, budget)
-    return scan_system(plan, list(spec.generators), threads=threads).matched
+    return len(point_set(plan, spec.generators, threads))
 
 
 def estimate_dimension(spec: VarietySpec, primes, threads: int | None = None,
@@ -168,9 +158,10 @@ def two_path_count_check(spec: VarietySpec, p: int,
                          threads: int | None = None) -> tuple:
     """Count the variety twice: from the pinned generators and from the
     generators rewritten through the committed coordinate change. The counts
-    agree iff both predicate paths see the same point set cardinality."""
+    agree iff both predicate paths see the same point set cardinality. The
+    transformed path always scans: it never reads the point-set memo."""
     plan = ScanPlan(spec.ambient_dim, SmallPrime(p))
-    direct = scan_system(plan, list(spec.generators), threads=threads).matched
+    direct = len(point_set(plan, spec.generators, threads))
     transformed = scan_system(plan, list(pinned_coordinate_change(spec)),
                               threads=threads).matched
     return direct, transformed
@@ -247,7 +238,7 @@ def singular_scan(spec: VarietySpec, locus: RankLocusSpec | None, p: int,
     """
     p = SmallPrime(p)
     plan = ScanPlan(spec.ambient_dim, p)
-    _, pts = scan_system(plan, list(spec.generators), threads=threads, collect=True)
+    pts = point_set(plan, spec.generators, threads)
     sing = _jacobian_singular_mask(spec, pts, p, threads)
     sing_pts = pts[sing]
     jac_summary = PointSetSummary(

@@ -6,15 +6,17 @@ the free coordinates after position k run in base-p lexicographic order, the
 coordinate right after the leading 1 being the most significant digit. This
 gives O(1) index -> point and a trivially partitionable index range.
 
-Scans are chunked; chunk results merge by an associative fold in chunk-index
-order, so results are independent of the worker count.
+Scans are chunked; chunk results are joined in chunk-index order, so results
+are independent of the worker count. Every scan is held to a point budget.
+Point sets of the catalog's varieties go through a memo (point_set), so each
+(generators, prime) pair is scanned once until clear_point_sets().
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +24,11 @@ from .algebra import PointAffineRep, Polynomial, SmallPrime
 
 DEFAULT_SAMPLE_CAP = 1024
 DEFAULT_CHUNK_SIZE = 1 << 18
+DEFAULT_POINT_BUDGET = 100_000_000
+
+
+class BudgetExceeded(RuntimeError):
+    pass
 
 
 def default_threads() -> int:
@@ -71,12 +78,11 @@ class ScanResult:
     matched: int
     sample: tuple = ()
 
-    def merge(self, other: "ScanResult", cap: int = DEFAULT_SAMPLE_CAP) -> "ScanResult":
-        return ScanResult(
-            self.total_examined + other.total_examined,
-            self.matched + other.matched,
-            (self.sample + other.sample)[:cap],
-        )
+
+def _check_budget(plan: ScanPlan, budget: int) -> None:
+    if plan.total > budget:
+        raise BudgetExceeded(f"P^{plan.ambient_dim}(F_{plan.prime}) has "
+                             f"{plan.total} points, budget {budget}")
 
 
 def index_to_point(plan: ScanPlan, index: int) -> tuple:
@@ -139,31 +145,6 @@ def enumerate_points(plan: ScanPlan) -> Iterator[PointAffineRep]:
             yield PointAffineRep(tuple(row))
 
 
-def scan(plan: ScanPlan, predicate: Callable[[PointAffineRep], bool],
-         threads: int | None = None, sample_cap: int = DEFAULT_SAMPLE_CAP) -> ScanResult:
-    """Count points where the (pure) predicate holds; thread-count independent."""
-    ranges = plan.chunk_ranges()
-
-    def work(rng: tuple[int, int]) -> ScanResult:
-        start, stop = rng
-        block = points_block(plan.ambient_dim, plan.prime, start, stop)
-        matched = 0
-        sample: list[PointAffineRep] = []
-        for row in block.tolist():
-            pt = PointAffineRep(tuple(row))
-            if predicate(pt):
-                matched += 1
-                if len(sample) < sample_cap:
-                    sample.append(pt)
-        return ScanResult(stop - start, matched, tuple(sample))
-
-    results = _run_chunks(work, ranges, threads)
-    out = ScanResult(0, 0, ())
-    for res in results:
-        out = out.merge(res, cap=sample_cap)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # fast path: vectorized evaluation of polynomial systems
 
@@ -224,8 +205,10 @@ def scan_system(plan: ScanPlan, polys: Sequence[Polynomial],
     """Scan for common zeros of a polynomial system.
 
     Returns a ScanResult, or (ScanResult, matched_points_array) with collect=True.
-    Deterministic: chunk results are folded in index order.
+    Deterministic: chunk results are folded in index order. Raises
+    BudgetExceeded before any work when P^n(F_p) exceeds DEFAULT_POINT_BUDGET.
     """
+    _check_budget(plan, DEFAULT_POINT_BUDGET)
     system = CompiledSystem(polys)
     if system.nvars != plan.ambient_dim + 1:
         raise ValueError("system arity does not match the scan plan")
@@ -259,6 +242,28 @@ def scan_system(plan: ScanPlan, polys: Sequence[Polynomial],
                    else np.zeros((0, plan.ambient_dim + 1), dtype=np.int64))
         return result, stacked
     return result
+
+
+_POINT_SETS: dict = {}
+
+
+def point_set(plan: ScanPlan, polys: Sequence[Polynomial],
+              threads: int | None = None) -> np.ndarray:
+    """Common zeros of polys in P^n(F_p) as read-only int64 rows, in index
+    order. The first call per (plan, generators) scans with collect=True;
+    later calls return the held array until clear_point_sets(). The thread
+    count is not part of the key: scan results do not depend on it."""
+    key = (plan, tuple(polys))
+    pts = _POINT_SETS.get(key)
+    if pts is None:
+        _, pts = scan_system(plan, polys, threads=threads, collect=True)
+        pts.setflags(write=False)
+        _POINT_SETS[key] = pts
+    return pts
+
+
+def clear_point_sets() -> None:
+    _POINT_SETS.clear()
 
 
 def _run_chunks(work, ranges, threads):

@@ -18,9 +18,9 @@ import numpy as np
 
 from .algebra import ParseError, Polynomial, SmallPrime, fraction_matrix_rank, parse_poly
 from .catalog import VarietySpec, form_vanishes_on_plane
-from .invariants import (DEFAULT_POINT_BUDGET, _check_budget,
-                         _jacobian_singular_mask, bracket_dimension)
-from .projspace import ScanPlan, scan_system
+from .invariants import _jacobian_singular_mask, bracket_dimension
+from .projspace import (DEFAULT_POINT_BUDGET, ScanPlan, _check_budget,
+                        scan_system)
 
 # committed seeds for the shipped section checks (one per case); the g8 seed
 # is shared by the plane-preserving terminality probe

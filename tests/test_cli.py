@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+from keyvariety import invariants, projspace
 from keyvariety.cli import (ConfigError, RunConfig, emit_report, exit_code,
                             main, parse_config, run)
 
@@ -24,6 +26,13 @@ def test_parse_config_minimal_defaults(tmp_path):
 def test_parse_config_rejects_nonprime(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(_write(tmp_path, "primes=4\nchecks=count\n"))
+
+
+def test_parse_config_rejects_negative_sample_cap(tmp_path):
+    with pytest.raises(ConfigError):
+        parse_config(_write(tmp_path, "checks=count\nsample_cap=-5\n"))
+    assert main(["run", "--config",
+                 _write(tmp_path, "checks=count\nsample_cap=-5\n")]) == 2
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
@@ -140,3 +149,59 @@ def test_cli_section_command(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[0])["estimated_dim"] == 3
+
+
+def test_run_over_budget_exits_2_before_any_scan(tmp_path, capsys, monkeypatch):
+    blocks = []
+    real = projspace.points_block
+    monkeypatch.setattr(projspace, "points_block",
+                        lambda *a: blocks.append(a) or real(*a))
+    cfg = _write(tmp_path, "cases=g5\nprimes=5\nchecks=count\n")
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert blocks == []
+    assert projspace._POINT_SETS == {}
+
+
+def _count_scans(monkeypatch) -> Counter:
+    """Patch scan_system where the memo and the transformed count path call
+    it; count calls per (generators, prime)."""
+    scans: Counter = Counter()
+    for module in (projspace, invariants):
+        real = module.scan_system
+
+        def counted(plan, polys, *args, real=real, **kwargs):
+            scans[(tuple(polys), int(plan.prime))] += 1
+            return real(plan, polys, *args, **kwargs)
+        monkeypatch.setattr(module, "scan_system", counted)
+    return scans
+
+
+def test_run_scans_each_point_set_once(monkeypatch):
+    from keyvariety.catalog import build_case, pinned_coordinate_change
+
+    scans = _count_scans(monkeypatch)
+    cases = ("grass_2_5", "B5", "g8_sigma_bar")
+    run(RunConfig(cases=cases, primes=(2, 3),
+                  checks=("count", "dimension", "fibers"), threads=1))
+    expected = Counter()
+    for case in cases:
+        spec = build_case(case)
+        for p in (2, 3):
+            expected[(spec.generators, p)] = 1
+            expected[(tuple(pinned_coordinate_change(spec)), p)] = 1
+    # the fibers check may add base-variety scans, each at most once
+    assert all(n == 1 for n in scans.values())
+    assert scans & expected == expected
+
+
+def test_repeated_runs_identical_and_memo_emptied():
+    config = RunConfig(cases=("grass_2_5", "B6"), primes=(2, 3),
+                       checks=("count", "dimension"), threads=1)
+    first = run(config)
+    assert projspace._POINT_SETS == {}
+    second = run(config)
+    assert projspace._POINT_SETS == {}
+    assert (json.dumps(first, sort_keys=True, indent=2)
+            == json.dumps(second, sort_keys=True, indent=2))

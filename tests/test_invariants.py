@@ -160,3 +160,29 @@ def test_g6q_dual_vertex_plane_is_singular():
         pt = PointAffineRep((0,) * 9 + y.coords)
         assert jacobian_rank(list(spec.generators), pt, 2) < codim
         assert rank_locus_member(spec.rank_locus, pt, 2)
+
+
+@pytest.mark.parametrize("check", [
+    lambda spec: two_path_count_check(spec, 5),
+    lambda spec: singular_scan(spec, spec.rank_locus, 5),
+], ids=["two_path_count_check", "singular_scan"])
+def test_unbudgeted_paths_hit_the_default_budget(check):
+    # P^15(F_5) has 3.8e10 points; the scan refuses before it starts
+    with pytest.raises(BudgetExceeded):
+        check(build_case("g5_sigma_bar"))
+
+
+def test_transformed_path_scans_when_the_memo_holds_the_direct_set(monkeypatch):
+    from keyvariety import projspace
+
+    spec = build_case("g8_sigma_bar")
+    plan = projspace.ScanPlan(spec.ambient_dim, 2)
+    direct = projspace.point_set(plan, spec.generators)
+    memo_scans, own_scans = [], []
+    for module, calls in ((projspace, memo_scans), (invariants, own_scans)):
+        real = module.scan_system
+        monkeypatch.setattr(module, "scan_system",
+                            lambda *a, real=real, calls=calls, **k:
+                            calls.append(a) or real(*a, **k))
+    assert two_path_count_check(spec, 2) == (len(direct), 91)
+    assert memo_scans == [] and len(own_scans) == 1

@@ -1,10 +1,29 @@
+import numpy as np
 import pytest
 
+from keyvariety import projspace
 from keyvariety.algebra import PointAffineRep, SmallPrime, parse_poly
 from keyvariety.catalog import plucker_ideal
-from keyvariety.projspace import (ScanPlan, enumerate_points, index_to_point,
-                                  point_to_index, proj_point_count, scan,
-                                  scan_system)
+from keyvariety.projspace import (DEFAULT_SAMPLE_CAP, ScanPlan, ScanResult,
+                                  _run_chunks, clear_point_sets,
+                                  enumerate_points, index_to_point, point_set,
+                                  point_to_index, points_block,
+                                  proj_point_count, scan_system)
+
+
+def scan(plan, predicate, threads=None, sample_cap=DEFAULT_SAMPLE_CAP):
+    """Slow pointwise oracle: count the points where a pure predicate holds,
+    chunk by chunk on the scan workers, joined in chunk order."""
+    def work(rng):
+        start, stop = rng
+        pts = [PointAffineRep(tuple(row)) for row in
+               points_block(plan.ambient_dim, plan.prime, start, stop).tolist()]
+        return stop - start, [pt for pt in pts if predicate(pt)]
+
+    results = _run_chunks(work, plan.chunk_ranges(), threads)
+    hits = [pt for _, chunk in results for pt in chunk]
+    return ScanResult(sum(n for n, _ in results), len(hits),
+                      tuple(hits[:sample_cap]))
 
 
 def test_point_count_examples():
@@ -107,3 +126,23 @@ def test_gaussian_binomial_counts():
         assert scan_system(plan, gens).matched == expected
         assert gaussian_binomial_2(n, p) == expected
         assert count_two_subspaces(n, p) == expected
+
+
+def test_point_set_scans_once_and_is_read_only(monkeypatch):
+    calls = []
+    real = projspace.scan_system
+    monkeypatch.setattr(projspace, "scan_system",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    ring = ("x", "y", "z")
+    f = parse_poly("x*y - z^2", ring)
+    plan = ScanPlan(2, SmallPrime(5))
+    first = point_set(plan, [f], threads=1)
+    assert point_set(plan, (f,), threads=2) is first and len(calls) == 1
+    assert first.dtype == np.int64 and not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 7
+    res, pts = real(plan, [f], collect=True)
+    assert np.array_equal(first, pts) and res.matched == len(first) == 6
+    clear_point_sets()
+    point_set(plan, [f])
+    assert len(calls) == 2
