@@ -17,8 +17,9 @@ from . import __version__
 from .algebra import PointAffineRep, SmallPrime
 from .catalog import (ALL_CASES, CASE_ALIASES, MAIN_CASES, build_case,
                       plane_containment_check)
-from .incidence import (FIBER_CASES, base_points, fiber_birationality_check,
-                        fiber_over, g4_intersection_plane_fiber_check,
+from .incidence import (FIBER_CASES, base_points, clear_base_points,
+                        fiber_birationality_check, fiber_over,
+                        g4_intersection_plane_fiber_check,
                         g5_plane_fiber_dichotomy, g6q_vertex_fiber_oracle,
                         g8_plane_fiber_profile, count_two_subspaces,
                         gaussian_binomial_2, projected_veronese_points)
@@ -461,7 +462,8 @@ def run(config: RunConfig, threads: int | None = None) -> dict:
     thread override affects execution only; the report echoes the config, so
     reports stay byte-identical across worker counts. The checks share one
     scan per (generators, prime) through the point-set memo, which is
-    emptied when the run ends. An over-budget scan ends the run."""
+    emptied when the run ends, as are the resolution base points. An
+    over-budget scan ends the run."""
     effective = threads or config.resolved_threads()
     records: list[CheckRecord] = []
     try:
@@ -479,6 +481,7 @@ def run(config: RunConfig, threads: int | None = None) -> dict:
                   file=sys.stderr)
     finally:
         clear_point_sets()
+        clear_base_points()
     report = {
         "tool_version": __version__,
         "config": {

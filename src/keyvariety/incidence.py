@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .algebra import (OffVarietyError, PointAffineRep, SmallPrime,
@@ -138,10 +137,24 @@ def proportional(a: Sequence[int], b: Sequence[int], p: int) -> bool:
 # base varieties of the four resolutions
 
 
-@lru_cache(maxsize=None)
+_BASE_POINTS: dict = {}
+
+
 def base_points(case: str, p: int) -> tuple:
-    """Rational points of the resolution base, with fiber-subspace data."""
-    p = SmallPrime(p)
+    """Rational points of the resolution base, with fiber-subspace data.
+    Built once per (case, prime) and held until clear_base_points()."""
+    key = (case, int(p))
+    pts = _BASE_POINTS.get(key)
+    if pts is None:
+        pts = _BASE_POINTS[key] = _build_base_points(case, SmallPrime(p))
+    return pts
+
+
+def clear_base_points() -> None:
+    _BASE_POINTS.clear()
+
+
+def _build_base_points(case: str, p: SmallPrime) -> tuple:
     if case == "g8":
         spec = build_case("B5")
         pts = point_set(ScanPlan(spec.ambient_dim, p), spec.generators)

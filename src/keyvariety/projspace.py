@@ -1,4 +1,4 @@
-"""Exhaustive enumeration of P^n(F_p) and predicate-filtered scans.
+"""Exhaustive enumeration of P^n(F_p) and polynomial-system scans.
 
 Index bijection: points are grouped by the position k of their leading 1
 (coordinates before k vanish), group k holding p^(n-k) points; inside a group
@@ -6,10 +6,25 @@ the free coordinates after position k run in base-p lexicographic order, the
 coordinate right after the leading 1 being the most significant digit. This
 gives O(1) index -> point and a trivially partitionable index range.
 
-Scans are chunked; chunk results are joined in chunk-index order, so results
-are independent of the worker count. Every scan is held to a point budget.
-Point sets of the catalog's varieties go through a memo (point_set), so each
-(generators, prime) pair is scanned once until clear_point_sets().
+Scans use a grid kernel. Group k is the full grid F_p^m, m = n - k, with its
+most significant digits first; split into s outer and m - s inner digits, its
+indices are outer-major. With x_0..x_{k-1} = 0 and x_k = 1 a generator is
+M_O(o)^T C M_I(i), M_O and M_I being the values of its outer and inner
+monomials on the outer and inner digit grids and C its coefficients. Its
+values on a block of outer rows are ((M_O[rows] @ C) % p) @ M_I^T: one int64
+matrix product per generator. An entry is at most T(p-1)^2 for T summed
+monomials; where that could reach 2^63 the sum is cut into slices reduced mod
+p in between, so the kernel is exact for every prime SmallPrime accepts and
+uses no floating point. Point rows are built only for matched entries, which
+np.nonzero returns in index order. points_block serves enumerate_points and
+CompiledSystem evaluates generators on explicit rows.
+
+Chunks (blocks of outer rows of about GRID_CHUNK_POINTS points) are joined in
+index order, so results are independent of the worker count. Every scan is
+held to a point budget. Point sets of the catalog's varieties go through a
+memo (point_set), so each (generators, prime) pair is scanned once until
+clear_point_sets(); a system whose leading generators are held (a linear
+section of a held variety) is filtered from their rows instead of scanned.
 """
 from __future__ import annotations
 
@@ -180,56 +195,202 @@ class CompiledSystem:
         return out
 
     def vanishing_mask(self, pts: np.ndarray, p: int) -> np.ndarray:
+        """Rows of pts on which every generator vanishes mod p. Each
+        generator reads only the columns it uses, at the rows still held."""
         mask = np.ones(pts.shape[0], dtype=bool)
-        for g, (coeffs, expos) in enumerate(self.compiled):
-            if not mask.any():
+        for coeffs, expos in self.compiled:
+            idx = np.flatnonzero(mask)
+            if not idx.size:
                 break
-            sub = pts[mask]
-            acc = np.zeros(sub.shape[0], dtype=np.int64)
+            cols = {v: pts[idx, v] for v in np.flatnonzero(expos.any(axis=0))}
+            acc = np.zeros(idx.size, dtype=np.int64)
             for t in range(coeffs.shape[0]):
-                term = np.full(sub.shape[0], int(coeffs[t]) % p, dtype=np.int64)
-                for v in range(self.nvars):
-                    e = int(expos[t, v])
-                    for _ in range(e):
-                        term = (term * sub[:, v]) % p
+                term = np.full(idx.size, int(coeffs[t]) % p, dtype=np.int64)
+                for v, col in cols.items():
+                    for _ in range(int(expos[t, v])):
+                        term = (term * col) % p
                 acc = (acc + term) % p
-            keep = acc == 0
-            idx = np.nonzero(mask)[0]
-            mask[idx[~keep]] = False
+            mask[idx[acc != 0]] = False
         return mask
+
+
+# ---------------------------------------------------------------------------
+# grid kernel: the generators on one index group as outer x inner products
+
+GRID_CHUNK_POINTS = 1 << 16
+_ZERO_TABLE_MAX = 1 << 16
+_INT64_MAX = (1 << 63) - 1
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) % p for int64 matrices with entries in [0, p), exact: an
+    entry of a @ b is at most (inner length)*(p-1)^2, so the inner axis is
+    cut into slices whose products stay below 2^63, reduced mod p between
+    slices."""
+    step = max(1, _INT64_MAX // (p - 1) ** 2)
+    if a.shape[1] <= step:
+        return (a @ b) % p
+    out = 0
+    for lo in range(0, a.shape[1], step):
+        out = (out + (a[:, lo:lo + step] @ b[lo:lo + step]) % p) % p
+    return out
+
+
+def _digit_grid(p: int, start: int, stop: int, width: int) -> np.ndarray:
+    """Base-p digits of start..stop-1, most significant first: (stop-start, width)."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((stop - start, width), dtype=np.int64)
+    for j in range(width):
+        out[:, j] = (idx // p ** (width - 1 - j)) % p
+    return out
+
+
+def _monomial_table(digits: np.ndarray, expos: np.ndarray, p: int) -> np.ndarray:
+    """Values mod p of the monomials expos (one exponent row each) at each
+    digit row: shape (len(digits), len(expos))."""
+    out = np.ones((digits.shape[0], expos.shape[0]), dtype=np.int64)
+    if not expos.size:
+        return out
+    for v, top in enumerate(expos.max(axis=0).tolist()):
+        if top == 0:
+            continue
+        powers = np.ones((digits.shape[0], top + 1), dtype=np.int64)
+        for d in range(1, top + 1):
+            powers[:, d] = powers[:, d - 1] * digits[:, v] % p
+        out = out * powers[:, expos[:, v]] % p
+    return out
+
+
+@dataclass(frozen=True)
+class _GridGroup:
+    """Index group k (leading 1 at k) split into p^s outer rows of `width`
+    inner points. gens holds, per generator that does not vanish on the whole
+    group, (outer exponents E_O, coefficients C, inner table M_I^T, zero
+    table): its value at outer row o and inner point i is
+    (M_O(o) @ C @ M_I^T)[i] mod p, where M_O(o) are the values of the
+    monomials E_O at the digits of o. The zero table, kept when the entries
+    of the last product are small, says which of them are 0 mod p: a lookup
+    there is cheaper than an int64 remainder."""
+    k: int
+    s: int
+    width: int
+    inner_digits: np.ndarray  # (width, m - s)
+    gens: tuple
+
+
+def _split_cost(terms: list, m: int, s: int, p: int) -> int:
+    """Multiply-adds of the two products, and entry passes of the monomial
+    tables, over a group of p^m points split after s outer digits."""
+    cost = p ** (m - s) * (m - s) * len({e[s:] for gen in terms for _, e in gen})
+    for gen in terms:
+        t_o = len({e[:s] for _, e in gen})
+        t_i = len({e[s:] for _, e in gen})
+        cost += p ** m * t_i + p ** s * t_o * (t_i + s)
+    return cost
+
+
+def _exponent_rows(expos, width: int) -> np.ndarray:
+    """The exponent tuples expos (any iterable of them) as an int64 array."""
+    return np.array(list(expos), dtype=np.int64).reshape(len(expos), width)
+
+
+def _grid_group(polys: Sequence[Polynomial], n: int, k: int, p: int) -> _GridGroup:
+    """Restrict every generator to group k (x_0..x_{k-1} = 0, x_k = 1) and
+    split its m = n - k free digits where the products cost least."""
+    m = n - k
+    terms = []
+    for f in polys:
+        gen = [(c % p, e[k + 1:]) for e, c in f.terms.items()
+               if c % p and not any(e[:k])]
+        if gen:
+            terms.append(gen)
+    fits = [s for s in range(m + 1) if p ** (m - s) <= GRID_CHUNK_POINTS]
+    s = min(fits, key=lambda s: _split_cost(terms, m, s, p))
+    width = p ** (m - s)
+    inner_digits = _digit_grid(p, 0, width, m - s)
+    inner: dict = {}
+    for gen in terms:
+        for _, e in gen:
+            inner.setdefault(e[s:], len(inner))
+    table = _monomial_table(inner_digits, _exponent_rows(inner, m - s), p)
+    gens = []
+    for gen in terms:
+        outer_idx: dict = {}
+        inner_idx: dict = {}
+        oi = [outer_idx.setdefault(e[:s], len(outer_idx)) for _, e in gen]
+        ii = [inner_idx.setdefault(e[s:], len(inner_idx)) for _, e in gen]
+        coef = np.zeros((len(outer_idx), len(inner_idx)), dtype=np.int64)
+        np.add.at(coef, (oi, ii), [c for c, _ in gen])
+        cols = [inner[e] for e in inner_idx]
+        bound = len(cols) * (p - 1) ** 2
+        zero = (np.arange(bound + 1) % p == 0) if bound < _ZERO_TABLE_MAX else None
+        gens.append((_exponent_rows(outer_idx, s), coef % p,
+                     np.ascontiguousarray(table[:, cols].T), zero))
+    return _GridGroup(k, s, width, inner_digits, tuple(gens))
+
+
+def _grid_chunk(group: _GridGroup, n: int, p: int, r0: int, r1: int,
+                row_cap: int | None):
+    """Scan outer rows [r0, r1) of a group: one exact int64 product per
+    generator over the rows that still hold a common zero. Returns (points
+    examined, the first row_cap matched rows in index order, all of them when
+    row_cap is None, matched count)."""
+    outer = _digit_grid(p, r0, r1, group.s)
+    mask = np.ones((r1 - r0, group.width), dtype=bool)
+    for outer_expos, coef, inner_t, zero in group.gens:
+        live = np.flatnonzero(mask.any(axis=1))
+        if live.size == 0:
+            break
+        full = live.size == r1 - r0
+        a = _matmul_mod(_monomial_table(outer if full else outer[live],
+                                        outer_expos, p), coef, p)
+        hit = zero[a @ inner_t] if zero is not None else \
+            _matmul_mod(a, inner_t, p) == 0
+        if full:
+            mask &= hit
+        else:
+            mask[live] &= hit
+    o, i = np.nonzero(mask)
+    nmatch = int(o.size)
+    if row_cap is not None:
+        o, i = o[:row_cap], i[:row_cap]
+    k, s = group.k, group.s
+    rows = np.zeros((o.size, n + 1), dtype=np.int64)
+    rows[:, k] = 1
+    rows[:, k + 1:k + 1 + s] = outer[o]
+    rows[:, k + 1 + s:] = group.inner_digits[i]
+    return (r1 - r0) * group.width, rows, nmatch
 
 
 def scan_system(plan: ScanPlan, polys: Sequence[Polynomial],
                 threads: int | None = None, sample_cap: int = DEFAULT_SAMPLE_CAP,
                 collect: bool = False):
-    """Scan for common zeros of a polynomial system.
+    """Scan for common zeros of a polynomial system with the grid kernel.
 
     Returns a ScanResult, or (ScanResult, matched_points_array) with collect=True.
-    Deterministic: chunk results are folded in index order. Raises
+    Deterministic: chunk results are joined in index order. Raises
     BudgetExceeded before any work when P^n(F_p) exceeds DEFAULT_POINT_BUDGET.
     """
     _check_budget(plan, DEFAULT_POINT_BUDGET)
-    system = CompiledSystem(polys)
-    if system.nvars != plan.ambient_dim + 1:
+    if not polys:
+        raise ValueError("empty system")
+    if len(polys[0].ring_vars) != plan.ambient_dim + 1:
         raise ValueError("system arity does not match the scan plan")
-    p = plan.prime
-    ranges = plan.chunk_ranges()
-
-    def work(rng: tuple[int, int]):
-        start, stop = rng
-        block = points_block(plan.ambient_dim, p, start, stop)
-        mask = system.vanishing_mask(block, p)
-        hits = block[mask]
-        return stop - start, hits if collect else hits[:sample_cap], int(mask.sum())
-
-    results = _run_chunks(work, ranges, threads)
-    total = 0
-    matched = 0
-    pieces = []
-    for examined, hits, nmatch in results:
-        total += examined
-        matched += nmatch
-        pieces.append(hits)
+    n, p = plan.ambient_dim, int(plan.prime)
+    items = []
+    for k in range(n + 1):
+        group = _grid_group(polys, n, k, p)
+        step = max(1, GRID_CHUNK_POINTS // group.width)
+        nrows = p ** group.s
+        items.extend((group, r0, min(r0 + step, nrows))
+                     for r0 in range(0, nrows, step))
+    row_cap = None if collect else sample_cap
+    results = _run_chunks(
+        lambda item: _grid_chunk(item[0], n, p, item[1], item[2], row_cap),
+        items, threads)
+    total = sum(examined for examined, _, _ in results)
+    matched = sum(nmatch for _, _, nmatch in results)
+    pieces = [rows for _, rows, _ in results]
     sample_rows = []
     for piece in pieces:
         if len(sample_rows) >= sample_cap:
@@ -238,9 +399,7 @@ def scan_system(plan: ScanPlan, polys: Sequence[Polynomial],
             sample_rows.append(PointAffineRep(tuple(row)))
     result = ScanResult(total, matched, tuple(sample_rows))
     if collect:
-        stacked = (np.concatenate(pieces, axis=0) if pieces
-                   else np.zeros((0, plan.ambient_dim + 1), dtype=np.int64))
-        return result, stacked
+        return result, np.concatenate(pieces, axis=0)
     return result
 
 
@@ -250,16 +409,30 @@ _POINT_SETS: dict = {}
 def point_set(plan: ScanPlan, polys: Sequence[Polynomial],
               threads: int | None = None) -> np.ndarray:
     """Common zeros of polys in P^n(F_p) as read-only int64 rows, in index
-    order. The first call per (plan, generators) scans with collect=True;
-    later calls return the held array until clear_point_sets(). The thread
-    count is not part of the key: scan results do not depend on it."""
+    order. The first call per (plan, generators) filters the rows of the
+    longest memoized leading part of polys (a cut spec's base) with the
+    remaining generators, or scans with collect=True when no leading part is
+    held; later calls return the held array until clear_point_sets(). The
+    thread count is not part of the key: scan results do not depend on it."""
     key = (plan, tuple(polys))
     pts = _POINT_SETS.get(key)
     if pts is None:
-        _, pts = scan_system(plan, polys, threads=threads, collect=True)
+        pts = _filter_memoized_prefix(plan, key[1])
+        if pts is None:
+            _, pts = scan_system(plan, polys, threads=threads, collect=True)
         pts.setflags(write=False)
         _POINT_SETS[key] = pts
     return pts
+
+
+def _filter_memoized_prefix(plan: ScanPlan, polys: tuple) -> np.ndarray | None:
+    """Rows of the longest held leading part of polys on which the other
+    generators vanish, or None when no leading part is held."""
+    for j in range(len(polys) - 1, 0, -1):
+        base = _POINT_SETS.get((plan, polys[:j]))
+        if base is not None:
+            return base[CompiledSystem(polys[j:]).vanishing_mask(base, plan.prime)]
+    return None
 
 
 def clear_point_sets() -> None:

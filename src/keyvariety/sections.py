@@ -20,7 +20,7 @@ from .algebra import ParseError, Polynomial, SmallPrime, fraction_matrix_rank, p
 from .catalog import VarietySpec, form_vanishes_on_plane
 from .invariants import _jacobian_singular_mask, bracket_dimension
 from .projspace import (DEFAULT_POINT_BUDGET, ScanPlan, _check_budget,
-                        scan_system)
+                        point_set)
 
 # committed seeds for the shipped section checks (one per case); the g8 seed
 # is shared by the plane-preserving terminality probe
@@ -174,8 +174,7 @@ def section_report(spec: VarietySpec, primes: Sequence[int],
         p = SmallPrime(p)
         plan = ScanPlan(spec.ambient_dim, p)
         _check_budget(plan, budget)
-        _, pts = scan_system(plan, list(spec.generators), threads=threads,
-                             collect=True)
+        pts = point_set(plan, spec.generators, threads)
         count = pts.shape[0]
         est = bracket_dimension(count, p, spec.ambient_dim)
         sing = _jacobian_singular_mask(spec, pts, p, threads)

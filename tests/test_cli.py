@@ -3,9 +3,10 @@ from collections import Counter
 
 import pytest
 
-from keyvariety import invariants, projspace
+from keyvariety import incidence, invariants, projspace
 from keyvariety.cli import (ConfigError, RunConfig, emit_report, exit_code,
                             main, parse_config, run)
+from keyvariety.incidence import base_points
 
 
 def _write(tmp_path, text, name="cfg.txt"):
@@ -152,16 +153,27 @@ def test_cli_section_command(tmp_path, capsys):
 
 
 def test_run_over_budget_exits_2_before_any_scan(tmp_path, capsys, monkeypatch):
-    blocks = []
-    real = projspace.points_block
-    monkeypatch.setattr(projspace, "points_block",
-                        lambda *a: blocks.append(a) or real(*a))
+    chunks = []
+    real = projspace._grid_chunk
+    monkeypatch.setattr(projspace, "_grid_chunk",
+                        lambda *a: chunks.append(a[1:]) or real(*a))
     cfg = _write(tmp_path, "cases=g5\nprimes=5\nchecks=count\n")
     assert main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert blocks == []
+    assert chunks == []
     assert projspace._POINT_SETS == {}
+    # the patched kernel does record the chunks of a scan within budget
+    cfg = _write(tmp_path, "cases=Q3_g6q\nprimes=2\nchecks=count\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    assert chunks
+
+
+def test_run_empties_base_point_cache():
+    base_points("g4", 2)
+    run(RunConfig(cases=("g8_sigma_bar",), primes=(2,), checks=("fibers",),
+                  threads=1))
+    assert incidence._BASE_POINTS == {}
 
 
 def _count_scans(monkeypatch) -> Counter:

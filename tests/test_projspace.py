@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from keyvariety import projspace
-from keyvariety.algebra import PointAffineRep, SmallPrime, parse_poly
-from keyvariety.catalog import plucker_ideal
+from keyvariety.algebra import (PointAffineRep, Polynomial, SmallPrime,
+                                parse_poly)
+from keyvariety.catalog import build_case, plucker_ideal
 from keyvariety.projspace import (DEFAULT_SAMPLE_CAP, ScanPlan, ScanResult,
-                                  _run_chunks, clear_point_sets,
+                                  _matmul_mod, _run_chunks, clear_point_sets,
                                   enumerate_points, index_to_point, point_set,
                                   point_to_index, points_block,
                                   proj_point_count, scan_system)
+from keyvariety.sections import SectionSpec, cut
 
 
 def scan(plan, predicate, threads=None, sample_cap=DEFAULT_SAMPLE_CAP):
@@ -146,3 +149,97 @@ def test_point_set_scans_once_and_is_read_only(monkeypatch):
     clear_point_sets()
     point_set(plan, [f])
     assert len(calls) == 2
+
+
+def _oracle_rows(plan, polys):
+    """Every common zero by the pointwise oracle: (ScanResult whose sample
+    holds all of them, the same points as int64 rows in index order)."""
+    res = scan(plan, lambda pt: all(f.eval_mod(pt.coords, plan.prime) == 0
+                                    for f in polys), sample_cap=plan.total)
+    rows = [pt.coords for pt in res.sample]
+    return res, np.array(rows, dtype=np.int64).reshape(len(rows), plan.ambient_dim + 1)
+
+
+@st.composite
+def _systems(draw):
+    """(n, p, generators): 1-3 polynomials of degree <= 3 in n + 1 variables,
+    coefficients in [-8, 8] (some of them 0 mod p)."""
+    n = draw(st.integers(0, 5))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ring = tuple(f"x{i}" for i in range(n + 1))
+    monomial = st.lists(st.integers(0, n), max_size=3).map(
+        lambda vs: tuple(vs.count(i) for i in range(n + 1)))
+    poly = st.dictionaries(monomial, st.integers(-8, 8), min_size=1,
+                           max_size=6).map(lambda t: Polynomial(ring, t))
+    return n, p, draw(st.lists(poly, min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_systems(), st.sampled_from([1, 5, DEFAULT_SAMPLE_CAP]))
+def test_grid_kernel_matches_pointwise_oracle(system, sample_cap):
+    n, p, polys = system
+    plan = ScanPlan(n, SmallPrime(p))
+    want, want_rows = _oracle_rows(plan, polys)
+    for threads in (1, 2):
+        res, rows = scan_system(plan, polys, threads=threads,
+                                sample_cap=sample_cap, collect=True)
+        assert res.total_examined == plan.total
+        assert res.matched == want.matched == len(rows)
+        assert np.array_equal(rows, want_rows)
+        assert res.sample == want.sample[:sample_cap]
+        assert scan_system(plan, polys, threads=threads,
+                           sample_cap=sample_cap) == res
+
+
+def test_matmul_mod_exact_at_largest_prime():
+    p = 2**31 - 1
+    rng = np.random.default_rng(5)
+    a = rng.integers(p - 50, p, (3, 7), dtype=np.int64)
+    b = rng.integers(p - 50, p, (7, 4), dtype=np.int64)
+    want = [[sum(int(a[i, t]) * int(b[t, j]) for t in range(7)) % p
+             for j in range(4)] for i in range(3)]
+    assert _matmul_mod(a, b, p).tolist() == want
+
+
+def test_grid_kernel_exact_at_largest_prime_on_p0():
+    p = SmallPrime(2**31 - 1)
+    ring = ("x",)
+    plan = ScanPlan(0, p)
+    vanishing = parse_poly(f"{p - 1}*x^3 + {p - 2}*x^2 + 3*x", ring)
+    other = parse_poly(f"{p - 1}*x^3 + {p - 2}*x^2 + 2*x", ring)
+    res, rows = scan_system(plan, [vanishing], collect=True)
+    assert res.matched == 1 and rows.tolist() == [[1]]
+    assert scan_system(plan, [other]).matched == 0
+    assert scan_system(plan, [vanishing, other]).matched == 0
+
+
+def test_grid_kernel_exact_on_p1_above_2_16():
+    p = SmallPrime(65537)
+    ring = ("x", "y")
+    x, y = (Polynomial.variable(ring, v) for v in ring)
+    # three rational roots: (1 : 40000), (1 : 60001) and (30000 : 1), whose
+    # normalized representative is (1 : 1/30000) = (1 : 57950)
+    f = (y - x * 40000) * (y - x * 60001) * (x - y * 30000)
+    plan = ScanPlan(1, p)
+    res, rows = scan_system(plan, [f], threads=2, collect=True)
+    want, want_rows = _oracle_rows(plan, [f])
+    assert res.matched == want.matched == 3
+    assert np.array_equal(rows, want_rows)
+    assert rows.tolist() == [[1, 40000], [1, 57950], [1, 60001]]
+
+
+def test_cut_rows_from_memo_filter_equal_direct_scan(monkeypatch):
+    spec = build_case("g8_sigma_bar")
+    forms = tuple(parse_poly(t, spec.vars) for t in ("x2 - p24", "x3 - p35"))
+    w = cut(spec, SectionSpec(spec.case_id, forms))
+    plan = ScanPlan(spec.ambient_dim, SmallPrime(3))
+    point_set(plan, spec.generators)
+    calls = []
+    real = projspace.scan_system
+    monkeypatch.setattr(projspace, "scan_system",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    filtered = point_set(plan, w.generators)
+    assert calls == []
+    _, direct = real(plan, list(w.generators), collect=True)
+    assert len(direct) > 0 and np.array_equal(filtered, direct)
+    assert not filtered.flags.writeable
