@@ -7,15 +7,16 @@ coordinate right after the leading 1 being the most significant digit. This
 gives O(1) index -> point and a trivially partitionable index range.
 
 Scans use a grid kernel. Group k is the full grid F_p^m, m = n - k, with its
-most significant digits first; split into s outer and m - s inner digits, its
-indices are outer-major. With x_0..x_{k-1} = 0 and x_k = 1 a generator is
-M_O(o)^T C M_I(i), M_O and M_I being the values of its outer and inner
-monomials on the outer and inner digit grids and C its coefficients. Its
+most significant digits first; split into s = ceil(m/2) outer and m - s inner
+digits (more outer ones where the inner grid would exceed GRID_CHUNK_POINTS
+points), its indices are outer-major. With x_0..x_{k-1} = 0 and x_k = 1 a
+generator is M_O(o)^T C M_I(i), M_O and M_I being the values of its outer and
+inner monomials on the outer and inner digit grids and C its coefficients. Its
 values on a block of outer rows are ((M_O[rows] @ C) % p) @ M_I^T: one int64
 matrix product per generator. An entry is at most T(p-1)^2 for T summed
-monomials; where that could reach 2^63 the sum is cut into slices reduced mod
-p in between, so the kernel is exact for every prime SmallPrime accepts and
-uses no floating point. Point rows are built only for matched entries, which
+monomials; where that could reach 2^63 the sum is cut into slices reduced mod p
+in between, so the kernel is exact for every prime SmallPrime accepts and uses
+no floating point. Point rows are built only for matched entries, which
 np.nonzero returns in index order. points_block serves enumerate_points and
 CompiledSystem evaluates generators on explicit rows.
 
@@ -23,8 +24,9 @@ Chunks (blocks of outer rows of about GRID_CHUNK_POINTS points) are joined in
 index order, so results are independent of the worker count. Every scan is
 held to a point budget. Point sets of the catalog's varieties go through a
 memo (point_set), so each (generators, prime) pair is scanned once until
-clear_point_sets(); a system whose leading generators are held (a linear
-section of a held variety) is filtered from their rows instead of scanned.
+clear_point_sets(). common_zeros reads the memo without adding to it: a
+system whose leading generators are held (a linear section of a held
+variety) is filtered from their rows instead of scanned.
 """
 from __future__ import annotations
 
@@ -64,25 +66,20 @@ def proj_point_count(n: int, p: int) -> int:
 class ScanPlan:
     ambient_dim: int
     prime: SmallPrime
-    chunk_count: int = 0  # 0: pick from DEFAULT_CHUNK_SIZE
 
     def __post_init__(self):
         object.__setattr__(self, "prime", SmallPrime(self.prime))
         if self.ambient_dim < 0:
             raise ValueError("ambient_dim must be >= 0")
-        if self.chunk_count < 0:
-            raise ValueError("chunk_count must be >= 0")
 
     @property
     def total(self) -> int:
         return proj_point_count(self.ambient_dim, self.prime)
 
     def chunk_ranges(self) -> list[tuple[int, int]]:
+        """Index ranges of at most DEFAULT_CHUNK_SIZE points (enumeration)."""
         total = self.total
-        chunks = self.chunk_count
-        if chunks == 0:
-            chunks = max(1, (total + DEFAULT_CHUNK_SIZE - 1) // DEFAULT_CHUNK_SIZE)
-        chunks = min(chunks, total)
+        chunks = max(1, (total + DEFAULT_CHUNK_SIZE - 1) // DEFAULT_CHUNK_SIZE)
         bounds = [(total * k) // chunks for k in range(chunks + 1)]
         return [(bounds[k], bounds[k + 1]) for k in range(chunks)]
 
@@ -218,7 +215,6 @@ class CompiledSystem:
 # grid kernel: the generators on one index group as outer x inner products
 
 GRID_CHUNK_POINTS = 1 << 16
-_ZERO_TABLE_MAX = 1 << 16
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -265,28 +261,14 @@ def _monomial_table(digits: np.ndarray, expos: np.ndarray, p: int) -> np.ndarray
 class _GridGroup:
     """Index group k (leading 1 at k) split into p^s outer rows of `width`
     inner points. gens holds, per generator that does not vanish on the whole
-    group, (outer exponents E_O, coefficients C, inner table M_I^T, zero
-    table): its value at outer row o and inner point i is
-    (M_O(o) @ C @ M_I^T)[i] mod p, where M_O(o) are the values of the
-    monomials E_O at the digits of o. The zero table, kept when the entries
-    of the last product are small, says which of them are 0 mod p: a lookup
-    there is cheaper than an int64 remainder."""
+    group, (outer exponents E_O, coefficients C, inner table M_I^T): its
+    value at outer row o and inner point i is (M_O(o) @ C @ M_I^T)[i] mod p,
+    where M_O(o) are the values of the monomials E_O at the digits of o."""
     k: int
     s: int
     width: int
     inner_digits: np.ndarray  # (width, m - s)
     gens: tuple
-
-
-def _split_cost(terms: list, m: int, s: int, p: int) -> int:
-    """Multiply-adds of the two products, and entry passes of the monomial
-    tables, over a group of p^m points split after s outer digits."""
-    cost = p ** (m - s) * (m - s) * len({e[s:] for gen in terms for _, e in gen})
-    for gen in terms:
-        t_o = len({e[:s] for _, e in gen})
-        t_i = len({e[s:] for _, e in gen})
-        cost += p ** m * t_i + p ** s * t_o * (t_i + s)
-    return cost
 
 
 def _exponent_rows(expos, width: int) -> np.ndarray:
@@ -296,7 +278,12 @@ def _exponent_rows(expos, width: int) -> np.ndarray:
 
 def _grid_group(polys: Sequence[Polynomial], n: int, k: int, p: int) -> _GridGroup:
     """Restrict every generator to group k (x_0..x_{k-1} = 0, x_k = 1) and
-    split its m = n - k free digits where the products cost least."""
+    split its m = n - k free digits in half, the outer half taking the odd
+    digit and any more it needs to leave at most GRID_CHUNK_POINTS inner
+    points. Balanced grids keep both monomial tables near p^(m/2) rows and
+    few monomials in the product over all p^m points; the widest inner grid
+    puts nearly every monomial there and made the scans of the catalog's
+    systems about ten times slower."""
     m = n - k
     terms = []
     for f in polys:
@@ -304,8 +291,8 @@ def _grid_group(polys: Sequence[Polynomial], n: int, k: int, p: int) -> _GridGro
                if c % p and not any(e[:k])]
         if gen:
             terms.append(gen)
-    fits = [s for s in range(m + 1) if p ** (m - s) <= GRID_CHUNK_POINTS]
-    s = min(fits, key=lambda s: _split_cost(terms, m, s, p))
+    s = max((m + 1) // 2,
+            next(s for s in range(m + 1) if p ** (m - s) <= GRID_CHUNK_POINTS))
     width = p ** (m - s)
     inner_digits = _digit_grid(p, 0, width, m - s)
     inner: dict = {}
@@ -322,10 +309,8 @@ def _grid_group(polys: Sequence[Polynomial], n: int, k: int, p: int) -> _GridGro
         coef = np.zeros((len(outer_idx), len(inner_idx)), dtype=np.int64)
         np.add.at(coef, (oi, ii), [c for c, _ in gen])
         cols = [inner[e] for e in inner_idx]
-        bound = len(cols) * (p - 1) ** 2
-        zero = (np.arange(bound + 1) % p == 0) if bound < _ZERO_TABLE_MAX else None
         gens.append((_exponent_rows(outer_idx, s), coef % p,
-                     np.ascontiguousarray(table[:, cols].T), zero))
+                     np.ascontiguousarray(table[:, cols].T)))
     return _GridGroup(k, s, width, inner_digits, tuple(gens))
 
 
@@ -337,19 +322,12 @@ def _grid_chunk(group: _GridGroup, n: int, p: int, r0: int, r1: int,
     row_cap is None, matched count)."""
     outer = _digit_grid(p, r0, r1, group.s)
     mask = np.ones((r1 - r0, group.width), dtype=bool)
-    for outer_expos, coef, inner_t, zero in group.gens:
+    for outer_expos, coef, inner_t in group.gens:
         live = np.flatnonzero(mask.any(axis=1))
         if live.size == 0:
             break
-        full = live.size == r1 - r0
-        a = _matmul_mod(_monomial_table(outer if full else outer[live],
-                                        outer_expos, p), coef, p)
-        hit = zero[a @ inner_t] if zero is not None else \
-            _matmul_mod(a, inner_t, p) == 0
-        if full:
-            mask &= hit
-        else:
-            mask[live] &= hit
+        a = _matmul_mod(_monomial_table(outer[live], outer_expos, p), coef, p)
+        mask[live] &= _matmul_mod(a, inner_t, p) == 0
     o, i = np.nonzero(mask)
     nmatch = int(o.size)
     if row_cap is not None:
@@ -409,30 +387,34 @@ _POINT_SETS: dict = {}
 def point_set(plan: ScanPlan, polys: Sequence[Polynomial],
               threads: int | None = None) -> np.ndarray:
     """Common zeros of polys in P^n(F_p) as read-only int64 rows, in index
-    order. The first call per (plan, generators) filters the rows of the
-    longest memoized leading part of polys (a cut spec's base) with the
-    remaining generators, or scans with collect=True when no leading part is
-    held; later calls return the held array until clear_point_sets(). The
-    thread count is not part of the key: scan results do not depend on it."""
+    order. The first call per (plan, generators) finds them with
+    common_zeros and holds them; later calls return the held array until
+    clear_point_sets(). The thread count is not part of the key: scan results
+    do not depend on it."""
     key = (plan, tuple(polys))
     pts = _POINT_SETS.get(key)
     if pts is None:
-        pts = _filter_memoized_prefix(plan, key[1])
-        if pts is None:
-            _, pts = scan_system(plan, polys, threads=threads, collect=True)
+        pts = common_zeros(plan, key[1], threads)
         pts.setflags(write=False)
         _POINT_SETS[key] = pts
     return pts
 
 
-def _filter_memoized_prefix(plan: ScanPlan, polys: tuple) -> np.ndarray | None:
-    """Rows of the longest held leading part of polys on which the other
-    generators vanish, or None when no leading part is held."""
-    for j in range(len(polys) - 1, 0, -1):
+def common_zeros(plan: ScanPlan, polys: Sequence[Polynomial],
+                 threads: int | None = None) -> np.ndarray:
+    """Common zeros of polys in P^n(F_p) as int64 rows in index order, read
+    through the memo without adding to it: the held rows of polys, else the
+    rows of the longest held leading part of polys (a cut spec's base) on
+    which the other generators vanish, else a collect=True scan."""
+    polys = tuple(polys)
+    for j in range(len(polys), 0, -1):
         base = _POINT_SETS.get((plan, polys[:j]))
         if base is not None:
+            if j == len(polys):
+                return base
             return base[CompiledSystem(polys[j:]).vanishing_mask(base, plan.prime)]
-    return None
+    _, pts = scan_system(plan, polys, threads=threads, collect=True)
+    return pts
 
 
 def clear_point_sets() -> None:

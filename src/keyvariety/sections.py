@@ -20,7 +20,7 @@ from .algebra import ParseError, Polynomial, SmallPrime, fraction_matrix_rank, p
 from .catalog import VarietySpec, form_vanishes_on_plane
 from .invariants import _jacobian_singular_mask, bracket_dimension
 from .projspace import (DEFAULT_POINT_BUDGET, ScanPlan, _check_budget,
-                        point_set)
+                        common_zeros)
 
 # committed seeds for the shipped section checks (one per case); the g8 seed
 # is shared by the plane-preserving terminality probe
@@ -168,13 +168,14 @@ def section_report(spec: VarietySpec, primes: Sequence[int],
                    budget: int = DEFAULT_POINT_BUDGET) -> list:
     """Per-prime profile of a (cut) spec: point count, bracket dimension,
     Jacobian-singular rational points, and - when a plane is tracked - the
-    plane-section count and the singular count off the plane."""
+    plane-section count and the singular count off the plane. Point sets
+    are read through the memo (common_zeros), which this adds nothing to."""
     out = []
     for p in primes:
         p = SmallPrime(p)
         plan = ScanPlan(spec.ambient_dim, p)
         _check_budget(plan, budget)
-        pts = point_set(plan, spec.generators, threads)
+        pts = common_zeros(plan, spec.generators, threads)
         count = pts.shape[0]
         est = bracket_dimension(count, p, spec.ambient_dim)
         sing = _jacobian_singular_mask(spec, pts, p, threads)

@@ -6,24 +6,27 @@ from keyvariety import projspace
 from keyvariety.algebra import (PointAffineRep, Polynomial, SmallPrime,
                                 parse_poly)
 from keyvariety.catalog import build_case, plucker_ideal
-from keyvariety.projspace import (DEFAULT_SAMPLE_CAP, ScanPlan, ScanResult,
-                                  _matmul_mod, _run_chunks, clear_point_sets,
+from keyvariety.projspace import (DEFAULT_SAMPLE_CAP, GRID_CHUNK_POINTS,
+                                  ScanPlan, ScanResult, _matmul_mod,
+                                  _run_chunks, clear_point_sets,
                                   enumerate_points, index_to_point, point_set,
                                   point_to_index, points_block,
                                   proj_point_count, scan_system)
-from keyvariety.sections import SectionSpec, cut
+from keyvariety.sections import SectionSpec, cut, section_report
 
 
-def scan(plan, predicate, threads=None, sample_cap=DEFAULT_SAMPLE_CAP):
+def scan(plan, predicate, threads=None, sample_cap=DEFAULT_SAMPLE_CAP,
+         ranges=None):
     """Slow pointwise oracle: count the points where a pure predicate holds,
-    chunk by chunk on the scan workers, joined in chunk order."""
+    chunk by chunk (plan.chunk_ranges() unless ranges are given) on the scan
+    workers, joined in chunk order."""
     def work(rng):
         start, stop = rng
         pts = [PointAffineRep(tuple(row)) for row in
                points_block(plan.ambient_dim, plan.prime, start, stop).tolist()]
         return stop - start, [pt for pt in pts if predicate(pt)]
 
-    results = _run_chunks(work, plan.chunk_ranges(), threads)
+    results = _run_chunks(work, ranges or plan.chunk_ranges(), threads)
     hits = [pt for _, chunk in results for pt in chunk]
     return ScanResult(sum(n for n, _ in results), len(hits),
                       tuple(hits[:sample_cap]))
@@ -62,8 +65,9 @@ def test_index_bijection():
 
 
 def test_chunks_partition_exactly():
-    plan = ScanPlan(4, SmallPrime(3), chunk_count=7)
+    plan = ScanPlan(12, SmallPrime(3))  # 797161 points: 4 chunks
     ranges = plan.chunk_ranges()
+    assert len(ranges) == 4
     assert ranges[0][0] == 0 and ranges[-1][1] == plan.total
     for (a, b), (c, d) in zip(ranges, ranges[1:]):
         assert b == c and a < b
@@ -77,10 +81,12 @@ def test_scan_true_predicate():
 
 @pytest.mark.parametrize("chunks", [1, 2, 8])
 def test_scan_chunk_invariance(chunks):
-    plan = ScanPlan(4, SmallPrime(3), chunk_count=chunks)
-    res = scan(plan, lambda pt: pt.coords[0] == 0, threads=2)
-    base = scan(ScanPlan(4, SmallPrime(3), chunk_count=1),
-                lambda pt: pt.coords[0] == 0, threads=1)
+    plan = ScanPlan(4, SmallPrime(3))
+    bounds = [plan.total * c // chunks for c in range(chunks + 1)]
+    res = scan(plan, lambda pt: pt.coords[0] == 0, threads=2,
+               ranges=list(zip(bounds, bounds[1:])))
+    base = scan(plan, lambda pt: pt.coords[0] == 0, threads=1,
+                ranges=[(0, plan.total)])
     assert (res.total_examined, res.matched) == (base.total_examined, base.matched)
     assert res.sample == base.sample
 
@@ -180,15 +186,36 @@ def test_grid_kernel_matches_pointwise_oracle(system, sample_cap):
     n, p, polys = system
     plan = ScanPlan(n, SmallPrime(p))
     want, want_rows = _oracle_rows(plan, polys)
-    for threads in (1, 2):
-        res, rows = scan_system(plan, polys, threads=threads,
-                                sample_cap=sample_cap, collect=True)
-        assert res.total_examined == plan.total
-        assert res.matched == want.matched == len(rows)
-        assert np.array_equal(rows, want_rows)
-        assert res.sample == want.sample[:sample_cap]
-        assert scan_system(plan, polys, threads=threads,
-                           sample_cap=sample_cap) == res
+    # 8-point chunks split every group of more than 8 points into blocks of
+    # outer rows, so the chunk bounds and the join are checked as well
+    for chunk_points in (GRID_CHUNK_POINTS, 8):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(projspace, "GRID_CHUNK_POINTS", chunk_points)
+            for threads in (1, 2):
+                res, rows = scan_system(plan, polys, threads=threads,
+                                        sample_cap=sample_cap, collect=True)
+                assert res.total_examined == plan.total
+                assert res.matched == want.matched == len(rows)
+                assert np.array_equal(rows, want_rows)
+                assert res.sample == want.sample[:sample_cap]
+                assert scan_system(plan, polys, threads=threads,
+                                   sample_cap=sample_cap) == res
+
+
+def test_small_grid_chunks_split_groups(monkeypatch):
+    chunks = []
+    real = projspace._grid_chunk
+    monkeypatch.setattr(projspace, "_grid_chunk",
+                        lambda group, n, p, r0, r1, cap:
+                        chunks.append((group.k, r0, r1)) or
+                        real(group, n, p, r0, r1, cap))
+    monkeypatch.setattr(projspace, "GRID_CHUNK_POINTS", 8)
+    ring = tuple(f"x{i}" for i in range(5))
+    scan_system(ScanPlan(4, SmallPrime(3)), [parse_poly("x0*x1 - x4^2", ring)],
+                threads=1)
+    # group 0 is F_3^4: an inner grid of 3 points, 2 outer rows per chunk
+    group0 = [(r0, r1) for k, r0, r1 in chunks if k == 0]
+    assert group0 == [(r0, min(r0 + 2, 27)) for r0 in range(0, 27, 2)]
 
 
 def test_matmul_mod_exact_at_largest_prime():
@@ -243,3 +270,24 @@ def test_cut_rows_from_memo_filter_equal_direct_scan(monkeypatch):
     _, direct = real(plan, list(w.generators), collect=True)
     assert len(direct) > 0 and np.array_equal(filtered, direct)
     assert not filtered.flags.writeable
+
+
+def test_section_report_reads_the_memo_and_adds_nothing(monkeypatch):
+    spec = build_case("g8_sigma_bar")
+    forms = tuple(parse_poly(t, spec.vars) for t in ("x2 - p24", "x3 - p35"))
+    w = cut(spec, SectionSpec(spec.case_id, forms))
+    plan = ScanPlan(spec.ambient_dim, SmallPrime(3))
+    _, direct = scan_system(plan, list(w.generators), collect=True)
+    point_set(plan, spec.generators)
+    held = dict(projspace._POINT_SETS)
+    calls = []
+    real = projspace.scan_system
+    monkeypatch.setattr(projspace, "scan_system",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    (rep,) = section_report(w, (3,), threads=1)
+    assert calls == [] and rep.count == len(direct)
+    assert projspace._POINT_SETS == held
+    clear_point_sets()
+    (again,) = section_report(w, (3,), threads=1)
+    assert len(calls) == 1 and again == rep
+    assert projspace._POINT_SETS == {}
