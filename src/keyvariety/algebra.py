@@ -349,11 +349,14 @@ def eval_poly(f: Polynomial, pt: PointAffineRep, p: int) -> int:
 # linear algebra over F_p
 
 
-def matrix_rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of a rectangular integer matrix over F_p by Gaussian elimination."""
+def _echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple[list, list]:
+    """Gauss-Jordan over F_p: the reduced row echelon form of the matrix (as
+    residue rows, pivot rows first) and its pivot columns. Stops once every
+    row holds a pivot."""
     A = [[int(x) % p for x in row] for row in rows]
     m = len(A)
     n = len(A[0]) if m else 0
+    pivots: list[int] = []
     rank = 0
     for c in range(n):
         piv = None
@@ -370,39 +373,26 @@ def matrix_rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
             if i != rank and A[i][c]:
                 f = A[i][c]
                 A[i] = [(x - f * y) % p for x, y in zip(A[i], A[rank])]
+        pivots.append(c)
         rank += 1
         if rank == m:
             break
-    return rank
+    return A, pivots
+
+
+def matrix_rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank of a rectangular integer matrix over F_p by Gaussian elimination."""
+    return len(_echelon_mod_p(rows, p)[1])
 
 
 def nullspace_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    """Basis of the right kernel over F_p."""
-    A = [[int(x) % p for x in row] for row in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if A[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], -1, p)
-        A[r] = [(x * inv) % p for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
+    """Basis of the right kernel over F_p, one vector per non-pivot column."""
+    A, pivots = _echelon_mod_p(rows, p)
+    n = len(A[0]) if A else 0
     basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [0] * n
         v[fc] = 1
         for i, c in enumerate(pivots):
@@ -474,23 +464,37 @@ def jacobian_rank(fs: Sequence[Polynomial], pt: PointAffineRep, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact rational matrices (used for pairing normalization)
+# exact rational matrices (section forms, pairing normalization)
 
 
-def fraction_matrix_rank(M: Sequence[Sequence[Fraction]]) -> int:
+def _echelon_q(M: Sequence[Sequence]) -> tuple[list, list]:
+    """Gauss-Jordan over Q with exact Fractions: the reduced row echelon form
+    of the matrix and its pivot columns. Stops once every row holds a pivot."""
     A = [[Fraction(x) for x in row] for row in M]
     m, n = len(A), len(A[0]) if A else 0
+    pivots: list[int] = []
     rank = 0
     for c in range(n):
-        piv = next((i for i in range(rank, m) if A[i][c] != 0), None)
+        piv = None
+        for i in range(rank, m):
+            if A[i][c]:
+                piv = i
+                break
         if piv is None:
             continue
         A[rank], A[piv] = A[piv], A[rank]
         inv = 1 / A[rank][c]
         A[rank] = [x * inv for x in A[rank]]
         for i in range(m):
-            if i != rank and A[i][c] != 0:
+            if i != rank and A[i][c]:
                 f = A[i][c]
                 A[i] = [x - f * y for x, y in zip(A[i], A[rank])]
+        pivots.append(c)
         rank += 1
-    return rank
+        if rank == m:
+            break
+    return A, pivots
+
+
+def fraction_matrix_rank(M: Sequence[Sequence[Fraction]]) -> int:
+    return len(_echelon_q(M)[1])

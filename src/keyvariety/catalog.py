@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .algebra import (Polynomial, PointAffineRep, fraction_matrix_rank,
+from .algebra import (Polynomial, PointAffineRep, _echelon_q,
                       matrix_rank_mod_p, parse_poly)
 
 
@@ -199,14 +199,9 @@ def _build_g8_generators() -> tuple:
 
 
 def _build_b5_generators() -> tuple:
+    # the last five quadrics of plucker_ideal(6) are those free of index 1
     sub = _g8_substitution(B5_VARS, include_v1=False)
-    gens = []
-    for i, j, k, l in itertools.combinations(range(2, 7), 4):
-        labels = pair_labels(6)
-        ring = tuple(f"p{a}{b}" for a, b in labels)
-        text = f"p{i}{j}*p{k}{l} - p{i}{k}*p{j}{l} + p{i}{l}*p{j}{k}"
-        f = parse_poly(text, ring)
-        gens.append(f.substitute(sub))
+    gens = [f.substitute(sub) for f in plucker_ideal(6)[-5:]]
     return tuple(g for g in gens if not g.is_zero())
 
 
@@ -248,16 +243,30 @@ def _vars_g4():
             "z11", "z12", "z13", "z21", "z22", "z23", "z31", "z32")
 
 
-def _g4_cubic_text() -> str:
-    # y^T M x with M = (z_ij) and z33 eliminated by the trace-zero relation
-    parts = []
-    for i in range(1, 4):
-        for j in range(1, 4):
-            if (i, j) == (3, 3):
-                parts.append("- y3*z11*x3 - y3*z22*x3")
-            else:
-                parts.append(f"+ y{i}*z{i}{j}*x{j}")
-    return " ".join(parts).lstrip("+ ")
+def trace_zero_matrix(e: Sequence) -> tuple:
+    """The trace-zero 3x3 matrix with entries e = (m11, m12, m13, m21, m22,
+    m23, m31, m32) in row order and m33 = -(m11 + m22); the entries may be
+    integers or Polynomials."""
+    return ((e[0], e[1], e[2]), (e[3], e[4], e[5]), (e[6], e[7], -(e[0] + e[4])))
+
+
+def _trace_zero_variables(ring: tuple, letter: str) -> tuple:
+    """trace_zero_matrix of the variables letter11, ..., letter32 of ring."""
+    return trace_zero_matrix([Polynomial.variable(ring, f"{letter}{i}{j}")
+                              for i in (1, 2, 3) for j in (1, 2, 3)
+                              if (i, j) != (3, 3)])
+
+
+def _mq_matrix(z2, z3, z4, z5) -> tuple:
+    """The antisymmetric 5x5 matrix of quadratic entries in the vertex
+    coordinates z2..z5 (integers or Polynomials)."""
+    return (
+        (0, z2 * z2, z3 * z3, z2 * z3, z2 * z4 - z3 * z5),
+        (-(z2 * z2), 0, z3 * z5 + z2 * z4, z2 * z5, -(z5 * z5)),
+        (-(z3 * z3), -(z3 * z5 + z2 * z4), 0, -(z3 * z4), -(z4 * z4)),
+        (-(z2 * z3), -(z2 * z5), z3 * z4, 0, -(z4 * z5)),
+        (-(z2 * z4 - z3 * z5), z5 * z5, z4 * z4, z4 * z5, 0),
+    )
 
 
 _G6Q_VARS = ("z2", "z3", "z4", "z5",
@@ -295,13 +304,7 @@ _TABLE = {
 def _rank_locus_g4(ring) -> RankLocusSpec:
     y = [Polynomial.variable(ring, f"y{i}") for i in (1, 2, 3)]
     x = [Polynomial.variable(ring, f"x{i}") for i in (1, 2, 3)]
-    z = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            if (i, j) == (2, 2):
-                z[i][j] = -(Polynomial.variable(ring, "z11") + Polynomial.variable(ring, "z22"))
-            else:
-                z[i][j] = Polynomial.variable(ring, f"z{i+1}{j+1}")
+    z = _trace_zero_variables(ring, "z")
     yM = [sum((y[i] * z[i][j] for i in range(3)), Polynomial.zero(ring)) for j in range(3)]
     Mx = [sum((z[i][j] * x[j] for j in range(3)), Polynomial.zero(ring)) for i in range(3)]
     return RankLocusSpec(
@@ -325,15 +328,8 @@ def _rank_locus_g5(ring) -> RankLocusSpec:
 
 
 def _rank_locus_g6q(ring) -> RankLocusSpec:
-    z2, z3, z4, z5 = (Polynomial.variable(ring, n) for n in ("z2", "z3", "z4", "z5"))
+    MQ = _mq_matrix(*(Polynomial.variable(ring, n) for n in ("z2", "z3", "z4", "z5")))
     yv = [Polynomial.variable(ring, n) for n in ("y23", "y25", "y34", "y35", "y45")]
-    MQ = (
-        (0, z2 * z2, z3 * z3, z2 * z3, z2 * z4 - z3 * z5),
-        (-(z2 * z2), 0, z3 * z5 + z2 * z4, z2 * z5, -(z5 * z5)),
-        (-(z3 * z3), -(z3 * z5 + z2 * z4), 0, -(z3 * z4), -(z4 * z4)),
-        (-(z2 * z3), -(z2 * z5), z3 * z4, 0, -(z4 * z5)),
-        (-(z2 * z4 - z3 * z5), z5 * z5, z4 * z4, z4 * z5, 0),
-    )
     zero = Polynomial.zero(ring)
     rows = []
     for i in range(5):
@@ -355,15 +351,7 @@ def _rank_locus_g6q(ring) -> RankLocusSpec:
 def g6q_vertex_matrix(z: Sequence[int], p: int) -> list[list[int]]:
     """The antisymmetric 5x5 matrix of quadratic entries in z = (z2..z5),
     whose kernel condition on the dual block cuts the singular locus."""
-    z2, z3, z4, z5 = (int(v) for v in z)
-    M = [
-        [0, z2 * z2, z3 * z3, z2 * z3, z2 * z4 - z3 * z5],
-        [-z2 * z2, 0, z3 * z5 + z2 * z4, z2 * z5, -z5 * z5],
-        [-z3 * z3, -(z3 * z5 + z2 * z4), 0, -z3 * z4, -z4 * z4],
-        [-z2 * z3, -z2 * z5, z3 * z4, 0, -z4 * z5],
-        [-(z2 * z4 - z3 * z5), z5 * z5, z4 * z4, z4 * z5, 0],
-    ]
-    return [[v % p for v in row] for row in M]
+    return [[v % p for v in row] for row in _mq_matrix(*(int(v) for v in z))]
 
 
 def build_case(case_id: str) -> VarietySpec:
@@ -375,8 +363,13 @@ def build_case(case_id: str) -> VarietySpec:
 def _build_case(case_id: str) -> VarietySpec:
     if case_id == "g4_sigma_bar":
         ring = _vars_g4()
-        gens = (parse_poly("y1*x1 + y2*x2 + y3*x3", ring),
-                parse_poly(_g4_cubic_text(), ring))
+        y = [Polynomial.variable(ring, f"y{i}") for i in (1, 2, 3)]
+        x = [Polynomial.variable(ring, f"x{i}") for i in (1, 2, 3)]
+        z = _trace_zero_variables(ring, "z")
+        # y^T z x with z33 eliminated by the trace-zero relation
+        cubic = sum((y[i] * z[i][j] * x[j] for i in range(3) for j in range(3)),
+                    Polynomial.zero(ring))
+        gens = (parse_poly("y1*x1 + y2*x2 + y3*x3", ring), cubic)
         planes = {
             "Pibar1": PlaneSpec(("x1", "x2", "x3"), True),
             "Pibar2": PlaneSpec(("y1", "y2", "y3"), True),
@@ -441,14 +434,7 @@ def _build_case(case_id: str) -> VarietySpec:
         return VarietySpec(case_id, 14, ring, gens, {}, 8)
     if case_id == "B6":
         ring = ("p11", "p12", "p13", "p21", "p22", "p23", "p31", "p32")
-        entries = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                if (i, j) == (2, 2):
-                    entries[i][j] = -(Polynomial.variable(ring, "p11")
-                                      + Polynomial.variable(ring, "p22"))
-                else:
-                    entries[i][j] = Polynomial.variable(ring, f"p{i+1}{j+1}")
+        entries = _trace_zero_variables(ring, "p")
         gens = []
         for r1, r2 in itertools.combinations(range(3), 2):
             for c1, c2 in itertools.combinations(range(3), 2):
@@ -500,22 +486,14 @@ def normalize_pairing(M0: Sequence[Sequence]) -> list[list[Fraction]]:
 
     Raises ValueError when rank M0 <= 2 (a decomposable pairing).
     """
-    M = [[Fraction(x) for x in row] for row in M0]
-    if len(M) != 3 or any(len(r) != 3 for r in M):
+    if len(M0) != 3 or any(len(r) != 3 for r in M0):
         raise ValueError("expected a 3x3 matrix")
-    if fraction_matrix_rank(M) < 3:
+    # Gauss-Jordan on [M0 | I]: M0 is invertible iff its columns hold the
+    # pivots, and then the right-hand block is M0^-1
+    aug, pivots = _echelon_q([list(row) + [int(i == k) for k in range(3)]
+                              for i, row in enumerate(M0)])
+    if pivots[:3] != [0, 1, 2]:
         raise ValueError("pairing matrix has rank <= 2")
-    # invert by Gauss-Jordan on [M | I]
-    aug = [row[:] + [Fraction(int(i == k)) for k in range(3)] for i, row in enumerate(M)]
-    for c in range(3):
-        piv = next(i for i in range(c, 3) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(3):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
     return [row[3:] for row in aug]
 
 

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 from .algebra import (OffVarietyError, PointAffineRep, SmallPrime,
                       matrix_rank_mod_p, nullspace_mod_p)
 from .catalog import (build_case, g8_dual_net_matrix, g8_lift_to_wedge,
-                      pair_labels)
+                      pair_labels, trace_zero_matrix)
 from .projspace import ScanPlan, enumerate_points, point_set
 
 FIBER_CASES = ("g8", "g4", "g6q", "g5")
@@ -195,9 +195,7 @@ def _case_spec(case: str):
 
 
 def _g4_pairing(w: Sequence[int], zc: Sequence[int], u: Sequence[int], p: int) -> int:
-    z = ((zc[0], zc[1], zc[2]),
-         (zc[3], zc[4], zc[5]),
-         (zc[6], zc[7], (-zc[0] - zc[4]) % p))
+    z = trace_zero_matrix(zc)
     return sum(w[i] * z[i][j] * u[j] for i in range(3) for j in range(3)) % p
 
 
@@ -312,12 +310,12 @@ def projected_veronese_points(p: int) -> tuple:
     points = set()
     all_rank4 = True
     for c in enumerate_points(ScanPlan(2, p)):
-        A = g8_dual_net_matrix(c.coords, p)
-        if matrix_rank_mod_p(A, p) != 4:
+        # the 5x5 form has rank 4 exactly when its kernel is a line
+        ker = nullspace_mod_p(g8_dual_net_matrix(c.coords, p), p)
+        if len(ker) != 1:
             all_rank4 = False
             continue
-        ker = nullspace_mod_p(A, p)[0]
-        points.add(PointAffineRep.normalize(ker, p).coords)
+        points.add(PointAffineRep.normalize(ker[0], p).coords)
     return frozenset(points), all_rank4
 
 
@@ -361,19 +359,15 @@ def g4_intersection_plane_fiber_check(p: int):
     surface in its Segre model. Returns (profile, mismatches)."""
     b6 = build_case("B6")
     segre_pts = point_set(ScanPlan(b6.ambient_dim, SmallPrime(p)), b6.generators)
-    segre = [tuple(r) for r in segre_pts.tolist()]
+    segre = [trace_zero_matrix(r) for r in segre_pts.tolist()]
     profile: Counter = Counter()
     mismatches = []
     for zc in enumerate_points(ScanPlan(7, p)):
         t = PointAffineRep((0,) * 6 + zc.coords)
         rep = fiber_over("g4", t, p)
-        z = zc.coords
-        zmat = ((z[0], z[1], z[2]), (z[3], z[4], z[5]),
-                (z[6], z[7], (-z[0] - z[4]) % p))
+        zmat = trace_zero_matrix(zc.coords)
         oracle = 0
-        for row in segre:
-            P = ((row[0], row[1], row[2]), (row[3], row[4], row[5]),
-                 (row[6], row[7], (-row[0] - row[4]) % p))
+        for P in segre:
             if sum(zmat[i][j] * P[i][j] for i in range(3) for j in range(3)) % p == 0:
                 oracle += 1
         profile[(rep.fiber_count, oracle)] += 1

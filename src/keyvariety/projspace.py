@@ -117,8 +117,17 @@ def index_to_point(plan: ScanPlan, index: int) -> tuple:
 
 
 def point_to_index(plan: ScanPlan, coords: Sequence[int]) -> int:
+    """Index of a normalized representative; ValueError for a vector of the
+    wrong length, an entry outside [0, p), the zero vector or a leading
+    entry other than 1."""
     n, p = plan.ambient_dim, plan.prime
-    k = next(i for i, c in enumerate(coords) if c)
+    if len(coords) != n + 1:
+        raise ValueError(f"point has {len(coords)} coordinates, P^{n} needs {n + 1}")
+    if any(not 0 <= c < p for c in coords):
+        raise ValueError(f"coordinates must be residues in [0, {p})")
+    k = next((i for i, c in enumerate(coords) if c), None)
+    if k is None:
+        raise ValueError("zero vector is not a projective point")
     if coords[k] != 1:
         raise ValueError("representative not normalized")
     gstart = sum(p ** (n - i) for i in range(k))
@@ -161,53 +170,58 @@ def enumerate_points(plan: ScanPlan) -> Iterator[PointAffineRep]:
 # fast path: vectorized evaluation of polynomial systems
 
 
+def _generator_values(gen: tuple, pts: np.ndarray, rows: np.ndarray | None,
+                      p: int) -> np.ndarray:
+    """Values mod p of a compiled generator (used columns, terms) at the rows
+    of pts indexed by rows (all rows when None), reading only the columns it
+    uses, at those rows."""
+    used, terms = gen
+    if rows is None:
+        size, cols = pts.shape[0], [pts[:, v] for v in used]
+    else:
+        size, cols = rows.size, [pts[rows, v] for v in used]
+    acc = np.zeros(size, dtype=np.int64)
+    for c, expo in terms:
+        term = np.full(size, c % p, dtype=np.int64)
+        for col, e in zip(cols, expo):
+            for _ in range(e):
+                term = (term * col) % p
+        acc = (acc + term) % p
+    return acc
+
+
 class CompiledSystem:
-    """Generators compiled to coefficient/exponent arrays for block evaluation."""
+    """Generators compiled for evaluation on explicit rows of points. Each
+    generator keeps its coefficients, the columns it uses and, per term, the
+    exponents of those columns."""
 
     def __init__(self, polys: Sequence[Polynomial]):
         if not polys:
             raise ValueError("empty system")
-        nv = len(polys[0].ring_vars)
-        self.nvars = nv
+        self.nvars = len(polys[0].ring_vars)
         self.polys = tuple(polys)
         self.compiled = []
         for f in polys:
-            coeffs = np.array(list(f.terms.values()), dtype=np.int64)
-            expos = np.array([list(e) for e in f.terms], dtype=np.int64).reshape(len(f.terms), nv)
-            self.compiled.append((coeffs, expos))
+            used = [v for v in range(self.nvars) if any(e[v] for e in f.terms)]
+            terms = [(c, [e[v] for v in used]) for e, c in f.terms.items()]
+            self.compiled.append((used, terms))
 
     def eval_block(self, pts: np.ndarray, p: int) -> np.ndarray:
         """Values of all generators on a block of points: shape (ngens, npts)."""
         out = np.empty((len(self.compiled), pts.shape[0]), dtype=np.int64)
-        for g, (coeffs, expos) in enumerate(self.compiled):
-            acc = np.zeros(pts.shape[0], dtype=np.int64)
-            for t in range(coeffs.shape[0]):
-                term = np.full(pts.shape[0], int(coeffs[t]) % p, dtype=np.int64)
-                for v in range(self.nvars):
-                    e = int(expos[t, v])
-                    for _ in range(e):
-                        term = (term * pts[:, v]) % p
-                acc = (acc + term) % p
-            out[g] = acc
+        for g, gen in enumerate(self.compiled):
+            out[g] = _generator_values(gen, pts, None, p)
         return out
 
     def vanishing_mask(self, pts: np.ndarray, p: int) -> np.ndarray:
         """Rows of pts on which every generator vanishes mod p. Each
-        generator reads only the columns it uses, at the rows still held."""
+        generator is evaluated only at the rows still held."""
         mask = np.ones(pts.shape[0], dtype=bool)
-        for coeffs, expos in self.compiled:
+        for gen in self.compiled:
             idx = np.flatnonzero(mask)
             if not idx.size:
                 break
-            cols = {v: pts[idx, v] for v in np.flatnonzero(expos.any(axis=0))}
-            acc = np.zeros(idx.size, dtype=np.int64)
-            for t in range(coeffs.shape[0]):
-                term = np.full(idx.size, int(coeffs[t]) % p, dtype=np.int64)
-                for v, col in cols.items():
-                    for _ in range(int(expos[t, v])):
-                        term = (term * col) % p
-                acc = (acc + term) % p
-            mask[idx[acc != 0]] = False
+            mask[idx[_generator_values(gen, pts, idx, p) != 0]] = False
         return mask
 
 
@@ -413,7 +427,7 @@ def common_zeros(plan: ScanPlan, polys: Sequence[Polynomial],
             if j == len(polys):
                 return base
             return base[CompiledSystem(polys[j:]).vanishing_mask(base, plan.prime)]
-    _, pts = scan_system(plan, polys, threads=threads, collect=True)
+    _, pts = scan_system(plan, polys, threads=threads, sample_cap=0, collect=True)
     return pts
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .algebra import ParseError, Polynomial, SmallPrime, fraction_matrix_rank, parse_poly
+from .algebra import (ParseError, Polynomial, SmallPrime, fraction_matrix_rank,
+                      matrix_rank_mod_p, parse_poly)
 from .catalog import VarietySpec, form_vanishes_on_plane
 from .invariants import _jacobian_singular_mask, bracket_dimension
 from .projspace import (DEFAULT_POINT_BUDGET, ScanPlan, _check_budget,
@@ -54,29 +54,25 @@ class SectionReport:
     plane_section_count: int | None
 
 
-def _forms_independent_over_q(forms: Sequence[Polynomial]) -> bool:
-    ring = forms[0].ring_vars
+def _form_rows(forms: Sequence[Polynomial]) -> list:
+    """Integer coefficient rows of linear forms, one column per variable."""
     rows = []
     for f in forms:
-        row = [Fraction(0)] * len(ring)
+        row = [0] * len(f.ring_vars)
         for e, c in f.terms.items():
             if sum(e) != 1:
                 raise ValueError(f"not a linear form: {f}")
-            row[list(e).index(1)] = Fraction(c)
+            row[e.index(1)] = c
         rows.append(row)
-    return fraction_matrix_rank(rows) == len(forms)
+    return rows
+
+
+def _forms_independent_over_q(forms: Sequence[Polynomial]) -> bool:
+    return fraction_matrix_rank(_form_rows(forms)) == len(forms)
 
 
 def _forms_independent_mod_p(forms: Sequence[Polynomial], p: int) -> bool:
-    from .algebra import matrix_rank_mod_p
-    ring = forms[0].ring_vars
-    rows = []
-    for f in forms:
-        row = [0] * len(ring)
-        for e, c in f.terms.items():
-            row[list(e).index(1)] = c % p
-        rows.append(row)
-    return matrix_rank_mod_p(rows, p) == len(forms)
+    return matrix_rank_mod_p(_form_rows(forms), p) == len(forms)
 
 
 def cut(base: VarietySpec, section: SectionSpec) -> VarietySpec:

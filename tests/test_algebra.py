@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from keyvariety.algebra import (OffVarietyError, ParseError, PointAffineRep,
                                 Polynomial, SmallPrime, eval_poly,
-                                jacobian_rank, matrix_rank_mod_p,
-                                matrix_rank_mod_p_batch, parse_poly)
+                                fraction_matrix_rank, jacobian_rank,
+                                matrix_rank_mod_p, matrix_rank_mod_p_batch,
+                                nullspace_mod_p, parse_poly)
 
 import numpy as np
 
@@ -133,6 +134,36 @@ def test_matrix_rank_examples():
 def test_rank_equals_transpose_rank(rows, p):
     cols = [[rows[i][j] for i in range(len(rows))] for j in range(4)]
     assert matrix_rank_mod_p(rows, p) == matrix_rank_mod_p(cols, p)
+
+
+_MATRICES = st.integers(1, 5).flatmap(
+    lambda ncols: st.lists(st.lists(_SMALL, min_size=ncols, max_size=ncols),
+                           min_size=1, max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MATRICES, st.sampled_from([2, 3, 5, 7]))
+def test_nullspace_is_an_independent_kernel_basis(rows, p):
+    ncols = len(rows[0])
+    basis = nullspace_mod_p(rows, p)
+    for v in basis:
+        assert len(v) == ncols and all(0 <= x < p for x in v)
+        assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in rows)
+    assert len(basis) == ncols - matrix_rank_mod_p(rows, p)
+    if basis:
+        assert matrix_rank_mod_p(basis, p) == len(basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MATRICES, st.sampled_from([2, 3, 5, 7]))
+def test_rank_over_q_bounds_rank_mod_p(rows, p):
+    assert fraction_matrix_rank(rows) >= matrix_rank_mod_p(rows, p)
+
+
+def test_fraction_matrix_rank_examples():
+    assert fraction_matrix_rank([[2, 4], [1, 2]]) == 1
+    assert fraction_matrix_rank([[3, 0], [0, 3]]) == 2   # rank 0 mod 3
+    assert fraction_matrix_rank([[0, 0, 0]]) == 0
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,6 +2,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from keyvariety.algebra import (PointAffineRep, Polynomial, SmallPrime,
                                 jacobian_rank, matrix_rank_mod_p, parse_poly)
@@ -178,6 +179,25 @@ def test_normalize_pairing_random_invertible():
     prod = [[sum(Fraction(M0[i][k]) * S[k][j] for k in range(3))
              for j in range(3)] for i in range(3)]
     assert prod == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+                min_size=3, max_size=3))
+def test_normalize_pairing_inverts_invertible_matrices(M0):
+    det = (M0[0][0] * (M0[1][1] * M0[2][2] - M0[1][2] * M0[2][1])
+           - M0[0][1] * (M0[1][0] * M0[2][2] - M0[1][2] * M0[2][0])
+           + M0[0][2] * (M0[1][0] * M0[2][1] - M0[1][1] * M0[2][0]))
+    if det == 0:
+        with pytest.raises(ValueError):
+            normalize_pairing(M0)
+        return
+    S = normalize_pairing(M0)
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
+    assert [[sum(S[i][k] * M0[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)] == eye
+    assert [[sum(M0[i][k] * S[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)] == eye
 
 
 def test_normalize_pairing_rejects_rank2():

@@ -64,6 +64,19 @@ def test_index_bijection():
         assert point_to_index(plan, pt.coords) == i
 
 
+@pytest.mark.parametrize("coords", [
+    (0, 0, 0),      # the zero vector
+    (1, 5, 0),      # an entry outside [0, p)
+    (1, -1, 0),
+    (1, 0),         # too short
+    (1, 0, 0, 0),   # too long
+    (0, 2, 1),      # leading entry not 1
+])
+def test_point_to_index_rejects_bad_input(coords):
+    with pytest.raises(ValueError):
+        point_to_index(ScanPlan(2, SmallPrime(3)), coords)
+
+
 def test_chunks_partition_exactly():
     plan = ScanPlan(12, SmallPrime(3))  # 797161 points: 4 chunks
     ranges = plan.chunk_ranges()
@@ -125,6 +138,10 @@ def test_scan_system_collect_and_sample_cap():
     assert res.matched == pts.shape[0] == 4  # the line {x=0} in P^2(F_3)
     assert len(res.sample) == 2
     assert all(isinstance(s, PointAffineRep) for s in res.sample)
+    # sample_cap=0: no sample, every matched row
+    res0, pts0 = scan_system(plan, [f], collect=True, sample_cap=0)
+    assert res0 == ScanResult(res.total_examined, 4, ())
+    assert np.array_equal(pts0, pts)
 
 
 def test_gaussian_binomial_counts():
