@@ -445,7 +445,7 @@ def _build_case(case_id: str) -> VarietySpec:
         ring = ("x23", "x25", "x34", "x35", "x45")
         gens = (parse_poly("x23*x45 - x35^2 + x25*x34", ring),)
         return VarietySpec(case_id, 4, ring, gens, {}, 3)
-    raise UnknownCaseError(case_id)
+    raise UnknownCaseError(f"unknown case {case_id!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,19 @@ oracle-grade simple and needs no symbolic solving.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .algebra import (OffVarietyError, PointAffineRep, SmallPrime,
                       matrix_rank_mod_p, nullspace_mod_p)
 from .catalog import (build_case, g8_dual_net_matrix, g8_lift_to_wedge,
-                      pair_labels, trace_zero_matrix)
-from .projspace import ScanPlan, enumerate_points, point_set
+                      pair_labels, plucker_ideal, trace_zero_matrix)
+from .projspace import (CompiledSystem, ScanPlan, _matmul_mod, enumerate_points,
+                        point_set, points_block, proj_point_count)
 
 FIBER_CASES = ("g8", "g4", "g6q", "g5")
 
@@ -85,15 +89,10 @@ def plucker_vector(basis: tuple, p: int) -> tuple:
                  for i in range(n) for j in range(i + 1, n))
 
 
-def _plucker_relations_hold(vec: Sequence[int], n: int, p: int) -> bool:
-    idx = {pr: k for k, pr in enumerate(pair_labels(n, offset=0))}
-    for i, j, k, l in itertools.combinations(range(n), 4):
-        val = (vec[idx[(i, j)]] * vec[idx[(k, l)]]
-               - vec[idx[(i, k)]] * vec[idx[(j, l)]]
-               + vec[idx[(i, l)]] * vec[idx[(j, k)]])
-        if val % p:
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _plucker_quadrics(n: int) -> tuple:
+    """catalog.plucker_ideal(n); below n = 4 every bivector is decomposable."""
+    return tuple(plucker_ideal(n)) if n >= 4 else ()
 
 
 def subspace_from_plucker(vec: Sequence[int], n: int, p: int) -> tuple:
@@ -105,7 +104,7 @@ def subspace_from_plucker(vec: Sequence[int], n: int, p: int) -> tuple:
     vec = [int(v) % p for v in vec]
     if not any(vec):
         raise ValueError("zero bivector")
-    if not _plucker_relations_hold(vec, n, p):
+    if any(f.eval_mod(vec, p) for f in _plucker_quadrics(n)):
         raise ValueError("Plucker relations violated: not a decomposable bivector")
     A = [[0] * n for _ in range(n)]
     for k, (i, j) in enumerate(pair_labels(n, offset=0)):
@@ -123,10 +122,13 @@ def subspace_from_plucker(vec: Sequence[int], n: int, p: int) -> tuple:
     raise ValueError("bivector spans less than a 2-subspace")
 
 
+def _annihilated(forms: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> bool:
+    """Whether every linear form in forms vanishes at vec mod p."""
+    return all(sum(a * b for a, b in zip(f, vec)) % p == 0 for f in forms)
+
+
 def in_span(vec: Sequence[int], basis: Sequence[tuple], p: int) -> bool:
-    rows = [list(b) for b in basis]
-    base_rank = matrix_rank_mod_p(rows, p)
-    return matrix_rank_mod_p(rows + [list(vec)], p) == base_rank
+    return _annihilated(nullspace_mod_p(basis, p), vec, p)
 
 
 def proportional(a: Sequence[int], b: Sequence[int], p: int) -> bool:
@@ -134,15 +136,45 @@ def proportional(a: Sequence[int], b: Sequence[int], p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# base varieties of the four resolutions
+# base varieties of the four resolutions and their probe index
+
+
+class BasePoints(tuple):
+    """The rational points of a resolution base in base order, with the
+    index that fiber_over looks probes up in.
+
+    keys maps the normalized key block of a probe to the positions of the
+    base points with that key, in base order; the key None, for a zero
+    block, maps to every position. g4 keys on the (w, u) pair, on (w, None)
+    and on (None, u). forms holds, per base point, linear forms that all
+    vanish on the probe's free block exactly when the probe lies over that
+    point: the annihilator of the fiber subspace (g8, g6q), or w (x) u on
+    the flattened trace-zero matrix (g4). g5 has none.
+    """
+
+    def __new__(cls, points, keys: dict, forms: tuple = ()):
+        self = super().__new__(cls, points)
+        self.keys, self.forms = keys, forms
+        return self
+
+
+def _indexed(points: Sequence, keys: Sequence, forms: Sequence = ()) -> BasePoints:
+    """BasePoints over points, where keys[i] lists the keys of point i."""
+    positions = defaultdict(list)
+    for i, point_keys in enumerate(keys):
+        for k in point_keys:
+            positions[k].append(i)
+    return BasePoints(points, {k: tuple(v) for k, v in positions.items()},
+                      tuple(forms))
 
 
 _BASE_POINTS: dict = {}
 
 
-def base_points(case: str, p: int) -> tuple:
-    """Rational points of the resolution base, with fiber-subspace data.
-    Built once per (case, prime) and held until clear_base_points()."""
+def base_points(case: str, p: int) -> BasePoints:
+    """Rational points of the resolution base, with fiber-subspace data and
+    the probe index. Built once per (case, prime) and held until
+    clear_base_points()."""
     key = (case, int(p))
     pts = _BASE_POINTS.get(key)
     if pts is None:
@@ -154,7 +186,17 @@ def clear_base_points() -> None:
     _BASE_POINTS.clear()
 
 
-def _build_base_points(case: str, p: SmallPrime) -> tuple:
+def _unsupported_case(case: str) -> KeyError:
+    return KeyError(f"unsupported fiber case {case!r}: the fiber cases are "
+                    f"{', '.join(FIBER_CASES)} (the g6c resolution base has no "
+                    "pinned equations)")
+
+
+def _annihilators(bases: Sequence[tuple], p: int) -> list:
+    return [tuple(tuple(v) for v in nullspace_mod_p(b, p)) for b in bases]
+
+
+def _build_base_points(case: str, p: SmallPrime) -> BasePoints:
     if case == "g8":
         spec = build_case("B5")
         pts = point_set(ScanPlan(spec.ambient_dim, p), spec.generators)
@@ -164,7 +206,8 @@ def _build_base_points(case: str, p: SmallPrime) -> tuple:
             vec = [full[(i, j)] for (i, j) in pair_labels(5, offset=2)]
             basis = subspace_from_plucker(vec, 5, p)
             out.append((tuple(row), basis))
-        return tuple(out)
+        return _indexed(out, [(s, None) for s, _ in out],
+                        _annihilators([b for _, b in out], p))
     if case == "g6q":
         spec = build_case("Q3_g6q")
         pts = point_set(ScanPlan(spec.ambient_dim, p), spec.generators)
@@ -174,7 +217,8 @@ def _build_base_points(case: str, p: SmallPrime) -> tuple:
             vec = (x23, x35, x25, x34, x35, x45)  # lex pairs of e2..e5; x24 = x35
             basis = subspace_from_plucker(vec, 4, p)
             out.append((tuple(row), basis))
-        return tuple(out)
+        return _indexed(out, [(s, None) for s, _ in out],
+                        _annihilators([b for _, b in out], p))
     if case == "g4":
         plane = list(enumerate_points(ScanPlan(2, p)))
         out = []
@@ -182,60 +226,75 @@ def _build_base_points(case: str, p: SmallPrime) -> tuple:
             for u in plane:
                 if sum(a * b for a, b in zip(w.coords, u.coords)) % p == 0:
                     out.append((w.coords, u.coords))
-        return tuple(out)
+        return _indexed(out, [((w, u), (w, None), (None, u), (None, None))
+                              for w, u in out],
+                        [(tuple(a * b % p for a in w for b in u),) for w, u in out])
     if case == "g5":
-        return tuple(pt.coords for pt in enumerate_points(ScanPlan(3, p)))
-    raise KeyError(f"unsupported fiber case {case!r} (the g6c resolution base "
-                   "has no pinned equations)")
+        out = tuple(pt.coords for pt in enumerate_points(ScanPlan(3, p)))
+        return _indexed(out, [(u, None) for u in out])
+    raise _unsupported_case(case)
 
 
 def _case_spec(case: str):
-    return build_case({"g8": "g8_sigma_bar", "g4": "g4_sigma_bar",
-                       "g6q": "g6q_sigma_bar", "g5": "g5_sigma_bar"}[case])
+    short = {"g8": "g8_sigma_bar", "g4": "g4_sigma_bar",
+             "g6q": "g6q_sigma_bar", "g5": "g5_sigma_bar"}.get(case)
+    if short is None:
+        raise _unsupported_case(case)
+    return build_case(short)
 
 
-def _g4_pairing(w: Sequence[int], zc: Sequence[int], u: Sequence[int], p: int) -> int:
-    z = trace_zero_matrix(zc)
-    return sum(w[i] * z[i][j] * u[j] for i in range(3) for j in range(3)) % p
+def _block_key(block: Sequence[int], p: int) -> tuple | None:
+    """The normalized representative of a coordinate block (first nonzero
+    entry 1), or None for the zero block."""
+    for v in block:
+        if v % p:
+            inv = pow(v, -1, p)
+            return tuple(c * inv % p for c in block)
+    return None
+
+
+def _trace_zero_rows(e: np.ndarray, p: int) -> np.ndarray:
+    """trace_zero_matrix of each row of e (8 entries), flattened in row
+    order and reduced mod p: shape (len(e), 9)."""
+    return np.stack([m for row in trace_zero_matrix(e.T) for m in row], axis=1) % p
 
 
 def fiber_over(case: str, t: PointAffineRep, p: int,
                confirmed_surface_count: int | None = None) -> FiberReport:
-    """All base points whose fiber subspace contains t, by exhaustive
-    enumeration of the base over F_p. Requires t on the corresponding model."""
+    """All base points whose fiber subspace contains t, in base order. The
+    key block of t selects the candidates from the base index (every base
+    point when it is zero); a candidate is a hit when its forms vanish on
+    t's free block. Requires t on the corresponding model, with entries in
+    [0, p)."""
     spec = _case_spec(case)
     coords = t.coords
+    if any(not 0 <= c < p for c in coords):
+        raise ValueError(f"coordinates must be residues in [0, {p})")
     for g in spec.generators:
         if g.eval_mod(coords, p):
             raise OffVarietyError(
                 f"{t.serialize()} is not on {spec.case_id} mod {p}")
-    hits: list = []
+    base = base_points(case, p)
     if case == "g8":
         x, y = coords[:5], coords[5:]
-        for s, basis in base_points("g8", p):
-            if proportional(y, s, p) and in_span(x, basis, p):
-                hits.append(s)
+        hits = [base[i][0] for i in base.keys.get(_block_key(y, p), ())
+                if _annihilated(base.forms[i], x, p)]
     elif case == "g6q":
         z, x, y = coords[:4], coords[4:9], coords[9:]
-        for s, basis in base_points("g6q", p):
-            if (proportional(x, s, p) and in_span(z, basis, p)
-                    and sum(a * b for a, b in zip(y, s)) % p == 0):
-                hits.append(s)
+        hits = [base[i][0] for i in base.keys.get(_block_key(x, p), ())
+                if _annihilated(base.forms[i], z, p)
+                and _annihilated((y,), base[i][0], p)]
     elif case == "g4":
-        y, x, zc = coords[:3], coords[3:6], coords[6:]
-        for w, u in base_points("g4", p):
-            if (proportional(y, w, p) and proportional(x, u, p)
-                    and _g4_pairing(w, zc, u, p) == 0):
-                hits.append((w, u))
-    elif case == "g5":
+        y, x = coords[:3], coords[3:6]
+        z = [m for row in trace_zero_matrix(coords[6:]) for m in row]
+        key = (_block_key(y, p), _block_key(x, p))
+        hits = [base[i] for i in base.keys.get(key, ())
+                if _annihilated(base.forms[i], z, p)]
+    else:
         x, yc = coords[:4], coords[4:]
         My = [yc[4 * i:4 * i + 4] for i in range(3)]
-        for u in base_points("g5", p):
-            if (all(sum(a * b for a, b in zip(row, u)) % p == 0 for row in My)
-                    and proportional(x, u, p)):
-                hits.append(u)
-    else:
-        raise KeyError(f"unsupported fiber case {case!r}")
+        hits = [base[i] for i in base.keys.get(_block_key(x, p), ())
+                if _annihilated(My, base[i], p)]
     return FiberReport(t, tuple(hits), len(hits),
                        _classify(len(hits), p, confirmed_surface_count))
 
@@ -276,7 +335,7 @@ def linalg_equiv_check(x: Sequence[int], y: Sequence[int],
         vec[idx[(0, j + 1)]] = x[j]
     for k, (i, j) in enumerate(pair_labels(dv, offset=0)):
         vec[idx[(i + 1, j + 1)]] = y[k]
-    side1 = _plucker_relations_hold(vec, n, p)
+    side1 = not any(f.eval_mod(vec, p) for f in _plucker_quadrics(n))
 
     # side 2: exhaustive search over 2-subspaces of V'
     side2 = False
@@ -320,19 +379,19 @@ def projected_veronese_points(p: int) -> tuple:
 
 
 def g8_plane_fiber_profile(p: int):
-    """Fiber counts over every point of the genus-8 vertex plane.
+    """Fiber counts over every point of the genus-8 vertex plane, from one
+    product of the plane points with the stacked fiber annihilators.
 
     Returns (counter, jump_set): counter maps fiber_count -> #points, and
     jump_set is the set of plane points with fiber count p + 1.
     """
-    counter: Counter = Counter()
-    jump = set()
     bases = base_points("g8", p)
-    for x in enumerate_points(ScanPlan(4, p)):
-        cnt = sum(1 for _, basis in bases if in_span(x.coords, basis, p))
-        counter[cnt] += 1
-        if cnt == p + 1:
-            jump.add(x.coords)
+    plane = points_block(4, p, 0, proj_point_count(4, p))
+    forms = np.array(bases.forms, dtype=np.int64).reshape(-1, 5)
+    vanish = _matmul_mod(plane, forms.T, p) == 0
+    counts = vanish.reshape(len(plane), len(bases), -1).all(axis=2).sum(axis=1)
+    counter = Counter(counts.tolist())
+    jump = {tuple(row) for row in plane[counts == p + 1].tolist()}
     return counter, jump
 
 
@@ -356,23 +415,27 @@ def g5_plane_fiber_dichotomy(p: int):
 def g4_intersection_plane_fiber_check(p: int):
     """Over each point of the genus-4 plane intersection {x = y = 0}:
     fiber count vs. the independent hyperplane-section count of the base
-    surface in its Segre model. Returns (profile, mismatches)."""
+    surface in its Segre model. Both counts are zero counts of one product
+    of the trace-zero matrices Z of the plane: the fiber side against
+    w (x) u for the incident base pairs, the oracle side against the B6
+    Segre rows. Returns (profile, mismatches)."""
+    spec = _case_spec("g4")
+    zc = points_block(7, p, 0, proj_point_count(7, p))
+    pts = np.zeros((len(zc), spec.ambient_dim + 1), dtype=np.int64)
+    pts[:, 6:] = zc
+    on_model = CompiledSystem(spec.generators).vanishing_mask(pts, p)
+    if not on_model.all():
+        t = PointAffineRep(tuple(pts[np.argmin(on_model)].tolist()))
+        raise OffVarietyError(f"{t.serialize()} is not on {spec.case_id} mod {p}")
+    z = _trace_zero_rows(zc, p)
+    pairs = np.array([f for (f,) in base_points("g4", p).forms], dtype=np.int64)
+    fiber = (_matmul_mod(z, pairs.T, p) == 0).sum(axis=1)
     b6 = build_case("B6")
-    segre_pts = point_set(ScanPlan(b6.ambient_dim, SmallPrime(p)), b6.generators)
-    segre = [trace_zero_matrix(r) for r in segre_pts.tolist()]
-    profile: Counter = Counter()
-    mismatches = []
-    for zc in enumerate_points(ScanPlan(7, p)):
-        t = PointAffineRep((0,) * 6 + zc.coords)
-        rep = fiber_over("g4", t, p)
-        zmat = trace_zero_matrix(zc.coords)
-        oracle = 0
-        for P in segre:
-            if sum(zmat[i][j] * P[i][j] for i in range(3) for j in range(3)) % p == 0:
-                oracle += 1
-        profile[(rep.fiber_count, oracle)] += 1
-        if rep.fiber_count != oracle:
-            mismatches.append(t)
+    segre = point_set(ScanPlan(b6.ambient_dim, SmallPrime(p)), b6.generators)
+    oracle = (_matmul_mod(z, _trace_zero_rows(segre, p).T, p) == 0).sum(axis=1)
+    profile = Counter(zip(fiber.tolist(), oracle.tolist()))
+    mismatches = [PointAffineRep(tuple(row))
+                  for row in pts[fiber != oracle].tolist()]
     return profile, mismatches
 
 

@@ -135,6 +135,26 @@ def test_cli_fiber_command(capsys):
     assert out["fiber_count"] == 3 and out["shape"] == "P1"
 
 
+def test_cli_fiber_rejects_non_residue(capsys):
+    point = "1:5:" + ":".join(["0"] * 14)
+    assert main(["fiber", "--case", "g5", "--prime", "3", "--point", point]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0] == "error: coordinates must be residues in [0, 3)"
+
+
+def test_cli_unsupported_case_messages(capsys):
+    point = "1:" + ":".join(["0"] * 12)
+    assert main(["fiber", "--case", "g6c", "--prime", "2", "--point", point]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: unsupported fiber case 'g6c': the fiber "
+                             "cases are g8, g4, g6q, g5")
+    assert main(["count", "--case", "zzz", "--prime", "2"]) == 2
+    assert capsys.readouterr().err == "error: unknown case 'zzz'\n"
+
+
 def test_cli_ledger_command(capsys):
     assert main(["ledger"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -1,16 +1,23 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
-from keyvariety.algebra import OffVarietyError, PointAffineRep
-from keyvariety.incidence import (base_points, fiber_over,
+from keyvariety import incidence
+from keyvariety.algebra import (OffVarietyError, PointAffineRep, SmallPrime,
+                                matrix_rank_mod_p)
+from keyvariety.catalog import build_case, trace_zero_matrix
+from keyvariety.incidence import (FIBER_CASES, _classify, base_points,
+                                  fiber_over,
                                   g4_intersection_plane_fiber_check,
                                   g5_plane_fiber_dichotomy,
                                   g6q_vertex_fiber_oracle,
                                   g8_plane_fiber_profile, in_span,
                                   linalg_equiv_check, plucker_vector,
-                                  projected_veronese_points,
+                                  projected_veronese_points, proportional,
                                   subspace_from_plucker, two_subspaces)
+from keyvariety.projspace import ScanPlan, enumerate_points, point_set
 
 
 def test_subspace_from_plucker_basis_vector():
@@ -142,6 +149,157 @@ def test_g4_fiber_off_both_planes_single_point():
     assert rep.fiber_count == 1
     w, u = rep.fiber_points[0]
     assert w == (1, 0, 0) and u == (0, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the base index against the pointwise oracle
+
+
+def _rank_in_span(vec, basis, p):
+    rows = [list(b) for b in basis]
+    return matrix_rank_mod_p(rows + [list(vec)], p) == matrix_rank_mod_p(rows, p)
+
+
+def _g4_pairing(w, zc, u, p):
+    z = trace_zero_matrix(zc)
+    return sum(w[i] * z[i][j] * u[j] for i in range(3) for j in range(3)) % p
+
+
+def _oracle_fiber(case, t, p):
+    """fiber_over as it was before the base index: every base point tested
+    by scalar eliminations."""
+    coords = t.coords
+    hits = []
+    if case == "g8":
+        x, y = coords[:5], coords[5:]
+        for s, basis in base_points("g8", p):
+            if proportional(y, s, p) and _rank_in_span(x, basis, p):
+                hits.append(s)
+    elif case == "g6q":
+        z, x, y = coords[:4], coords[4:9], coords[9:]
+        for s, basis in base_points("g6q", p):
+            if (proportional(x, s, p) and _rank_in_span(z, basis, p)
+                    and sum(a * b for a, b in zip(y, s)) % p == 0):
+                hits.append(s)
+    elif case == "g4":
+        y, x, zc = coords[:3], coords[3:6], coords[6:]
+        for w, u in base_points("g4", p):
+            if (proportional(y, w, p) and proportional(x, u, p)
+                    and _g4_pairing(w, zc, u, p) == 0):
+                hits.append((w, u))
+    else:
+        x, yc = coords[:4], coords[4:]
+        My = [yc[4 * i:4 * i + 4] for i in range(3)]
+        for u in base_points("g5", p):
+            if (all(sum(a * b for a, b in zip(row, u)) % p == 0 for row in My)
+                    and proportional(x, u, p)):
+                hits.append(u)
+    return hits
+
+
+# coordinates set to zero in the sampled points of each case: none, each key
+# block (which keeps every base point a candidate) and, for g4 and g6q, the
+# plane where both vanish
+_ZERO_BLOCKS = {
+    "g4": [(), (0, 1, 2), (3, 4, 5), (0, 1, 2, 3, 4, 5)],
+    "g5": [(), (0, 1, 2, 3)],
+    "g6q": [(), (4, 5, 6, 7, 8), tuple(range(9))],
+    "g8": [(), (5, 6, 7, 8, 9, 10, 11)],
+}
+
+
+def _model_points(case, p, zero, rng, k):
+    """k seeded points of the case's model with the coordinates in zero set
+    to 0, by rejection."""
+    spec = build_case(f"{case}_sigma_bar")
+    out = []
+    for _ in range(200000):
+        raw = [0 if i in zero else rng.randrange(p)
+               for i in range(spec.ambient_dim + 1)]
+        if not any(raw) or any(g.eval_mod(raw, p) for g in spec.generators):
+            continue
+        out.append(PointAffineRep.normalize(raw, p))
+        if len(out) == k:
+            return out
+    raise AssertionError(f"too few {case} points with {zero} = 0 at p = {p}")
+
+
+@pytest.mark.parametrize("case", ["g4", "g5", "g6q", "g8"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_fiber_over_matches_pointwise_oracle(case, p):
+    rng = random.Random(1000 * p + FIBER_CASES.index(case))
+    shapes = Counter()
+    for zero in _ZERO_BLOCKS[case]:
+        for t in _model_points(case, p, zero, rng, 25):
+            hits = _oracle_fiber(case, t, p)
+            rep = fiber_over(case, t, p)
+            assert rep.fiber_points == tuple(hits), (case, p, t)
+            assert rep.fiber_count == len(hits)
+            assert rep.classified_shape == _classify(len(hits), p, None)
+            shapes[rep.classified_shape] += 1
+    assert len(shapes) > 1  # the samples reach more than one fiber shape
+
+
+def _oracle_g4_plane_check(p):
+    b6 = build_case("B6")
+    segre = [trace_zero_matrix(r) for r in point_set(
+        ScanPlan(b6.ambient_dim, SmallPrime(p)), b6.generators).tolist()]
+    profile = Counter()
+    mismatches = []
+    for zc in enumerate_points(ScanPlan(7, p)):
+        t = PointAffineRep((0,) * 6 + zc.coords)
+        count = len(_oracle_fiber("g4", t, p))
+        zmat = trace_zero_matrix(zc.coords)
+        oracle = sum(1 for P in segre
+                     if sum(zmat[i][j] * P[i][j]
+                            for i in range(3) for j in range(3)) % p == 0)
+        profile[(count, oracle)] += 1
+        if count != oracle:
+            mismatches.append(t)
+    return profile, mismatches
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_g4_plane_check_matches_oracle_loop(p):
+    profile, mismatches = g4_intersection_plane_fiber_check(p)
+    want_profile, want_mismatches = _oracle_g4_plane_check(p)
+    assert list(profile.items()) == list(want_profile.items())
+    assert mismatches == want_mismatches
+
+
+def test_probes_make_no_scalar_elimination(monkeypatch):
+    rng = random.Random(7)
+    probes = []
+    for p in (2, 3):
+        for case in FIBER_CASES:
+            base_points(case, p)
+            for zero in _ZERO_BLOCKS[case]:
+                probes += [(case, t, p)
+                           for t in _model_points(case, p, zero, rng, 5)]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("scalar elimination after the base was built")
+
+    monkeypatch.setattr(incidence, "matrix_rank_mod_p", boom)
+    monkeypatch.setattr(incidence, "nullspace_mod_p", boom)
+    for case, t, p in probes:
+        fiber_over(case, t, p)
+    for p in (2, 3):
+        g8_plane_fiber_profile(p)
+        g4_intersection_plane_fiber_check(p)
+
+
+def test_fiber_over_rejects_non_residues():
+    coords = (1, 5) + (0,) * 14
+    assert not any(g.eval_mod(coords, 3)
+                   for g in build_case("g5_sigma_bar").generators)
+    with pytest.raises(ValueError, match="residues"):
+        fiber_over("g5", PointAffineRep(coords), 3)
+
+
+def test_fiber_over_unsupported_case_message():
+    with pytest.raises(KeyError, match="unsupported fiber case 'g6c'"):
+        fiber_over("g6c", PointAffineRep((1,) + (0,) * 12), 2)
 
 
 # ---------------------------------------------------------------------------
