@@ -28,7 +28,7 @@ from .invariants import (BudgetExceeded, ci_degree, estimate_dimension,
                          two_path_count_check)
 from .numerology import (case_table_check, normal_bundle_ledger,
                          primitivity_checks, run_ledger)
-from .projspace import clear_point_sets, default_threads
+from .projspace import clear_point_sets
 from .sections import (DEFAULT_SECTION_SEEDS, SectionSpec, cut,
                        parse_section_file, random_section, section_report)
 
@@ -45,12 +45,9 @@ class RunConfig:
     cases: tuple = MAIN_CASES
     primes: tuple = (2, 3)
     checks: tuple = ALL_CHECKS
-    threads: int = 0  # 0: resolve from env / cpu count
+    threads: int = 0  # echoed in the report; selects nothing (0: not set)
     output_path: str | None = None
     sample_cap: int = 1024
-
-    def resolved_threads(self) -> int:
-        return self.threads or default_threads()
 
 
 @dataclass
@@ -172,12 +169,12 @@ def parse_config(path: str) -> RunConfig:
 # individual checks
 
 
-def check_count(config: RunConfig, threads: int) -> list:
+def check_count(config: RunConfig) -> list:
     records = []
     for case in config.cases:
         spec = build_case(case)
         for p in config.primes:
-            direct, transformed = two_path_count_check(spec, p, threads=threads)
+            direct, transformed = two_path_count_check(spec, p)
             records.append(_rec(
                 "count", case, p, transformed, direct,
                 "point count agrees along two predicate paths"))
@@ -202,11 +199,11 @@ def check_count(config: RunConfig, threads: int) -> list:
     return records
 
 
-def check_dimension(config: RunConfig, threads: int) -> list:
+def check_dimension(config: RunConfig) -> list:
     records = []
     for case in config.cases:
         spec = build_case(case)
-        est = estimate_dimension(spec, config.primes, threads=threads)
+        est = estimate_dimension(spec, config.primes)
         records.append(_rec(
             "dimension", case, None,
             {"dim": spec.expected_dim, "consistent": True},
@@ -217,7 +214,7 @@ def check_dimension(config: RunConfig, threads: int) -> list:
     return records
 
 
-def check_singular(config: RunConfig, threads: int) -> list:
+def check_singular(config: RunConfig) -> list:
     records = []
     for case in config.cases:
         if case not in MAIN_CASES:
@@ -225,7 +222,7 @@ def check_singular(config: RunConfig, threads: int) -> list:
         spec = build_case(case)
         for p in config.primes:
             if spec.rank_locus is not None:
-                report = singular_scan(spec, spec.rank_locus, p, threads=threads)
+                report = singular_scan(spec, spec.rank_locus, p)
                 records.append(_rec(
                     "singular-locus", case, p,
                     {"sets_equal": True, "symmetric_difference": 0},
@@ -235,8 +232,7 @@ def check_singular(config: RunConfig, threads: int) -> list:
                     "Jacobian singular set equals the rank-locus description",
                     ok=bool(report.sets_equal)))
             elif case == "g8_sigma_bar":
-                report = singular_scan(spec, None, p, threads=threads,
-                                       sample_cap=4 * p * p)
+                report = singular_scan(spec, None, p, sample_cap=4 * p * p)
                 sing = set(report.jacobian_singular.sample)
                 size = report.jacobian_singular.count
                 veronese, _ = projected_veronese_points(p)
@@ -249,7 +245,7 @@ def check_singular(config: RunConfig, threads: int) -> list:
                     "the vertex plane",
                     ok=(sing == embedded and size == p * p + p + 1)))
             else:
-                report = singular_scan(spec, None, p, threads=threads)
+                report = singular_scan(spec, None, p)
                 holds = report.containment_holds
                 rec = CheckRecord(
                     "singular-locus", case, p,
@@ -264,7 +260,7 @@ def check_singular(config: RunConfig, threads: int) -> list:
     return records
 
 
-def check_fibers(config: RunConfig, threads: int) -> list:
+def check_fibers(config: RunConfig) -> list:
     """Fiber dichotomies. Each sub-check runs at its natural prime set
     (exhaustive enumerations pinned by the acceptance criteria) rather than
     the configured scan primes."""
@@ -320,7 +316,7 @@ def check_fibers(config: RunConfig, threads: int) -> list:
     return records
 
 
-def check_degrees(config: RunConfig, threads: int) -> list:
+def check_degrees(config: RunConfig) -> list:
     records = []
     table = (
         ("g4_sigma_bar", ci_degree((2, 3)), 4, "quadric-cubic intersection degree"),
@@ -347,7 +343,7 @@ def check_degrees(config: RunConfig, threads: int) -> list:
     return records
 
 
-def check_ledger(config: RunConfig, threads: int) -> list:
+def check_ledger(config: RunConfig) -> list:
     records = []
     for rec in run_ledger():
         records.append(_rec("ledger", rec.lattice, None, True, rec.verdict.ok,
@@ -374,7 +370,7 @@ def check_ledger(config: RunConfig, threads: int) -> list:
     return records
 
 
-def check_sections(config: RunConfig, threads: int) -> list:
+def check_sections(config: RunConfig) -> list:
     records = []
     for case in config.cases:
         if case not in MAIN_CASES:
@@ -383,7 +379,7 @@ def check_sections(config: RunConfig, threads: int) -> list:
         base_seed = DEFAULT_SECTION_SEEDS[case]
         codim = spec.expected_dim - 3
         seed_used, draws, reports = _section_to_threefold(
-            spec, codim, base_seed, threads)
+            spec, codim, base_seed)
         rep = reports[0]
         records.append(_rec(
             "sections", case, 3,
@@ -393,24 +389,24 @@ def check_sections(config: RunConfig, threads: int) -> list:
             "a seeded random 3-fold section has dimension 3 at p = 3",
             ok=(rep.estimated_dim == 3)))
     if "g8_sigma_bar" in config.cases:
-        records.extend(_g8_plane_section_records(threads))
+        records.extend(_g8_plane_section_records())
     return records
 
 
-def _section_to_threefold(spec, codim, base_seed, threads, max_reseeds=20):
+def _section_to_threefold(spec, codim, base_seed, max_reseeds=20):
     """Seeded random section with re-seeding on degenerate draws."""
     total_draws = 0
     for attempt in range(max_reseeds):
         seed = base_seed + attempt
         section, draws = random_section(spec, codim, seed, (3,))
         total_draws += draws
-        reports = section_report(cut(spec, section), (3,), threads=threads)
+        reports = section_report(cut(spec, section), (3,))
         if reports[0].estimated_dim == 3:
             return seed, total_draws, reports
     raise RuntimeError(f"no nondegenerate section found for {spec.case_id}")
 
 
-def _g8_plane_section_records(threads, max_reseeds=50):
+def _g8_plane_section_records(max_reseeds=50):
     spec = build_case("g8_sigma_bar")
     base_seed = DEFAULT_SECTION_SEEDS["g8_plane"]
     total_draws = 0
@@ -420,7 +416,7 @@ def _g8_plane_section_records(threads, max_reseeds=50):
                                         contains_planes=("Pi",))
         total_draws += draws
         w = cut(spec, section)
-        reports = section_report(w, (2, 3), threads=threads, plane="Pi")
+        reports = section_report(w, (2, 3), plane="Pi")
         if (all(r.estimated_dim == 3 for r in reports)
                 and all(r.singular_off_plane == 0 for r in reports)
                 and all(r.plane_section_count == r.prime ** 2 + r.prime + 1
@@ -457,20 +453,17 @@ _CHECK_FUNCS = {
 # orchestration
 
 
-def run(config: RunConfig, threads: int | None = None) -> dict:
-    """Execute the configured checks in deterministic order. The optional
-    thread override affects execution only; the report echoes the config, so
-    reports stay byte-identical across worker counts. The checks share one
-    scan per (generators, prime) through the point-set memo, which is
-    emptied when the run ends, as are the resolution base points. An
+def run(config: RunConfig) -> dict:
+    """Execute the configured checks in deterministic order. The checks
+    share one scan per (generators, prime) through the point-set memo, which
+    is emptied when the run ends, as are the resolution base points. An
     over-budget scan ends the run."""
-    effective = threads or config.resolved_threads()
     records: list[CheckRecord] = []
     try:
         for name in config.checks:
             t0 = time.monotonic()
             try:
-                records.extend(_CHECK_FUNCS[name](config, effective))
+                records.extend(_CHECK_FUNCS[name](config))
             except BudgetExceeded:
                 raise
             except Exception as exc:  # a failed check must not abort the others
@@ -521,7 +514,9 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run configured checks")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--threads", type=int, default=None)
+    p_run.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility and ignored: every "
+                            "scan runs on one worker")
     p_run.add_argument("--out", default=None)
 
     p_count = sub.add_parser("count", help="count rational points of a case")
@@ -550,7 +545,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             config = parse_config(args.config)
-            report = run(config, threads=args.threads)
+            report = run(config)
             out = args.out or config.output_path
             if out:
                 emit_report(report, out)

@@ -324,7 +324,9 @@ def linalg_equiv_check(x: Sequence[int], y: Sequence[int],
     y = [int(v) % p for v in y]
     if not any(x) and not any(y):
         raise ValueError("(x, y) must be nonzero")
-    if any(y) and not in_span(y, [tuple(b) for b in U_basis] or [tuple([0] * npairs)], p):
+    # linear forms cutting out U inside wedge^2 V'
+    u_forms = nullspace_mod_p([list(b) for b in U_basis] or [[0] * npairs], p)
+    if not _annihilated(u_forms, y, p):
         raise ValueError("y is not in the span of U_basis")
 
     # side 1: v1 ^ x + y as a bivector on V^1 + V' (dimension dv + 1)
@@ -339,11 +341,9 @@ def linalg_equiv_check(x: Sequence[int], y: Sequence[int],
 
     # side 2: exhaustive search over 2-subspaces of V'
     side2 = False
-    U_rows = [list(b) for b in U_basis]
-    u_rank = matrix_rank_mod_p(U_rows, p) if U_rows else 0
     for basis in two_subspaces(dv, p):
         w2 = plucker_vector(basis, p)
-        if matrix_rank_mod_p(U_rows + [list(w2)], p) != u_rank:
+        if not _annihilated(u_forms, w2, p):
             continue  # wedge^2 V2 not inside U
         if not in_span(x, basis, p):
             continue

@@ -12,8 +12,8 @@ import numpy as np
 from .algebra import SmallPrime, matrix_rank_mod_p_batch
 from .catalog import VarietySpec, RankLocusSpec, pinned_coordinate_change
 from .projspace import (DEFAULT_POINT_BUDGET, BudgetExceeded,  # noqa: F401
-                        CompiledSystem, ScanPlan, _check_budget, _run_chunks,
-                        point_set, proj_point_count, scan_system)
+                        CompiledSystem, ScanPlan, _check_budget, point_set,
+                        proj_point_count, scan_system)
 
 _RANK_BLOCK = 1 << 17
 
@@ -131,21 +131,20 @@ def bracket_dimension(count: int, p: int, max_dim: int) -> int:
     return d
 
 
-def count_points(spec: VarietySpec, p: int, threads: int | None = None,
-                 budget: int = DEFAULT_POINT_BUDGET) -> int:
+def count_points(spec: VarietySpec, p: int, budget: int = DEFAULT_POINT_BUDGET) -> int:
     plan = ScanPlan(spec.ambient_dim, SmallPrime(p))
     _check_budget(plan, budget)
-    return len(point_set(plan, spec.generators, threads))
+    return len(point_set(plan, spec.generators))
 
 
-def estimate_dimension(spec: VarietySpec, primes, threads: int | None = None,
+def estimate_dimension(spec: VarietySpec, primes,
                        budget: int = DEFAULT_POINT_BUDGET) -> DimensionEstimate:
     """Per-prime point counts and bracket dimension estimates."""
     counts: dict[int, int] = {}
     per_prime: dict[int, int] = {}
     for p in primes:
         p = SmallPrime(p)
-        counts[p] = count_points(spec, p, threads=threads, budget=budget)
+        counts[p] = count_points(spec, p, budget=budget)
         per_prime[p] = bracket_dimension(counts[p], p, spec.ambient_dim)
     estimates = set(per_prime.values())
     consistent = len(estimates) == 1
@@ -154,16 +153,14 @@ def estimate_dimension(spec: VarietySpec, primes, threads: int | None = None,
     return DimensionEstimate(counts, per_prime, estimated, consistent)
 
 
-def two_path_count_check(spec: VarietySpec, p: int,
-                         threads: int | None = None) -> tuple:
+def two_path_count_check(spec: VarietySpec, p: int) -> tuple:
     """Count the variety twice: from the pinned generators and from the
     generators rewritten through the committed coordinate change. The counts
     agree iff both predicate paths see the same point set cardinality. The
     transformed path always scans: it never reads the point-set memo."""
     plan = ScanPlan(spec.ambient_dim, SmallPrime(p))
-    direct = len(point_set(plan, spec.generators, threads))
-    transformed = scan_system(plan, list(pinned_coordinate_change(spec)),
-                              threads=threads).matched
+    direct = len(point_set(plan, spec.generators))
+    transformed = scan_system(plan, list(pinned_coordinate_change(spec))).matched
     return direct, transformed
 
 
@@ -190,27 +187,20 @@ class SingularScanReport:
     containment_holds: bool | None = None
 
 
-def _jacobian_singular_mask(spec: VarietySpec, pts: np.ndarray, p: int,
-                            threads: int | None = None) -> np.ndarray:
+def _jacobian_singular_mask(spec: VarietySpec, pts: np.ndarray, p: int) -> np.ndarray:
     """Rank < codimension of the Jacobian at each point, evaluated and ranked
-    in _RANK_BLOCK blocks on the scan workers and joined in block order."""
+    one _RANK_BLOCK block of points at a time."""
     gens = spec.generators
     nv = len(spec.vars)
     codim = spec.ambient_dim - spec.expected_dim
-    partials = [g.partial(i) for g in gens for i in range(nv)]
-    system = CompiledSystem(partials)
-
-    def work(rng: tuple[int, int]) -> np.ndarray:
-        block = pts[rng[0]:rng[1]]
+    system = CompiledSystem([g.partial(i) for g in gens for i in range(nv)])
+    out = np.zeros(pts.shape[0], dtype=bool)
+    for s in range(0, pts.shape[0], _RANK_BLOCK):
+        block = pts[s:s + _RANK_BLOCK]
         vals = system.eval_block(block, p)                  # (ngens*nv, B)
         mats = vals.reshape(len(gens), nv, block.shape[0]).transpose(2, 0, 1)
-        return matrix_rank_mod_p_batch(mats, p) < codim
-
-    n = pts.shape[0]
-    ranges = [(s, min(s + _RANK_BLOCK, n)) for s in range(0, n, _RANK_BLOCK)]
-    if not ranges:
-        return np.zeros(0, dtype=bool)
-    return np.concatenate(_run_chunks(work, ranges, threads))
+        out[s:s + block.shape[0]] = matrix_rank_mod_p_batch(mats, p) < codim
+    return out
 
 
 def _rank_locus_mask(spec: VarietySpec, locus: RankLocusSpec,
@@ -229,7 +219,6 @@ def _rank_locus_mask(spec: VarietySpec, locus: RankLocusSpec,
 
 
 def singular_scan(spec: VarietySpec, locus: RankLocusSpec | None, p: int,
-                  threads: int | None = None,
                   sample_cap: int = 16) -> SingularScanReport:
     """Classify every rational point of the variety as smooth or singular by
     the Jacobian criterion (rank < codimension) and compare with the declared
@@ -238,8 +227,8 @@ def singular_scan(spec: VarietySpec, locus: RankLocusSpec | None, p: int,
     """
     p = SmallPrime(p)
     plan = ScanPlan(spec.ambient_dim, p)
-    pts = point_set(plan, spec.generators, threads)
-    sing = _jacobian_singular_mask(spec, pts, p, threads)
+    pts = point_set(plan, spec.generators)
+    sing = _jacobian_singular_mask(spec, pts, p)
     sing_pts = pts[sing]
     jac_summary = PointSetSummary(
         int(sing.sum()),

@@ -20,8 +20,8 @@ no floating point. Point rows are built only for matched entries, which
 np.nonzero returns in index order. points_block serves enumerate_points and
 CompiledSystem evaluates generators on explicit rows.
 
-Chunks (blocks of outer rows of about GRID_CHUNK_POINTS points) are joined in
-index order, so results are independent of the worker count. Every scan is
+Chunks (blocks of outer rows of about GRID_CHUNK_POINTS points) run one after
+another in index order, which bounds the memory of one step. Every scan is
 held to a point budget. Point sets of the catalog's varieties go through a
 memo (point_set), so each (generators, prime) pair is scanned once until
 clear_point_sets(). common_zeros reads the memo without adding to it: a
@@ -30,8 +30,6 @@ variety) is filtered from their rows instead of scanned.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -39,20 +37,12 @@ import numpy as np
 
 from .algebra import PointAffineRep, Polynomial, SmallPrime
 
-DEFAULT_SAMPLE_CAP = 1024
 DEFAULT_CHUNK_SIZE = 1 << 18
 DEFAULT_POINT_BUDGET = 100_000_000
 
 
 class BudgetExceeded(RuntimeError):
     pass
-
-
-def default_threads() -> int:
-    env = os.environ.get("KEYVARIETY_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def proj_point_count(n: int, p: int) -> int:
@@ -88,7 +78,6 @@ class ScanPlan:
 class ScanResult:
     total_examined: int
     matched: int
-    sample: tuple = ()
 
 
 def _check_budget(plan: ScanPlan, budget: int) -> None:
@@ -329,11 +318,11 @@ def _grid_group(polys: Sequence[Polynomial], n: int, k: int, p: int) -> _GridGro
 
 
 def _grid_chunk(group: _GridGroup, n: int, p: int, r0: int, r1: int,
-                row_cap: int | None):
+                collect: bool):
     """Scan outer rows [r0, r1) of a group: one exact int64 product per
     generator over the rows that still hold a common zero. Returns (points
-    examined, the first row_cap matched rows in index order, all of them when
-    row_cap is None, matched count)."""
+    examined, matched count, the matched rows in index order with collect,
+    else None)."""
     outer = _digit_grid(p, r0, r1, group.s)
     mask = np.ones((r1 - r0, group.width), dtype=bool)
     for outer_expos, coef, inner_t in group.gens:
@@ -342,25 +331,24 @@ def _grid_chunk(group: _GridGroup, n: int, p: int, r0: int, r1: int,
             break
         a = _matmul_mod(_monomial_table(outer[live], outer_expos, p), coef, p)
         mask[live] &= _matmul_mod(a, inner_t, p) == 0
+    examined = (r1 - r0) * group.width
+    if not collect:
+        return examined, int(np.count_nonzero(mask)), None
     o, i = np.nonzero(mask)
-    nmatch = int(o.size)
-    if row_cap is not None:
-        o, i = o[:row_cap], i[:row_cap]
     k, s = group.k, group.s
     rows = np.zeros((o.size, n + 1), dtype=np.int64)
     rows[:, k] = 1
     rows[:, k + 1:k + 1 + s] = outer[o]
     rows[:, k + 1 + s:] = group.inner_digits[i]
-    return (r1 - r0) * group.width, rows, nmatch
+    return examined, int(o.size), rows
 
 
-def scan_system(plan: ScanPlan, polys: Sequence[Polynomial],
-                threads: int | None = None, sample_cap: int = DEFAULT_SAMPLE_CAP,
+def scan_system(plan: ScanPlan, polys: Sequence[Polynomial], *,
                 collect: bool = False):
     """Scan for common zeros of a polynomial system with the grid kernel.
 
     Returns a ScanResult, or (ScanResult, matched_points_array) with collect=True.
-    Deterministic: chunk results are joined in index order. Raises
+    Chunks run in index order, so the rows are in index order. Raises
     BudgetExceeded before any work when P^n(F_p) exceeds DEFAULT_POINT_BUDGET.
     """
     _check_budget(plan, DEFAULT_POINT_BUDGET)
@@ -369,27 +357,19 @@ def scan_system(plan: ScanPlan, polys: Sequence[Polynomial],
     if len(polys[0].ring_vars) != plan.ambient_dim + 1:
         raise ValueError("system arity does not match the scan plan")
     n, p = plan.ambient_dim, int(plan.prime)
-    items = []
+    total = matched = 0
+    pieces = []
     for k in range(n + 1):
         group = _grid_group(polys, n, k, p)
         step = max(1, GRID_CHUNK_POINTS // group.width)
         nrows = p ** group.s
-        items.extend((group, r0, min(r0 + step, nrows))
-                     for r0 in range(0, nrows, step))
-    row_cap = None if collect else sample_cap
-    results = _run_chunks(
-        lambda item: _grid_chunk(item[0], n, p, item[1], item[2], row_cap),
-        items, threads)
-    total = sum(examined for examined, _, _ in results)
-    matched = sum(nmatch for _, _, nmatch in results)
-    pieces = [rows for _, rows, _ in results]
-    sample_rows = []
-    for piece in pieces:
-        if len(sample_rows) >= sample_cap:
-            break
-        for row in piece[: sample_cap - len(sample_rows)].tolist():
-            sample_rows.append(PointAffineRep(tuple(row)))
-    result = ScanResult(total, matched, tuple(sample_rows))
+        for r0 in range(0, nrows, step):
+            examined, nmatch, rows = _grid_chunk(group, n, p, r0,
+                                                 min(r0 + step, nrows), collect)
+            total += examined
+            matched += nmatch
+            pieces.append(rows)
+    result = ScanResult(total, matched)
     if collect:
         return result, np.concatenate(pieces, axis=0)
     return result
@@ -398,24 +378,21 @@ def scan_system(plan: ScanPlan, polys: Sequence[Polynomial],
 _POINT_SETS: dict = {}
 
 
-def point_set(plan: ScanPlan, polys: Sequence[Polynomial],
-              threads: int | None = None) -> np.ndarray:
+def point_set(plan: ScanPlan, polys: Sequence[Polynomial]) -> np.ndarray:
     """Common zeros of polys in P^n(F_p) as read-only int64 rows, in index
     order. The first call per (plan, generators) finds them with
     common_zeros and holds them; later calls return the held array until
-    clear_point_sets(). The thread count is not part of the key: scan results
-    do not depend on it."""
+    clear_point_sets()."""
     key = (plan, tuple(polys))
     pts = _POINT_SETS.get(key)
     if pts is None:
-        pts = common_zeros(plan, key[1], threads)
+        pts = common_zeros(plan, key[1])
         pts.setflags(write=False)
         _POINT_SETS[key] = pts
     return pts
 
 
-def common_zeros(plan: ScanPlan, polys: Sequence[Polynomial],
-                 threads: int | None = None) -> np.ndarray:
+def common_zeros(plan: ScanPlan, polys: Sequence[Polynomial]) -> np.ndarray:
     """Common zeros of polys in P^n(F_p) as int64 rows in index order, read
     through the memo without adding to it: the held rows of polys, else the
     rows of the longest held leading part of polys (a cut spec's base) on
@@ -427,17 +404,10 @@ def common_zeros(plan: ScanPlan, polys: Sequence[Polynomial],
             if j == len(polys):
                 return base
             return base[CompiledSystem(polys[j:]).vanishing_mask(base, plan.prime)]
-    _, pts = scan_system(plan, polys, threads=threads, sample_cap=0, collect=True)
+    _, pts = scan_system(plan, polys, collect=True)
     return pts
 
 
 def clear_point_sets() -> None:
     _POINT_SETS.clear()
 
-
-def _run_chunks(work, ranges, threads):
-    nthreads = threads if threads else default_threads()
-    if nthreads <= 1 or len(ranges) <= 1:
-        return [work(r) for r in ranges]
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        return list(pool.map(work, ranges))

@@ -160,7 +160,7 @@ def parse_section_file(text: str, ring: Sequence[str]) -> tuple:
 
 
 def section_report(spec: VarietySpec, primes: Sequence[int],
-                   threads: int | None = None, plane: str | None = None,
+                   plane: str | None = None,
                    budget: int = DEFAULT_POINT_BUDGET) -> list:
     """Per-prime profile of a (cut) spec: point count, bracket dimension,
     Jacobian-singular rational points, and - when a plane is tracked - the
@@ -171,10 +171,10 @@ def section_report(spec: VarietySpec, primes: Sequence[int],
         p = SmallPrime(p)
         plan = ScanPlan(spec.ambient_dim, p)
         _check_budget(plan, budget)
-        pts = common_zeros(plan, spec.generators, threads)
+        pts = common_zeros(plan, spec.generators)
         count = pts.shape[0]
         est = bracket_dimension(count, p, spec.ambient_dim)
-        sing = _jacobian_singular_mask(spec, pts, p, threads)
+        sing = _jacobian_singular_mask(spec, pts, p)
         plane_count = None
         off_plane = None
         if plane is not None:

@@ -3,14 +3,13 @@ pass/fail line per criterion. Run with `pytest -s tests/test_acceptance.py`
 to see the lines; failures surface as ordinary assertion errors.
 """
 import itertools
-import os
 import time
 
 import pytest
 
 from keyvariety.algebra import SmallPrime
 from keyvariety.catalog import build_case, plucker_ideal
-from keyvariety.cli import RunConfig, emit_report, run
+from keyvariety.cli import main
 from keyvariety.incidence import (count_two_subspaces,
                                   g4_intersection_plane_fiber_check,
                                   g5_plane_fiber_dichotomy,
@@ -23,8 +22,6 @@ from keyvariety.numerology import (case_table_check, normal_bundle_ledger,
                                    run_ledger)
 from keyvariety.projspace import ScanPlan, scan_system
 
-THREADS = min(8, os.cpu_count() or 1)
-
 
 def _report(number, name, started):
     print(f"\nACCEPTANCE {number} [{name}]: PASS ({time.time() - started:.1f}s)")
@@ -36,7 +33,7 @@ def test_criterion_1_grassmannian_counts():
     for (n, p), want in expected.items():
         gens = plucker_ideal(n)
         plan = ScanPlan(len(gens[0].ring_vars) - 1, SmallPrime(p))
-        got = scan_system(plan, gens, threads=THREADS).matched
+        got = scan_system(plan, gens).matched
         assert got == want, (n, p, got)
         assert count_two_subspaces(n, p) == want, (n, p)
     assert time.time() - started < 60
@@ -48,7 +45,7 @@ def test_criterion_2_dimensions():
     expected = {"g4_sigma_bar": 11, "g5_sigma_bar": 12, "g6q_sigma_bar": 9,
                 "g6c_sigma_bar": 8, "g8_sigma_bar": 5}
     for case, dim in expected.items():
-        est = estimate_dimension(build_case(case), (2, 3), threads=THREADS)
+        est = estimate_dimension(build_case(case), (2, 3))
         assert est.consistent, (case, est)
         assert est.estimated_dim == dim, (case, est)
     assert time.time() - started < 600
@@ -60,12 +57,12 @@ def test_criterion_3_singular_loci():
     for case in ("g4_sigma_bar", "g5_sigma_bar", "g6q_sigma_bar"):
         spec = build_case(case)
         for p in (2, 3):
-            rep = singular_scan(spec, spec.rank_locus, p, threads=THREADS)
+            rep = singular_scan(spec, spec.rank_locus, p)
             assert rep.sets_equal is True, (case, p)
             assert rep.symmetric_difference_sample == (), (case, p)
     spec = build_case("g6c_sigma_bar")
     for p in (2, 3):
-        rep = singular_scan(spec, None, p, threads=THREADS)
+        rep = singular_scan(spec, None, p)
         assert rep.containment_plane == "Pibar"
         assert rep.containment_holds is True, p
     _report(3, "singular loci equal their rank descriptions; "
@@ -161,16 +158,14 @@ def test_criterion_7_divisor_ledger():
 
 def test_criterion_8_report_determinism(tmp_path):
     started = time.time()
-    base = dict(cases=("g8_sigma_bar", "g6c_sigma_bar", "grass_2_5"),
-                primes=(2, 3),
-                checks=("count", "dimension", "singular-locus", "degrees",
-                        "ledger"))
-    config = RunConfig(**base)
+    config = tmp_path / "determinism.cfg"
+    config.write_text("cases=g8,g6c,grass_2_5\nprimes=2,3\n"
+                      "checks=count,dimension,singular-locus,degrees,ledger\n")
     paths = []
-    for threads in (1, 8):
-        report = run(config, threads=threads)
+    for threads in ("1", "8"):
         path = tmp_path / f"report_t{threads}.json"
-        emit_report(report, str(path))
+        assert main(["run", "--threads", threads, "--config", str(config),
+                     "--out", str(path)]) == 0
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
     _report(8, "byte-identical reports across thread counts", started)

@@ -21,7 +21,7 @@ def test_parse_config_minimal_defaults(tmp_path):
     assert cfg.primes == (2, 3)
     assert cfg.checks == ("count",)
     assert cfg.sample_cap == 1024
-    assert cfg.resolved_threads() >= 1
+    assert cfg.threads == 0
 
 
 def test_parse_config_rejects_nonprime(tmp_path):
@@ -66,7 +66,7 @@ def test_missing_config_is_config_error(tmp_path):
 
 def test_run_all_pass_and_exit_codes(tmp_path):
     cfg = RunConfig(cases=("g8_sigma_bar",), primes=(2,),
-                    checks=("degrees", "ledger"), threads=1)
+                    checks=("degrees", "ledger"))
     report = run(cfg)
     assert report["records"]
     assert all(r["verdict"] in ("pass", "info") for r in report["records"])
@@ -77,7 +77,7 @@ def test_run_all_pass_and_exit_codes(tmp_path):
 
 def test_emit_report_deterministic(tmp_path):
     cfg = RunConfig(cases=("g8_sigma_bar",), primes=(2,),
-                    checks=("count", "degrees"), threads=1)
+                    checks=("count", "degrees"))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     emit_report(run(cfg), str(p1))
     emit_report(run(cfg), str(p2))
@@ -85,11 +85,23 @@ def test_emit_report_deterministic(tmp_path):
 
 
 def test_reports_identical_across_thread_counts(tmp_path):
-    config = RunConfig(cases=("g8_sigma_bar", "g6c_sigma_bar"), primes=(2,),
-                       checks=("count", "dimension", "degrees"))
-    r1 = run(config, threads=1)
-    r8 = run(config, threads=8)
-    assert r1 == r8
+    # --threads is accepted and ignored
+    cfg = _write(tmp_path, "cases=g8,g6c\nprimes=2\nchecks=count,dimension,degrees\n")
+    paths = [tmp_path / "t1.json", tmp_path / "t8.json"]
+    for threads, path in zip(("1", "8"), paths):
+        assert main(["run", "--threads", threads, "--config", cfg,
+                     "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_config_threads_is_echoed_and_selects_nothing(tmp_path):
+    text = "cases=g8,B6\nprimes=2,3\nchecks=count,dimension\n"
+    plain = run(parse_config(_write(tmp_path, text)))
+    echoed = run(parse_config(_write(tmp_path, text + "threads=4\n", "t4.txt")))
+    assert plain["config"]["threads"] == 0 and echoed["config"]["threads"] == 4
+    assert echoed["records"] == plain["records"]
+    assert {k: v for k, v in echoed["config"].items() if k != "threads"} == \
+        {k: v for k, v in plain["config"].items() if k != "threads"}
 
 
 def test_report_records_have_fixed_fields(tmp_path):
@@ -191,8 +203,7 @@ def test_run_over_budget_exits_2_before_any_scan(tmp_path, capsys, monkeypatch):
 
 def test_run_empties_base_point_cache():
     base_points("g4", 2)
-    run(RunConfig(cases=("g8_sigma_bar",), primes=(2,), checks=("fibers",),
-                  threads=1))
+    run(RunConfig(cases=("g8_sigma_bar",), primes=(2,), checks=("fibers",)))
     assert incidence._BASE_POINTS == {}
 
 
@@ -216,7 +227,7 @@ def test_run_scans_each_point_set_once(monkeypatch):
     scans = _count_scans(monkeypatch)
     cases = ("grass_2_5", "B5", "g8_sigma_bar")
     run(RunConfig(cases=cases, primes=(2, 3),
-                  checks=("count", "dimension", "fibers"), threads=1))
+                  checks=("count", "dimension", "fibers")))
     expected = Counter()
     for case in cases:
         spec = build_case(case)
@@ -230,7 +241,7 @@ def test_run_scans_each_point_set_once(monkeypatch):
 
 def test_repeated_runs_identical_and_memo_emptied():
     config = RunConfig(cases=("grass_2_5", "B6"), primes=(2, 3),
-                       checks=("count", "dimension"), threads=1)
+                       checks=("count", "dimension"))
     first = run(config)
     assert projspace._POINT_SETS == {}
     second = run(config)

@@ -83,7 +83,7 @@ def test_estimate_dimension_budget():
 def test_frozen_counts(case, p):
     if (case, p) == ("g5_sigma_bar", 3):
         pytest.skip("covered by the acceptance suite")
-    assert count_points(build_case(case), p, threads=4) == FROZEN_COUNTS[(case, p)]
+    assert count_points(build_case(case), p) == FROZEN_COUNTS[(case, p)]
 
 
 def test_two_path_agreement_g6c():
@@ -95,7 +95,7 @@ def test_two_path_agreement_g6c():
     ("g4_sigma_bar", 1151), ("g5_sigma_bar", 1575), ("g6q_sigma_bar", 151)])
 def test_singular_scan_equality_p2(case, expected_sing):
     spec = build_case(case)
-    rep = singular_scan(spec, spec.rank_locus, 2, threads=4)
+    rep = singular_scan(spec, spec.rank_locus, 2)
     assert rep.sets_equal is True
     assert rep.symmetric_difference_sample == ()
     assert rep.jacobian_singular.count == rep.rank_locus.count == expected_sing
@@ -106,33 +106,37 @@ def test_singular_scan_reports_true_difference_count():
     # singular set, which is far larger than the capped sample
     spec = build_case("g6q_sigma_bar")
     empty = RankLocusSpec(spec.case_id, "no branches", ())
-    rep = singular_scan(spec, empty, 2, threads=2, sample_cap=1)
+    rep = singular_scan(spec, empty, 2, sample_cap=1)
     assert rep.sets_equal is False
     assert rep.rank_locus.count == 0
     assert len(rep.symmetric_difference_sample) == 1
     assert rep.symmetric_difference_count == rep.jacobian_singular.count == 151
 
 
-def test_jacobian_mask_independent_of_threads(monkeypatch):
+def test_jacobian_mask_independent_of_block_size(monkeypatch):
     from keyvariety.projspace import ScanPlan, scan_system
 
     spec = build_case("g6q_sigma_bar")
     _, pts = scan_system(ScanPlan(spec.ambient_dim, 2), list(spec.generators),
-                         threads=1, collect=True)
+                         collect=True)
+    assert pts.shape[0] <= invariants._RANK_BLOCK
+    one = invariants._jacobian_singular_mask(spec, pts, 2)
+    # blocks of 100 rows, the last one partial: the block join is checked
     monkeypatch.setattr(invariants, "_RANK_BLOCK", 100)
     assert pts.shape[0] > 5 * invariants._RANK_BLOCK
-    one = invariants._jacobian_singular_mask(spec, pts, 2, threads=1)
-    two = invariants._jacobian_singular_mask(spec, pts, 2, threads=2)
-    assert one.shape == (pts.shape[0],)
-    assert np.array_equal(one, two)
+    assert pts.shape[0] % invariants._RANK_BLOCK
+    blocked = invariants._jacobian_singular_mask(spec, pts, 2)
+    assert one.shape == blocked.shape == (pts.shape[0],)
+    assert np.array_equal(one, blocked)
     assert int(one.sum()) == 151
+    assert invariants._jacobian_singular_mask(spec, pts[:0], 2).shape == (0,)
 
 
 def test_g8_singular_set_is_projected_veronese():
     from keyvariety.incidence import projected_veronese_points
     spec = build_case("g8_sigma_bar")
     for p in (2, 3):
-        rep = singular_scan(spec, None, p, threads=4, sample_cap=4 * p * p)
+        rep = singular_scan(spec, None, p, sample_cap=4 * p * p)
         veronese, _ = projected_veronese_points(p)
         embedded = {tuple(v) + (0,) * 7 for v in veronese}
         assert set(rep.jacobian_singular.sample) == embedded
@@ -141,7 +145,7 @@ def test_g8_singular_set_is_projected_veronese():
 
 def test_singular_scan_g6c_containment_p2():
     spec = build_case("g6c_sigma_bar")
-    rep = singular_scan(spec, None, 2, threads=4)
+    rep = singular_scan(spec, None, 2)
     assert rep.sets_equal is None and rep.rank_locus is None
     assert rep.containment_plane == "Pibar"
     assert rep.containment_holds is True

@@ -6,30 +6,25 @@ from keyvariety import projspace
 from keyvariety.algebra import (PointAffineRep, Polynomial, SmallPrime,
                                 parse_poly)
 from keyvariety.catalog import build_case, plucker_ideal
-from keyvariety.projspace import (DEFAULT_SAMPLE_CAP, GRID_CHUNK_POINTS,
-                                  ScanPlan, ScanResult, _matmul_mod,
-                                  _run_chunks, clear_point_sets,
+from keyvariety.projspace import (GRID_CHUNK_POINTS, ScanPlan, ScanResult,
+                                  _matmul_mod, clear_point_sets,
                                   enumerate_points, index_to_point, point_set,
                                   point_to_index, points_block,
                                   proj_point_count, scan_system)
 from keyvariety.sections import SectionSpec, cut, section_report
 
 
-def scan(plan, predicate, threads=None, sample_cap=DEFAULT_SAMPLE_CAP,
-         ranges=None):
-    """Slow pointwise oracle: count the points where a pure predicate holds,
-    chunk by chunk (plan.chunk_ranges() unless ranges are given) on the scan
-    workers, joined in chunk order."""
-    def work(rng):
-        start, stop = rng
-        pts = [PointAffineRep(tuple(row)) for row in
-               points_block(plan.ambient_dim, plan.prime, start, stop).tolist()]
-        return stop - start, [pt for pt in pts if predicate(pt)]
-
-    results = _run_chunks(work, ranges or plan.chunk_ranges(), threads)
-    hits = [pt for _, chunk in results for pt in chunk]
-    return ScanResult(sum(n for n, _ in results), len(hits),
-                      tuple(hits[:sample_cap]))
+def scan(plan, predicate, ranges=None):
+    """Slow pointwise oracle: the points where a pure predicate holds, chunk
+    by chunk (plan.chunk_ranges() unless ranges are given) in chunk order.
+    Returns (ScanResult, the matching points in index order)."""
+    examined, hits = 0, []
+    for start, stop in ranges or plan.chunk_ranges():
+        examined += stop - start
+        rows = points_block(plan.ambient_dim, plan.prime, start, stop).tolist()
+        pts = [PointAffineRep(tuple(row)) for row in rows]
+        hits.extend(pt for pt in pts if predicate(pt))
+    return ScanResult(examined, len(hits)), tuple(hits)
 
 
 def test_point_count_examples():
@@ -88,7 +83,7 @@ def test_chunks_partition_exactly():
 
 def test_scan_true_predicate():
     plan = ScanPlan(2, SmallPrime(2))
-    res = scan(plan, lambda pt: True)
+    res, _ = scan(plan, lambda pt: True)
     assert res.total_examined == res.matched == 7
 
 
@@ -96,18 +91,16 @@ def test_scan_true_predicate():
 def test_scan_chunk_invariance(chunks):
     plan = ScanPlan(4, SmallPrime(3))
     bounds = [plan.total * c // chunks for c in range(chunks + 1)]
-    res = scan(plan, lambda pt: pt.coords[0] == 0, threads=2,
+    res = scan(plan, lambda pt: pt.coords[0] == 0,
                ranges=list(zip(bounds, bounds[1:])))
-    base = scan(plan, lambda pt: pt.coords[0] == 0, threads=1,
-                ranges=[(0, plan.total)])
-    assert (res.total_examined, res.matched) == (base.total_examined, base.matched)
-    assert res.sample == base.sample
+    base = scan(plan, lambda pt: pt.coords[0] == 0, ranges=[(0, plan.total)])
+    assert res == base and base[0].matched == proj_point_count(3, 3)
 
 
 def test_scan_g24_quadric():
     quad = plucker_ideal(4)
     plan = ScanPlan(5, SmallPrime(2))
-    res = scan(plan, lambda pt: all(g.eval_mod(pt.coords, 2) == 0 for g in quad))
+    res, _ = scan(plan, lambda pt: all(g.eval_mod(pt.coords, 2) == 0 for g in quad))
     assert res.matched == 35
 
 
@@ -125,23 +118,19 @@ def test_scan_system_matches_predicate_scan():
     f = parse_poly("x*y - z^2", ring)
     plan = ScanPlan(2, SmallPrime(5))
     fast = scan_system(plan, [f])
-    slow = scan(plan, lambda pt: f.eval_mod(pt.coords, 5) == 0)
+    slow, _ = scan(plan, lambda pt: f.eval_mod(pt.coords, 5) == 0)
     assert fast.matched == slow.matched
     assert fast.total_examined == slow.total_examined == proj_point_count(2, 5)
 
 
-def test_scan_system_collect_and_sample_cap():
+def test_scan_system_collect():
     ring = ("x", "y", "z")
     f = parse_poly("x", ring)
     plan = ScanPlan(2, SmallPrime(3))
-    res, pts = scan_system(plan, [f], collect=True, sample_cap=2)
-    assert res.matched == pts.shape[0] == 4  # the line {x=0} in P^2(F_3)
-    assert len(res.sample) == 2
-    assert all(isinstance(s, PointAffineRep) for s in res.sample)
-    # sample_cap=0: no sample, every matched row
-    res0, pts0 = scan_system(plan, [f], collect=True, sample_cap=0)
-    assert res0 == ScanResult(res.total_examined, 4, ())
-    assert np.array_equal(pts0, pts)
+    res, pts = scan_system(plan, [f], collect=True)
+    assert res == ScanResult(13, 4) == scan_system(plan, [f])
+    # the line {x=0} in P^2(F_3), in index order
+    assert pts.tolist() == [[0, 1, 0], [0, 1, 1], [0, 1, 2], [0, 0, 1]]
 
 
 def test_gaussian_binomial_counts():
@@ -162,8 +151,8 @@ def test_point_set_scans_once_and_is_read_only(monkeypatch):
     ring = ("x", "y", "z")
     f = parse_poly("x*y - z^2", ring)
     plan = ScanPlan(2, SmallPrime(5))
-    first = point_set(plan, [f], threads=1)
-    assert point_set(plan, (f,), threads=2) is first and len(calls) == 1
+    first = point_set(plan, [f])
+    assert point_set(plan, (f,)) is first and len(calls) == 1
     assert first.dtype == np.int64 and not first.flags.writeable
     with pytest.raises(ValueError):
         first[0, 0] = 7
@@ -175,11 +164,11 @@ def test_point_set_scans_once_and_is_read_only(monkeypatch):
 
 
 def _oracle_rows(plan, polys):
-    """Every common zero by the pointwise oracle: (ScanResult whose sample
-    holds all of them, the same points as int64 rows in index order)."""
-    res = scan(plan, lambda pt: all(f.eval_mod(pt.coords, plan.prime) == 0
-                                    for f in polys), sample_cap=plan.total)
-    rows = [pt.coords for pt in res.sample]
+    """Every common zero by the pointwise oracle: (ScanResult, the points as
+    int64 rows in index order)."""
+    res, hits = scan(plan, lambda pt: all(f.eval_mod(pt.coords, plan.prime) == 0
+                                          for f in polys))
+    rows = [pt.coords for pt in hits]
     return res, np.array(rows, dtype=np.int64).reshape(len(rows), plan.ambient_dim + 1)
 
 
@@ -198,8 +187,8 @@ def _systems(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_systems(), st.sampled_from([1, 5, DEFAULT_SAMPLE_CAP]))
-def test_grid_kernel_matches_pointwise_oracle(system, sample_cap):
+@given(_systems())
+def test_grid_kernel_matches_pointwise_oracle(system):
     n, p, polys = system
     plan = ScanPlan(n, SmallPrime(p))
     want, want_rows = _oracle_rows(plan, polys)
@@ -208,28 +197,21 @@ def test_grid_kernel_matches_pointwise_oracle(system, sample_cap):
     for chunk_points in (GRID_CHUNK_POINTS, 8):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(projspace, "GRID_CHUNK_POINTS", chunk_points)
-            for threads in (1, 2):
-                res, rows = scan_system(plan, polys, threads=threads,
-                                        sample_cap=sample_cap, collect=True)
-                assert res.total_examined == plan.total
-                assert res.matched == want.matched == len(rows)
-                assert np.array_equal(rows, want_rows)
-                assert res.sample == want.sample[:sample_cap]
-                assert scan_system(plan, polys, threads=threads,
-                                   sample_cap=sample_cap) == res
+            res, rows = scan_system(plan, polys, collect=True)
+            assert res == want == scan_system(plan, polys)
+            assert np.array_equal(rows, want_rows)
 
 
 def test_small_grid_chunks_split_groups(monkeypatch):
     chunks = []
     real = projspace._grid_chunk
     monkeypatch.setattr(projspace, "_grid_chunk",
-                        lambda group, n, p, r0, r1, cap:
+                        lambda group, n, p, r0, r1, collect:
                         chunks.append((group.k, r0, r1)) or
-                        real(group, n, p, r0, r1, cap))
+                        real(group, n, p, r0, r1, collect))
     monkeypatch.setattr(projspace, "GRID_CHUNK_POINTS", 8)
     ring = tuple(f"x{i}" for i in range(5))
-    scan_system(ScanPlan(4, SmallPrime(3)), [parse_poly("x0*x1 - x4^2", ring)],
-                threads=1)
+    scan_system(ScanPlan(4, SmallPrime(3)), [parse_poly("x0*x1 - x4^2", ring)])
     # group 0 is F_3^4: an inner grid of 3 points, 2 outer rows per chunk
     group0 = [(r0, r1) for k, r0, r1 in chunks if k == 0]
     assert group0 == [(r0, min(r0 + 2, 27)) for r0 in range(0, 27, 2)]
@@ -265,7 +247,7 @@ def test_grid_kernel_exact_on_p1_above_2_16():
     # normalized representative is (1 : 1/30000) = (1 : 57950)
     f = (y - x * 40000) * (y - x * 60001) * (x - y * 30000)
     plan = ScanPlan(1, p)
-    res, rows = scan_system(plan, [f], threads=2, collect=True)
+    res, rows = scan_system(plan, [f], collect=True)
     want, want_rows = _oracle_rows(plan, [f])
     assert res.matched == want.matched == 3
     assert np.array_equal(rows, want_rows)
@@ -301,10 +283,10 @@ def test_section_report_reads_the_memo_and_adds_nothing(monkeypatch):
     real = projspace.scan_system
     monkeypatch.setattr(projspace, "scan_system",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
-    (rep,) = section_report(w, (3,), threads=1)
+    (rep,) = section_report(w, (3,))
     assert calls == [] and rep.count == len(direct)
     assert projspace._POINT_SETS == held
     clear_point_sets()
-    (again,) = section_report(w, (3,), threads=1)
+    (again,) = section_report(w, (3,))
     assert len(calls) == 1 and again == rep
     assert projspace._POINT_SETS == {}
