@@ -205,16 +205,14 @@ def _jacobian_singular_mask(spec: VarietySpec, pts: np.ndarray, p: int) -> np.nd
 
 def _rank_locus_mask(spec: VarietySpec, locus: RankLocusSpec,
                      pts: np.ndarray, p: int) -> np.ndarray:
+    """Membership in the declared rank locus. A branch's minors are evaluated
+    only on the rows where its zero block vanishes (the rows are residues)."""
     member = np.zeros(pts.shape[0], dtype=bool)
     for branch in locus.branches:
         zero_idx = [spec.var_index(v) for v in branch.zero_vars]
-        mask = (pts[:, zero_idx] % p == 0).all(axis=1)
-        if mask.any():
-            minors = branch.minors()
-            system = CompiledSystem(minors)
-            vals = system.eval_block(pts, p)
-            mask &= (vals == 0).all(axis=0)
-        member |= mask
+        idx = np.flatnonzero((pts[:, zero_idx] == 0).all(axis=1))
+        minors = CompiledSystem(branch.minors())
+        member[idx[minors.vanishing_mask(pts[idx], p)]] = True
     return member
 
 

@@ -18,7 +18,13 @@ monomials; where that could reach 2^63 the sum is cut into slices reduced mod p
 in between, so the kernel is exact for every prime SmallPrime accepts and uses
 no floating point. Point rows are built only for matched entries, which
 np.nonzero returns in index order. points_block serves enumerate_points and
-CompiledSystem evaluates generators on explicit rows.
+CompiledSystem evaluates generators on explicit rows of residues: each term
+is a raw int64 product of its coefficient and columns, added raw into the
+sum, and a Python-int bound on the entries of the product and of the sum
+decides when to reduce mod p, only where the next product or addition could
+pass 2^63 - 1; one % p ends the sum. At p = 2 and 3 nothing is reduced
+before that for the catalog's degrees, and at the largest SmallPrime it
+reduces about once per factor, so the loop is exact for every SmallPrime.
 
 Chunks (blocks of outer rows of about GRID_CHUNK_POINTS points) run one after
 another in index order, which bounds the memory of one step. Every scan is
@@ -39,6 +45,7 @@ from .algebra import PointAffineRep, Polynomial, SmallPrime
 
 DEFAULT_CHUNK_SIZE = 1 << 18
 DEFAULT_POINT_BUDGET = 100_000_000
+_INT64_MAX = (1 << 63) - 1
 
 
 class BudgetExceeded(RuntimeError):
@@ -163,26 +170,44 @@ def _generator_values(gen: tuple, pts: np.ndarray, rows: np.ndarray | None,
                       p: int) -> np.ndarray:
     """Values mod p of a compiled generator (used columns, terms) at the rows
     of pts indexed by rows (all rows when None), reading only the columns it
-    uses, at those rows."""
+    uses, at those rows. hi and acc_hi bound the entries of term and acc
+    (pts holds residues), and either is reduced mod p only where the next
+    product or sum could pass 2^63 - 1."""
     used, terms = gen
     if rows is None:
         size, cols = pts.shape[0], [pts[:, v] for v in used]
     else:
         size, cols = rows.size, [pts[rows, v] for v in used]
+    top = p - 1
     acc = np.zeros(size, dtype=np.int64)
+    acc_hi = 0
     for c, expo in terms:
-        term = np.full(size, c % p, dtype=np.int64)
+        term = hi = c % p
         for col, e in zip(cols, expo):
             for _ in range(e):
-                term = (term * col) % p
-        acc = (acc + term) % p
-    return acc
+                if hi * top > _INT64_MAX:
+                    term %= p
+                    hi = top
+                term = term * col
+                hi *= top
+        if acc_hi + hi > _INT64_MAX:
+            acc %= p
+            acc_hi = top
+            if acc_hi + hi > _INT64_MAX:
+                term %= p
+                hi = top
+        acc += term
+        acc_hi += hi
+    return acc % p
 
 
 class CompiledSystem:
-    """Generators compiled for evaluation on explicit rows of points. Each
-    generator keeps its coefficients, the columns it uses and, per term, the
-    exponents of those columns."""
+    """Generators compiled for evaluation on explicit rows of points, whose
+    entries are residues in [0, p). Each generator keeps its coefficients,
+    the columns it uses and, per term, the exponents of those columns. Terms
+    and their sum stay unreduced until a tracked bound on their entries says
+    the next product or addition could pass 2^63 - 1, so evaluation is exact
+    for every SmallPrime."""
 
     def __init__(self, polys: Sequence[Polynomial]):
         if not polys:
@@ -218,7 +243,6 @@ class CompiledSystem:
 # grid kernel: the generators on one index group as outer x inner products
 
 GRID_CHUNK_POINTS = 1 << 16
-_INT64_MAX = (1 << 63) - 1
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

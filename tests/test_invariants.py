@@ -132,6 +132,47 @@ def test_jacobian_mask_independent_of_block_size(monkeypatch):
     assert invariants._jacobian_singular_mask(spec, pts[:0], 2).shape == (0,)
 
 
+def _zero_block_rows(spec, branch, pts):
+    return (pts[:, [spec.var_index(v) for v in branch.zero_vars]] == 0).all(axis=1)
+
+
+@pytest.mark.parametrize("case,p,sample", [
+    ("g4_sigma_bar", 2, None), ("g5_sigma_bar", 2, None),
+    ("g6q_sigma_bar", 2, None), ("g4_sigma_bar", 3, 1000)])
+def test_rank_locus_mask_matches_pointwise_membership(monkeypatch, case, p,
+                                                      sample):
+    """The array mask against catalog.rank_locus_member at every point; at
+    p = 3 a seeded sample of 1000 points plus 1000 with a zero block. The
+    minors only ever see a branch's zero-block rows."""
+    from keyvariety.algebra import PointAffineRep
+    from keyvariety.catalog import rank_locus_member
+    from keyvariety.projspace import CompiledSystem, ScanPlan, point_set
+
+    spec = build_case(case)
+    locus = spec.rank_locus
+    pts = point_set(ScanPlan(spec.ambient_dim, p), spec.generators)
+    if sample is not None:
+        rng = np.random.default_rng(8)
+        blocks = np.any([_zero_block_rows(spec, b, pts) for b in locus.branches],
+                        axis=0)
+        pts = np.concatenate([
+            pts[rng.choice(pts.shape[0], sample, replace=False)],
+            pts[rng.choice(np.flatnonzero(blocks), sample, replace=False)]])
+    seen = []
+    real = CompiledSystem.vanishing_mask
+    monkeypatch.setattr(CompiledSystem, "vanishing_mask",
+                        lambda self, rows, q: seen.append(rows.shape[0]) or
+                        real(self, rows, q))
+    member = invariants._rank_locus_mask(spec, locus, pts, p)
+    assert seen == [int(_zero_block_rows(spec, b, pts).sum())
+                    for b in locus.branches]
+    assert all(n < pts.shape[0] for n in seen)
+    want = [rank_locus_member(locus, PointAffineRep(tuple(row)), p)
+            for row in pts.tolist()]
+    assert member.tolist() == want
+    assert 0 < member.sum() < pts.shape[0]
+
+
 def test_g8_singular_set_is_projected_veronese():
     from keyvariety.incidence import projected_veronese_points
     spec = build_case("g8_sigma_bar")

@@ -6,7 +6,8 @@ from keyvariety import projspace
 from keyvariety.algebra import (PointAffineRep, Polynomial, SmallPrime,
                                 parse_poly)
 from keyvariety.catalog import build_case, plucker_ideal
-from keyvariety.projspace import (GRID_CHUNK_POINTS, ScanPlan, ScanResult,
+from keyvariety.projspace import (GRID_CHUNK_POINTS, CompiledSystem,
+                                  ScanPlan, ScanResult, _generator_values,
                                   _matmul_mod, clear_point_sets,
                                   enumerate_points, index_to_point, point_set,
                                   point_to_index, points_block,
@@ -192,9 +193,11 @@ def test_grid_kernel_matches_pointwise_oracle(system):
     n, p, polys = system
     plan = ScanPlan(n, SmallPrime(p))
     want, want_rows = _oracle_rows(plan, polys)
-    # 8-point chunks split every group of more than 8 points into blocks of
-    # outer rows, so the chunk bounds and the join are checked as well
-    for chunk_points in (GRID_CHUNK_POINTS, 8):
+    # chunks of max(8, total/256) points cut every larger group (the largest
+    # group of every plan above 16 points) into blocks of outer rows, so the
+    # chunk bounds and the join are checked as well, in a few hundred chunks
+    # at most rather than thousands
+    for chunk_points in (GRID_CHUNK_POINTS, max(8, plan.total // 256)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(projspace, "GRID_CHUNK_POINTS", chunk_points)
             res, rows = scan_system(plan, polys, collect=True)
@@ -252,6 +255,46 @@ def test_grid_kernel_exact_on_p1_above_2_16():
     assert res.matched == want.matched == 3
     assert np.array_equal(rows, want_rows)
     assert rows.tolist() == [[1, 40000], [1, 57950], [1, 60001]]
+
+
+@st.composite
+def _rows_and_systems(draw):
+    """(p, rows, index rows, generators): 1-3 polynomials of degree <= 6 in
+    1-5 variables with coefficients up to 10^12 in size, and 1-12 residue
+    rows plus the all-zero and the all-(p-1) row."""
+    p = draw(st.sampled_from([2, 3, 65537, 2**31 - 1]))
+    nvars = draw(st.integers(1, 5))
+    ring = tuple(f"x{i}" for i in range(nvars))
+    monomial = st.lists(st.integers(0, nvars - 1), max_size=6).map(
+        lambda vs: tuple(vs.count(i) for i in range(nvars)))
+    coef = st.integers(-10**12, 10**12)
+    poly = st.dictionaries(monomial, coef, min_size=1,
+                           max_size=8).map(lambda t: Polynomial(ring, t))
+    polys = draw(st.lists(poly, min_size=1, max_size=3))
+    coord = st.integers(0, p - 1)
+    rows = draw(st.lists(st.lists(coord, min_size=nvars, max_size=nvars),
+                         min_size=1, max_size=12))
+    rows += [[0] * nvars, [p - 1] * nvars]
+    pts = np.array(rows, dtype=np.int64)
+    idx = np.array(draw(st.lists(st.integers(0, len(rows) - 1), max_size=20)),
+                   dtype=np.int64)
+    return p, pts, idx, polys
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows_and_systems())
+def test_compiled_system_matches_eval_mod(case):
+    """The bound-tracked term loop is exact at every prime, up to the
+    largest SmallPrime, with rows given and with all rows."""
+    p, pts, idx, polys = case
+    system = CompiledSystem(polys)
+    want = np.array([[f.eval_mod(row, p) for row in pts.tolist()]
+                     for f in polys], dtype=np.int64)
+    assert np.array_equal(system.eval_block(pts, p), want)
+    for gen, values in zip(system.compiled, want):
+        assert np.array_equal(_generator_values(gen, pts, None, p), values)
+        assert np.array_equal(_generator_values(gen, pts, idx, p), values[idx])
+    assert np.array_equal(system.vanishing_mask(pts, p), (want == 0).all(axis=0))
 
 
 def test_cut_rows_from_memo_filter_equal_direct_scan(monkeypatch):
