@@ -49,10 +49,11 @@ class Polynomial:
     """Sparse polynomial over the integers in a fixed ordered variable list.
 
     Terms map full-length exponent tuples to nonzero integer coefficients.
-    Instances are immutable; all operators return new objects.
+    Instances are immutable; all operators return new objects. The hash and
+    the sparse term list that eval_mod walks are computed on first use.
     """
 
-    __slots__ = ("ring_vars", "terms", "_hash")
+    __slots__ = ("ring_vars", "terms", "_hash", "_sparse")
 
     def __init__(self, ring_vars: Sequence[str], terms: Mapping[Monomial, int] | None = None):
         object.__setattr__(self, "ring_vars", tuple(ring_vars))
@@ -68,6 +69,7 @@ class Polynomial:
                 clean[tuple(int(e) for e in expo)] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_sparse", None)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -159,16 +161,23 @@ class Polynomial:
         return Polynomial(self.ring_vars, out)
 
     def eval_mod(self, coords: Sequence[int], p: int) -> int:
+        """Value at the integer point coords as a residue in [0, p): the
+        exact integer sum of the terms c * prod(x_i ** k_i) over the nonzero
+        exponents only, reduced once."""
         if len(coords) != len(self.ring_vars):
             raise ValueError(
                 f"point has {len(coords)} coordinates, ring has {len(self.ring_vars)}")
+        sparse = self._sparse
+        if sparse is None:
+            sparse = tuple((c, tuple((i, k) for i, k in enumerate(e) if k))
+                           for e, c in self.terms.items())
+            object.__setattr__(self, "_sparse", sparse)
         total = 0
-        for e, c in self.terms.items():
-            t = c % p
-            for x, k in zip(coords, e):
-                if k:
-                    t = (t * pow(int(x), k, p)) % p
-            total += t
+        for c, factors in sparse:
+            for i, k in factors:
+                x = int(coords[i])
+                c *= x if k == 1 else x ** k
+            total += c
         return total % p
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":

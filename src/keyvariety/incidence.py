@@ -13,6 +13,7 @@ import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -21,8 +22,9 @@ from .algebra import (OffVarietyError, PointAffineRep, SmallPrime,
                       matrix_rank_mod_p, nullspace_mod_p)
 from .catalog import (build_case, g8_dual_net_matrix, g8_lift_to_wedge,
                       pair_labels, plucker_ideal, trace_zero_matrix)
-from .projspace import (CompiledSystem, ScanPlan, _matmul_mod, enumerate_points,
-                        point_set, points_block, proj_point_count)
+from .projspace import (DEFAULT_POINT_BUDGET, BudgetExceeded, CompiledSystem,
+                        ScanPlan, _matmul_mod, enumerate_points, point_set,
+                        points_block, proj_point_count)
 
 FIBER_CASES = ("g8", "g4", "g6q", "g5")
 
@@ -124,7 +126,7 @@ def subspace_from_plucker(vec: Sequence[int], n: int, p: int) -> tuple:
 
 def _annihilated(forms: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> bool:
     """Whether every linear form in forms vanishes at vec mod p."""
-    return all(sum(a * b for a, b in zip(f, vec)) % p == 0 for f in forms)
+    return all(sum(map(mul, f, vec)) % p == 0 for f in forms)
 
 
 def in_span(vec: Sequence[int], basis: Sequence[tuple], p: int) -> bool:
@@ -149,12 +151,14 @@ class BasePoints(tuple):
     and on (None, u). forms holds, per base point, linear forms that all
     vanish on the probe's free block exactly when the probe lies over that
     point: the annihilator of the fiber subspace (g8, g6q), or w (x) u on
-    the flattened trace-zero matrix (g4). g5 has none.
+    the flattened trace-zero matrix (g4). g5 has none. model is the spec of
+    the resolved model, whose generators every probe must satisfy; base_points
+    sets it.
     """
 
     def __new__(cls, points, keys: dict, forms: tuple = ()):
         self = super().__new__(cls, points)
-        self.keys, self.forms = keys, forms
+        self.keys, self.forms, self.model = keys, forms, None
         return self
 
 
@@ -172,13 +176,19 @@ _BASE_POINTS: dict = {}
 
 
 def base_points(case: str, p: int) -> BasePoints:
-    """Rational points of the resolution base, with fiber-subspace data and
-    the probe index. Built once per (case, prime) and held until
-    clear_base_points()."""
+    """Rational points of the resolution base, with fiber-subspace data, the
+    probe index and the model spec. Built once per (case, prime) and held
+    until clear_base_points(). Raises BudgetExceeded before any enumeration
+    when the base would enumerate more than DEFAULT_POINT_BUDGET points."""
     key = (case, int(p))
     pts = _BASE_POINTS.get(key)
     if pts is None:
-        pts = _BASE_POINTS[key] = _build_base_points(case, SmallPrime(p))
+        model = _case_spec(case)
+        p = SmallPrime(p)
+        _check_base_budget(case, p)
+        pts = _build_base_points(case, p)
+        pts.model = model
+        _BASE_POINTS[key] = pts
     return pts
 
 
@@ -190,6 +200,21 @@ def _unsupported_case(case: str) -> KeyError:
     return KeyError(f"unsupported fiber case {case!r}: the fiber cases are "
                     f"{', '.join(FIBER_CASES)} (the g6c resolution base has no "
                     "pinned equations)")
+
+
+def _check_base_budget(case: str, p: int) -> None:
+    """Raise BudgetExceeded when the base of g5 (P^3) or g4 (the pairs of
+    P^2 x P^2) would enumerate more than DEFAULT_POINT_BUDGET points. The g8
+    and g6q bases come from point_set, whose scan checks the budget."""
+    if case == "g5":
+        space, total = f"P^3(F_{p})", proj_point_count(3, p)
+    elif case == "g4":
+        space, total = f"P^2(F_{p}) x P^2(F_{p})", proj_point_count(2, p) ** 2
+    else:
+        return
+    if total > DEFAULT_POINT_BUDGET:
+        raise BudgetExceeded(f"the {case} fiber base enumerates {space}: "
+                             f"{total} points, budget {DEFAULT_POINT_BUDGET}")
 
 
 def _annihilators(bases: Sequence[tuple], p: int) -> list:
@@ -265,16 +290,18 @@ def fiber_over(case: str, t: PointAffineRep, p: int,
     key block of t selects the candidates from the base index (every base
     point when it is zero); a candidate is a hit when its forms vanish on
     t's free block. Requires t on the corresponding model, with entries in
-    [0, p)."""
-    spec = _case_spec(case)
+    [0, p); both are checked before the base is built."""
+    base = _BASE_POINTS.get((case, p))
+    spec = _case_spec(case) if base is None else base.model
     coords = t.coords
-    if any(not 0 <= c < p for c in coords):
+    if min(coords) < 0 or max(coords) >= p:
         raise ValueError(f"coordinates must be residues in [0, {p})")
     for g in spec.generators:
         if g.eval_mod(coords, p):
             raise OffVarietyError(
                 f"{t.serialize()} is not on {spec.case_id} mod {p}")
-    base = base_points(case, p)
+    if base is None:
+        base = base_points(case, p)
     if case == "g8":
         x, y = coords[:5], coords[5:]
         hits = [base[i][0] for i in base.keys.get(_block_key(y, p), ())

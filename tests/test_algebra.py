@@ -82,6 +82,72 @@ def test_eval_arity_mismatch():
         f.eval_mod((1,), 3)
 
 
+def _dense_eval_mod(f, coords, p):
+    """Oracle: walks every exponent slot of every term, with one pow(x, k, p)
+    per factor and a reduction after each product."""
+    if len(coords) != len(f.ring_vars):
+        raise ValueError("arity")
+    total = 0
+    for e, c in f.terms.items():
+        t = c % p
+        for x, k in zip(coords, e):
+            if k:
+                t = (t * pow(int(x), k, p)) % p
+        total += t
+    return total % p
+
+
+_RING4 = ("a", "b", "c", "d")
+# a term of degree <= 6 is a multiset of at most six variable indices
+_MONO6 = st.lists(st.integers(0, len(_RING4) - 1), max_size=6).map(
+    lambda idx: tuple(idx.count(i) for i in range(len(_RING4))))
+_COORD = st.one_of(
+    st.integers(-10**15, 10**15),
+    st.integers(2**62 - 10**6, 2**62).map(np.int64),
+    st.integers(-2**62, -2**62 + 10**6).map(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_MONO6, st.integers(-10**12, 10**12), max_size=6),
+       st.tuples(*[_COORD for _ in _RING4]),
+       st.sampled_from([2, 3, 65537, 2**31 - 1]))
+def test_eval_mod_matches_dense_oracle(terms, pt, p):
+    f = Polynomial(_RING4, terms)
+    want = _dense_eval_mod(f, pt, p)
+    assert f.eval_mod(pt, p) == want
+    assert f.eval_mod(pt, p) == want  # from the cached term list
+    assert type(f.eval_mod(pt, p)) is int and 0 <= want < p
+
+
+def test_eval_mod_zero_and_constants():
+    for p in (2, 3, 65537, 2**31 - 1):
+        pt = (-5, p, p + 1, np.int64(2**62))
+        assert Polynomial.zero(_RING4).eval_mod(pt, p) == 0
+        for c in (1, -7, 10**12, -10**12):
+            assert Polynomial.constant(_RING4, c).eval_mod(pt, p) == c % p
+
+
+def test_eval_mod_checks_length_first():
+    for f in (Polynomial.zero(("x", "y")), parse_poly("x*y + 1", ("x", "y"))):
+        assert f.eval_mod((1, 2), 5) == _dense_eval_mod(f, (1, 2), 5)
+        with pytest.raises(ValueError, match="point has 1 coordinates"):
+            f.eval_mod((1,), 5)
+        with pytest.raises(ValueError, match="point has 3 coordinates"):
+            f.eval_mod((1, 2, 3), 5)
+
+
+def test_eval_cache_leaves_equality_and_hash():
+    ring = ("x", "y")
+    f = parse_poly("x^2*y - 3*y + 1", ring)
+    g = parse_poly("1 - 3*y + x^2*y", ring)
+    h_before = hash(f)
+    f.eval_mod((2, 3), 7)
+    assert f == g and g == f
+    assert hash(f) == hash(g) == h_before
+    assert len({f, g}) == 1
+    assert f != parse_poly("x^2*y - 3*y", ring)
+
+
 def test_partial_examples():
     f = parse_poly("x^2*y", ("x", "y"))
     assert str(f.partial(0)) == "2*x*y"

@@ -1,4 +1,5 @@
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -145,6 +146,22 @@ def test_cli_fiber_command(capsys):
                  "--point", point]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["fiber_count"] == 3 and out["shape"] == "P1"
+
+
+@pytest.mark.parametrize("case,prime,point", [
+    ("g5", 65537, "1:0:0:0:0:1:0:0:0:0:1:0:0:0:0:1"),
+    ("g4", 101, "0:0:0:0:0:0:1:0:0:0:0:0:0:0"),
+])
+def test_cli_fiber_base_over_budget_exits_2(capsys, case, prime, point):
+    t0 = time.perf_counter()
+    assert main(["fiber", "--case", case, "--prime", str(prime),
+                 "--point", point]) == 2
+    assert time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == ""
+    assert len(err) == 1
+    assert err[0].startswith(f"error: the {case} fiber base enumerates ")
 
 
 def test_cli_fiber_rejects_non_residue(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -17,7 +18,8 @@ from keyvariety.incidence import (FIBER_CASES, _classify, base_points,
                                   linalg_equiv_check, plucker_vector,
                                   projected_veronese_points, proportional,
                                   subspace_from_plucker, two_subspaces)
-from keyvariety.projspace import ScanPlan, enumerate_points, point_set
+from keyvariety.projspace import (BudgetExceeded, ScanPlan, enumerate_points,
+                                  point_set)
 
 
 def test_subspace_from_plucker_basis_vector():
@@ -290,11 +292,50 @@ def test_probes_make_no_scalar_elimination(monkeypatch):
 
 
 def test_fiber_over_rejects_non_residues():
-    coords = (1, 5) + (0,) * 14
-    assert not any(g.eval_mod(coords, 3)
-                   for g in build_case("g5_sigma_bar").generators)
-    with pytest.raises(ValueError, match="residues"):
-        fiber_over("g5", PointAffineRep(coords), 3)
+    # y = 0 puts the points on the g5 model, so only the residue check fails;
+    # it runs both before and after the base is built
+    incidence.clear_base_points()
+    for built in (False, True):
+        for coords in ((1, 5) + (0,) * 14, (1, -3) + (0,) * 14):
+            assert not any(g.eval_mod(coords, 3)
+                           for g in build_case("g5_sigma_bar").generators)
+            with pytest.raises(ValueError, match="residues"):
+                fiber_over("g5", PointAffineRep(coords), 3)
+        assert (("g5", 3) in incidence._BASE_POINTS) == built
+        base_points("g5", 3)
+
+
+def test_off_model_probe_message_before_and_after_the_base():
+    t = PointAffineRep((1, 0, 0, 0, 1) + (0,) * 11)
+    text = "1:0:0:0:1:0:0:0:0:0:0:0:0:0:0:0 is not on g5_sigma_bar mod 2"
+    incidence.clear_base_points()
+    with pytest.raises(OffVarietyError, match=f"^{re.escape(text)}$"):
+        fiber_over("g5", t, 2)
+    assert ("g5", 2) not in incidence._BASE_POINTS  # checked before the build
+    base_points("g5", 2)
+    with pytest.raises(OffVarietyError, match=f"^{re.escape(text)}$"):
+        fiber_over("g5", t, 2)
+
+
+def test_base_budget_fails_before_any_enumeration(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("base enumeration started over the budget")
+
+    monkeypatch.setattr(incidence, "_build_base_points", boom)
+    for case, p in (("g5", 65537), ("g4", 101)):
+        with pytest.raises(BudgetExceeded, match=f"the {case} fiber base"):
+            base_points(case, p)
+    t = PointAffineRep((1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1))
+    with pytest.raises(BudgetExceeded, match=re.escape("P^3(F_65537)")):
+        fiber_over("g5", t, 65537)
+    # just under the budget: #P^2(F_97)^2 = 90,383,049 pairs
+    incidence._check_base_budget("g4", 97)
+
+
+@pytest.mark.parametrize("case", ["g8", "g6q"])
+def test_scanned_bases_over_budget_fail_in_the_scan(case):
+    with pytest.raises(BudgetExceeded, match=r"^P\^\d+\(F_101\) has "):
+        base_points(case, 101)
 
 
 def test_fiber_over_unsupported_case_message():
