@@ -6,7 +6,7 @@ numerology, and divisor-class identities."""
 __version__ = "0.1.0"
 
 from .algebra import (ParseError, OffVarietyError, PointAffineRep, Polynomial,
-                      SmallPrime, eval_poly, jacobian_rank, matrix_rank_mod_p,
+                      SmallPrime, jacobian_rank, matrix_rank_mod_p,
                       parse_poly)
 from .catalog import (ALL_CASES, MAIN_CASES, VarietySpec, build_case,
                       normalize_pairing, plane_containment_check,
@@ -17,7 +17,7 @@ from .invariants import (DimensionEstimate, SingularScanReport, ci_degree,
                          estimate_dimension, grassmann_degree, singular_scan)
 from .numerology import (ClassLattice, case_table_check, normal_bundle_ledger,
                          run_ledger, verify_identity)
-from .projspace import ScanPlan, ScanResult, enumerate_points, proj_point_count
+from .projspace import ScanPlan, ScanResult, proj_point_count
 from .sections import SectionSpec, cut, section_report
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -349,11 +349,6 @@ class PointAffineRep:
         return len(self.coords)
 
 
-def eval_poly(f: Polynomial, pt: PointAffineRep, p: int) -> int:
-    """Value of f at the point, as a residue in [0, p)."""
-    return f.eval_mod(pt.coords, p)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra over F_p
 

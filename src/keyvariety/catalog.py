@@ -348,12 +348,6 @@ def _rank_locus_g6q(ring) -> RankLocusSpec:
     )
 
 
-def g6q_vertex_matrix(z: Sequence[int], p: int) -> list[list[int]]:
-    """The antisymmetric 5x5 matrix of quadratic entries in z = (z2..z5),
-    whose kernel condition on the dual block cuts the singular locus."""
-    return [[v % p for v in row] for row in _mq_matrix(*(int(v) for v in z))]
-
-
 def build_case(case_id: str) -> VarietySpec:
     """Fully pinned spec for a recognized case id (aliases accepted)."""
     return _build_case(CASE_ALIASES.get(case_id, case_id))

@@ -96,6 +96,16 @@ def _rec(check, case, prime, expected, observed, anchor, info=False,
     return CheckRecord(check, case, prime, expected, observed, verdict, anchor)
 
 
+def _int_value(values: dict, key: str, default: int) -> int:
+    if key not in values:
+        return default
+    try:
+        return int(values[key])
+    except ValueError:
+        raise ConfigError(f"{key} must be an integer, "
+                          f"got {values[key]!r}") from None
+
+
 def parse_config(path: str) -> RunConfig:
     """Flat key=value config with comma-separated lists."""
     try:
@@ -153,12 +163,10 @@ def parse_config(path: str) -> RunConfig:
         checks = tuple(dict.fromkeys(out))
         if not checks:
             raise ConfigError("checks must be nonempty")
-    threads = 0
-    if "threads" in values:
-        threads = int(values["threads"])
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
-    sample_cap = int(values.get("sample_cap", 1024))
+    threads = _int_value(values, "threads", 0)
+    if "threads" in values and threads < 1:
+        raise ConfigError("threads must be >= 1")
+    sample_cap = _int_value(values, "sample_cap", 1024)
     if sample_cap < 0:
         raise ConfigError("sample_cap must be >= 0")
     return RunConfig(cases, primes, checks, threads,

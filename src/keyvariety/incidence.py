@@ -23,11 +23,8 @@ from .algebra import (OffVarietyError, PointAffineRep, SmallPrime,
 from .catalog import (build_case, g8_dual_net_matrix, g8_lift_to_wedge,
                       pair_labels, plucker_ideal, trace_zero_matrix)
 from .projspace import (DEFAULT_POINT_BUDGET, BudgetExceeded, CompiledSystem,
-                        ScanPlan, _matmul_mod, enumerate_points, point_set,
-                        points_block, proj_point_count)
-
-FIBER_CASES = ("g8", "g4", "g6q", "g5")
-
+                        ScanPlan, _matmul_mod, point_set, points_block,
+                        proj_point_count)
 
 @dataclass(frozen=True)
 class FiberReport:
@@ -141,35 +138,66 @@ def proportional(a: Sequence[int], b: Sequence[int], p: int) -> bool:
 # base varieties of the four resolutions and their probe index
 
 
+@dataclass(frozen=True)
+class _FiberCase:
+    """The coordinate layout of one resolution: the catalog id of the model,
+    the slices of its key blocks (the blocks that name a base point) and the
+    slice of the free vector that the base points' linear forms act on."""
+    model: str
+    keys: tuple
+    free: slice
+
+
+# g8: x | y, the y-block names s; g4: y | x | z, with z the eight entries of
+# the trace-zero matrix; g6q: z | x | y, the forms act on the whole row (the
+# fiber annihilator on z, the pairing y.s on y); g5: x | y1 y2 y3.
+_CASES = {
+    "g8": _FiberCase("g8_sigma_bar", (slice(5, 12),), slice(0, 5)),
+    "g4": _FiberCase("g4_sigma_bar", (slice(0, 3), slice(3, 6)), slice(6, 14)),
+    "g6q": _FiberCase("g6q_sigma_bar", (slice(4, 9),), slice(0, 14)),
+    "g5": _FiberCase("g5_sigma_bar", (slice(0, 4),), slice(4, 16)),
+}
+FIBER_CASES = tuple(_CASES)
+
+
+def _fiber_case(case: str) -> _FiberCase:
+    try:
+        return _CASES[case]
+    except KeyError:
+        raise KeyError(f"unsupported fiber case {case!r}: the fiber cases are "
+                       f"{', '.join(FIBER_CASES)} (the g6c resolution base has "
+                       "no pinned equations)") from None
+
+
 class BasePoints(tuple):
     """The rational points of a resolution base in base order, with the
-    index that fiber_over looks probes up in.
+    index that probes are looked up in.
 
-    keys maps the normalized key block of a probe to the positions of the
-    base points with that key, in base order; the key None, for a zero
-    block, maps to every position. g4 keys on the (w, u) pair, on (w, None)
-    and on (None, u). forms holds, per base point, linear forms that all
-    vanish on the probe's free block exactly when the probe lies over that
-    point: the annihilator of the fiber subspace (g8, g6q), or w (x) u on
-    the flattened trace-zero matrix (g4). g5 has none. model is the spec of
-    the resolved model, whose generators every probe must satisfy; base_points
-    sets it.
+    rows holds, per base point, (point, tuple of key blocks, forms). blocks
+    holds each point's key blocks as a probe reports them: the block where
+    there is one, the pair (w, u) for g4. index maps a tuple of normalized
+    key blocks, with None for a zero block, to the positions of the base
+    points it fits, in base order (every combination of each block and
+    None, so g4 keys on (w, u), (w, None), (None, u) and (None, None)).
+    forms holds, per base point, linear forms that all vanish on a probe's
+    free vector exactly when the probe lies over that point: the annihilator
+    of the fiber subspace (g8), the same plus the pairing 0^9 s (g6q),
+    w^T Z u on the trace-zero entries (g4), or the rows u, 0^4 u, 0^8 u of
+    My.u = 0 (g5). A form may be shorter than the free vector; it reads the
+    leading entries. model is the spec of the resolved model.
     """
 
-    def __new__(cls, points, keys: dict, forms: tuple = ()):
-        self = super().__new__(cls, points)
-        self.keys, self.forms, self.model = keys, forms, None
+    def __new__(cls, rows: Sequence[tuple], model):
+        self = super().__new__(cls, [point for point, _, _ in rows])
+        self.blocks = tuple(b if len(b) > 1 else b[0] for _, b, _ in rows)
+        self.forms = tuple(forms for _, _, forms in rows)
+        self.model = model
+        index = defaultdict(list)
+        for i, (_, blocks, _) in enumerate(rows):
+            for key in itertools.product(*((b, None) for b in blocks)):
+                index[key].append(i)
+        self.index = {k: tuple(v) for k, v in index.items()}
         return self
-
-
-def _indexed(points: Sequence, keys: Sequence, forms: Sequence = ()) -> BasePoints:
-    """BasePoints over points, where keys[i] lists the keys of point i."""
-    positions = defaultdict(list)
-    for i, point_keys in enumerate(keys):
-        for k in point_keys:
-            positions[k].append(i)
-    return BasePoints(points, {k: tuple(v) for k, v in positions.items()},
-                      tuple(forms))
 
 
 _BASE_POINTS: dict = {}
@@ -181,25 +209,17 @@ def base_points(case: str, p: int) -> BasePoints:
     until clear_base_points(). Raises BudgetExceeded before any enumeration
     when the base would enumerate more than DEFAULT_POINT_BUDGET points."""
     key = (case, int(p))
-    pts = _BASE_POINTS.get(key)
-    if pts is None:
-        model = _case_spec(case)
+    base = _BASE_POINTS.get(key)
+    if base is None:
+        model = build_case(_fiber_case(case).model)
         p = SmallPrime(p)
         _check_base_budget(case, p)
-        pts = _build_base_points(case, p)
-        pts.model = model
-        _BASE_POINTS[key] = pts
-    return pts
+        base = _BASE_POINTS[key] = BasePoints(_build_base_points(case, p), model)
+    return base
 
 
 def clear_base_points() -> None:
     _BASE_POINTS.clear()
-
-
-def _unsupported_case(case: str) -> KeyError:
-    return KeyError(f"unsupported fiber case {case!r}: the fiber cases are "
-                    f"{', '.join(FIBER_CASES)} (the g6c resolution base has no "
-                    "pinned equations)")
 
 
 def _check_base_budget(case: str, p: int) -> None:
@@ -217,55 +237,44 @@ def _check_base_budget(case: str, p: int) -> None:
                              f"{total} points, budget {DEFAULT_POINT_BUDGET}")
 
 
-def _annihilators(bases: Sequence[tuple], p: int) -> list:
-    return [tuple(tuple(v) for v in nullspace_mod_p(b, p)) for b in bases]
+def _all_points(n: int, p: int) -> list:
+    """Every point of P^n(F_p) in index order, as tuples."""
+    return list(map(tuple, points_block(n, p, 0, proj_point_count(n, p)).tolist()))
 
 
-def _build_base_points(case: str, p: SmallPrime) -> BasePoints:
-    if case == "g8":
-        spec = build_case("B5")
+def _build_base_points(case: str, p: SmallPrime) -> list:
+    """(point, key blocks, forms) for each base point, in base order."""
+    out = []
+    if case in ("g8", "g6q"):
+        spec = build_case("B5" if case == "g8" else "Q3_g6q")
         pts = point_set(ScanPlan(spec.ambient_dim, p), spec.generators)
-        out = []
         for row in pts.tolist():
-            full = g8_lift_to_wedge(row, p)
-            vec = [full[(i, j)] for (i, j) in pair_labels(5, offset=2)]
-            basis = subspace_from_plucker(vec, 5, p)
-            out.append((tuple(row), basis))
-        return _indexed(out, [(s, None) for s, _ in out],
-                        _annihilators([b for _, b in out], p))
-    if case == "g6q":
-        spec = build_case("Q3_g6q")
-        pts = point_set(ScanPlan(spec.ambient_dim, p), spec.generators)
-        out = []
-        for row in pts.tolist():
-            x23, x25, x34, x35, x45 = row
-            vec = (x23, x35, x25, x34, x35, x45)  # lex pairs of e2..e5; x24 = x35
-            basis = subspace_from_plucker(vec, 4, p)
-            out.append((tuple(row), basis))
-        return _indexed(out, [(s, None) for s, _ in out],
-                        _annihilators([b for _, b in out], p))
-    if case == "g4":
-        plane = list(enumerate_points(ScanPlan(2, p)))
-        out = []
+            s = tuple(row)
+            if case == "g8":
+                full = g8_lift_to_wedge(row, p)
+                basis = subspace_from_plucker(
+                    [full[pair] for pair in pair_labels(5, offset=2)], 5, p)
+                pairing = ()
+            else:
+                x23, x25, x34, x35, x45 = row  # lex pairs of e2..e5; x24 = x35
+                basis = subspace_from_plucker((x23, x35, x25, x34, x35, x45), 4, p)
+                pairing = ((0,) * 9 + s,)
+            forms = tuple(tuple(v) for v in nullspace_mod_p(basis, p)) + pairing
+            out.append(((s, basis), (s,), forms))
+    elif case == "g4":
+        plane = _all_points(2, p)
         for w in plane:
             for u in plane:
-                if sum(a * b for a, b in zip(w.coords, u.coords)) % p == 0:
-                    out.append((w.coords, u.coords))
-        return _indexed(out, [((w, u), (w, None), (None, u), (None, None))
-                              for w, u in out],
-                        [(tuple(a * b % p for a in w for b in u),) for w, u in out])
-    if case == "g5":
-        out = tuple(pt.coords for pt in enumerate_points(ScanPlan(3, p)))
-        return _indexed(out, [(u, None) for u in out])
-    raise _unsupported_case(case)
-
-
-def _case_spec(case: str):
-    short = {"g8": "g8_sigma_bar", "g4": "g4_sigma_bar",
-             "g6q": "g6q_sigma_bar", "g5": "g5_sigma_bar"}.get(case)
-    if short is None:
-        raise _unsupported_case(case)
-    return build_case(short)
+                if sum(map(mul, w, u)) % p == 0:
+                    # w^T Z u with z33 = -(z11 + z22) folded into z11 and z22
+                    wu = [a * b for a in w for b in u]
+                    wu[0] -= wu[8]
+                    wu[4] -= wu[8]
+                    out.append(((w, u), (w, u), (tuple(v % p for v in wu[:8]),)))
+    else:
+        for u in _all_points(3, p):
+            out.append((u, (u,), (u, (0,) * 4 + u, (0,) * 8 + u)))
+    return out
 
 
 def _block_key(block: Sequence[int], p: int) -> tuple | None:
@@ -284,15 +293,33 @@ def _trace_zero_rows(e: np.ndarray, p: int) -> np.ndarray:
     return np.stack([m for row in trace_zero_matrix(e.T) for m in row], axis=1) % p
 
 
+def _hits(case: str, base: BasePoints, coords: Sequence[int], p: int) -> list:
+    """The key blocks (base.blocks) of every base point that the model point
+    coords lies over, in base order: the candidates of its key blocks in the
+    index whose forms all vanish on its free vector. coords must be residues
+    on the model; nothing here checks it."""
+    layout = _CASES[case]
+    key = tuple([_block_key(coords[s], p) for s in layout.keys])
+    vec = coords[layout.free]
+    forms = base.forms
+    hits = []
+    for i in base.index.get(key, ()):
+        for f in forms[i]:
+            if sum(map(mul, f, vec)) % p:
+                break
+        else:  # every form vanishes
+            hits.append(base.blocks[i])
+    return hits
+
+
 def fiber_over(case: str, t: PointAffineRep, p: int,
                confirmed_surface_count: int | None = None) -> FiberReport:
-    """All base points whose fiber subspace contains t, in base order. The
-    key block of t selects the candidates from the base index (every base
-    point when it is zero); a candidate is a hit when its forms vanish on
-    t's free block. Requires t on the corresponding model, with entries in
-    [0, p); both are checked before the base is built."""
+    """All base points whose fiber subspace contains t, in base order (the
+    base point's key block, or the (w, u) pair for g4). Requires t on the
+    corresponding model, with entries in [0, p); both are checked before
+    the base is built."""
     base = _BASE_POINTS.get((case, p))
-    spec = _case_spec(case) if base is None else base.model
+    spec = build_case(_fiber_case(case).model) if base is None else base.model
     coords = t.coords
     if min(coords) < 0 or max(coords) >= p:
         raise ValueError(f"coordinates must be residues in [0, {p})")
@@ -302,27 +329,8 @@ def fiber_over(case: str, t: PointAffineRep, p: int,
                 f"{t.serialize()} is not on {spec.case_id} mod {p}")
     if base is None:
         base = base_points(case, p)
-    if case == "g8":
-        x, y = coords[:5], coords[5:]
-        hits = [base[i][0] for i in base.keys.get(_block_key(y, p), ())
-                if _annihilated(base.forms[i], x, p)]
-    elif case == "g6q":
-        z, x, y = coords[:4], coords[4:9], coords[9:]
-        hits = [base[i][0] for i in base.keys.get(_block_key(x, p), ())
-                if _annihilated(base.forms[i], z, p)
-                and _annihilated((y,), base[i][0], p)]
-    elif case == "g4":
-        y, x = coords[:3], coords[3:6]
-        z = [m for row in trace_zero_matrix(coords[6:]) for m in row]
-        key = (_block_key(y, p), _block_key(x, p))
-        hits = [base[i] for i in base.keys.get(key, ())
-                if _annihilated(base.forms[i], z, p)]
-    else:
-        x, yc = coords[:4], coords[4:]
-        My = [yc[4 * i:4 * i + 4] for i in range(3)]
-        hits = [base[i] for i in base.keys.get(_block_key(x, p), ())
-                if _annihilated(My, base[i], p)]
-    return FiberReport(t, tuple(hits), len(hits),
+    hits = tuple(_hits(case, base, coords, p))
+    return FiberReport(t, hits, len(hits),
                        _classify(len(hits), p, confirmed_surface_count))
 
 
@@ -395,9 +403,9 @@ def projected_veronese_points(p: int) -> tuple:
     """
     points = set()
     all_rank4 = True
-    for c in enumerate_points(ScanPlan(2, p)):
+    for c in _all_points(2, p):
         # the 5x5 form has rank 4 exactly when its kernel is a line
-        ker = nullspace_mod_p(g8_dual_net_matrix(c.coords, p), p)
+        ker = nullspace_mod_p(g8_dual_net_matrix(c, p), p)
         if len(ker) != 1:
             all_rank4 = False
             continue
@@ -424,29 +432,32 @@ def g8_plane_fiber_profile(p: int):
 
 def g5_plane_fiber_dichotomy(p: int):
     """(rank, fiber_count) profile over the genus-5 plane {x = 0};
-    the expected law is fiber_count = #P^(3 - rank)(F_p)."""
+    the expected law is fiber_count = #P^(3 - rank)(F_p). The plane lies on
+    the model, so its rows go to the hit routine with no model check; the
+    rank of My is the independent side."""
+    base = base_points("g5", p)
+    y = points_block(11, p, 0, proj_point_count(11, p))
+    rows = np.zeros((len(y), 16), dtype=np.int64)
+    rows[:, 4:] = y
     counter: Counter = Counter()
     ok = True
-    for yc in enumerate_points(ScanPlan(11, p)):
-        My = [yc.coords[4 * i:4 * i + 4] for i in range(3)]
-        rank = matrix_rank_mod_p(My, p)
-        t = PointAffineRep(tuple([0, 0, 0, 0]) + yc.coords)
-        rep = fiber_over("g5", t, p)
-        counter[(rank, rep.fiber_count)] += 1
-        expected = (p ** (4 - rank) - 1) // (p - 1)
-        if rep.fiber_count != expected:
-            ok = False
+    for row in rows.tolist():
+        rank = matrix_rank_mod_p([row[4:8], row[8:12], row[12:]], p)
+        count = len(_hits("g5", base, row, p))
+        counter[(rank, count)] += 1
+        ok &= count == (p ** (4 - rank) - 1) // (p - 1)
     return counter, ok
 
 
 def g4_intersection_plane_fiber_check(p: int):
     """Over each point of the genus-4 plane intersection {x = y = 0}:
     fiber count vs. the independent hyperplane-section count of the base
-    surface in its Segre model. Both counts are zero counts of one product
-    of the trace-zero matrices Z of the plane: the fiber side against
-    w (x) u for the incident base pairs, the oracle side against the B6
-    Segre rows. Returns (profile, mismatches)."""
-    spec = _case_spec("g4")
+    surface in its Segre model. Both counts are zero counts of one product:
+    the plane's z-block against the forms w^T Z u of the incident base
+    pairs on the fiber side, its trace-zero matrices Z against those of the
+    B6 Segre rows on the oracle side. Returns (profile, mismatches)."""
+    base = base_points("g4", p)
+    spec = base.model
     zc = points_block(7, p, 0, proj_point_count(7, p))
     pts = np.zeros((len(zc), spec.ambient_dim + 1), dtype=np.int64)
     pts[:, 6:] = zc
@@ -454,11 +465,11 @@ def g4_intersection_plane_fiber_check(p: int):
     if not on_model.all():
         t = PointAffineRep(tuple(pts[np.argmin(on_model)].tolist()))
         raise OffVarietyError(f"{t.serialize()} is not on {spec.case_id} mod {p}")
-    z = _trace_zero_rows(zc, p)
-    pairs = np.array([f for (f,) in base_points("g4", p).forms], dtype=np.int64)
-    fiber = (_matmul_mod(z, pairs.T, p) == 0).sum(axis=1)
+    pairs = np.array([f for (f,) in base.forms], dtype=np.int64)
+    fiber = (_matmul_mod(zc, pairs.T, p) == 0).sum(axis=1)
     b6 = build_case("B6")
     segre = point_set(ScanPlan(b6.ambient_dim, SmallPrime(p)), b6.generators)
+    z = _trace_zero_rows(zc, p)
     oracle = (_matmul_mod(z, _trace_zero_rows(segre, p).T, p) == 0).sum(axis=1)
     profile = Counter(zip(fiber.tolist(), oracle.tolist()))
     mismatches = [PointAffineRep(tuple(row))
@@ -473,35 +484,26 @@ def g6q_vertex_fiber_oracle(t: PointAffineRep, p: int) -> int:
     y = t.coords[9:]
     spec = build_case("Q3_g6q")
     count = 0
-    for s in enumerate_points(ScanPlan(4, p)):
-        if all(g.eval_mod(s.coords, p) == 0 for g in spec.generators):
-            if sum(a * b for a, b in zip(y, s.coords)) % p == 0:
+    for s in _all_points(4, p):
+        if all(g.eval_mod(s, p) == 0 for g in spec.generators):
+            if sum(a * b for a, b in zip(y, s)) % p == 0:
                 count += 1
     return count
 
 
 def fiber_birationality_check(case: str, p: int):
     """Exhaustively confirm that the resolution is one-to-one over the locus
-    the fiber dichotomies leave untouched. Returns (#checked, #violations)."""
-    spec = _case_spec(case)
+    the fiber dichotomies leave untouched: every row of the model's point
+    set whose key blocks are all nonzero. The rows are on the model by
+    construction, so they go to the hit routine with no model check.
+    Returns (#checked, #violations)."""
+    layout = _fiber_case(case)
+    spec = build_case(layout.model)
     pts = point_set(ScanPlan(spec.ambient_dim, SmallPrime(p)), spec.generators)
+    base = base_points(case, p)
     checked = violations = 0
     for row in pts.tolist():
-        coords = tuple(row)
-        if case == "g8":
-            off = any(coords[5:])
-        elif case == "g6q":
-            off = any(coords[4:9])
-        elif case == "g5":
-            off = any(coords[:4])
-        elif case == "g4":
-            off = any(coords[:3]) and any(coords[3:6])
-        else:
-            raise KeyError(case)
-        if not off:
-            continue
-        checked += 1
-        rep = fiber_over(case, PointAffineRep(coords), p)
-        if rep.fiber_count != 1:
-            violations += 1
+        if all(any(row[s]) for s in layout.keys):
+            checked += 1
+            violations += len(_hits(case, base, row, p)) != 1
     return checked, violations

@@ -17,7 +17,7 @@ matrix product per generator. An entry is at most T(p-1)^2 for T summed
 monomials; where that could reach 2^63 the sum is cut into slices reduced mod p
 in between, so the kernel is exact for every prime SmallPrime accepts and uses
 no floating point. Point rows are built only for matched entries, which
-np.nonzero returns in index order. points_block serves enumerate_points and
+np.nonzero returns in index order. points_block builds rows by index, and
 CompiledSystem evaluates generators on explicit rows of residues: each term
 is a raw int64 product of its coefficient and columns, added raw into the
 sum, and a Python-int bound on the entries of the product and of the sum
@@ -37,13 +37,12 @@ variety) is filtered from their rows instead of scanned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import PointAffineRep, Polynomial, SmallPrime
+from .algebra import Polynomial, SmallPrime
 
-DEFAULT_CHUNK_SIZE = 1 << 18
 DEFAULT_POINT_BUDGET = 100_000_000
 _INT64_MAX = (1 << 63) - 1
 
@@ -72,13 +71,6 @@ class ScanPlan:
     @property
     def total(self) -> int:
         return proj_point_count(self.ambient_dim, self.prime)
-
-    def chunk_ranges(self) -> list[tuple[int, int]]:
-        """Index ranges of at most DEFAULT_CHUNK_SIZE points (enumeration)."""
-        total = self.total
-        chunks = max(1, (total + DEFAULT_CHUNK_SIZE - 1) // DEFAULT_CHUNK_SIZE)
-        bounds = [(total * k) // chunks for k in range(chunks + 1)]
-        return [(bounds[k], bounds[k + 1]) for k in range(chunks)]
 
 
 @dataclass(frozen=True)
@@ -152,14 +144,6 @@ def points_block(n: int, p: int, start: int, stop: int) -> np.ndarray:
             pos += hi - lo
         gstart = gend
     return out
-
-
-def enumerate_points(plan: ScanPlan) -> Iterator[PointAffineRep]:
-    """Every normalized point exactly once, in documented index order."""
-    for start, stop in plan.chunk_ranges():
-        block = points_block(plan.ambient_dim, plan.prime, start, stop)
-        for row in block.tolist():
-            yield PointAffineRep(tuple(row))
 
 
 # ---------------------------------------------------------------------------

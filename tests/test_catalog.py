@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from keyvariety.algebra import (PointAffineRep, Polynomial, SmallPrime,
-                                jacobian_rank, matrix_rank_mod_p, parse_poly)
+                                jacobian_rank, parse_poly)
 from keyvariety.catalog import (ALL_CASES, MAIN_CASES, UnknownCaseError,
-                                build_case, g6q_vertex_matrix,
-                                normalize_pairing, pinned_coordinate_change,
+                                build_case, normalize_pairing, pinned_coordinate_change,
                                 plane_containment_check, plucker_ideal,
                                 rank_locus_member, spec_dump)
 from keyvariety.projspace import ScanPlan, scan_system
@@ -148,11 +147,6 @@ def test_rank_locus_g6q_vertex_plane():
     assert rank_locus_member(spec.rank_locus, pt, 2)
     # cross-check: the Jacobian rank drops below the codimension there
     assert jacobian_rank(list(spec.generators), pt, 2) < 13 - 9
-
-
-def test_g6q_vertex_matrix_rank_example():
-    M = g6q_vertex_matrix((1, 0, 0, 0), 5)
-    assert matrix_rank_mod_p(M, 5) == 2
 
 
 def test_b5_smoothness_probe():

@@ -37,6 +37,17 @@ def test_parse_config_rejects_negative_sample_cap(tmp_path):
                  _write(tmp_path, "checks=count\nsample_cap=-5\n")]) == 2
 
 
+@pytest.mark.parametrize("key", ["threads", "sample_cap"])
+def test_non_integer_config_value_is_a_config_error(tmp_path, capsys, key):
+    path = _write(tmp_path, f"checks=count\n{key}=abc\n")
+    with pytest.raises(ConfigError, match=f"^{key} must be an integer, got 'abc'$"):
+        parse_config(path)
+    capsys.readouterr()
+    assert main(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {key} must be an integer, got 'abc'\n"
+
+
 def test_parse_config_rejects_unknown_key(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(_write(tmp_path, "zzz=1\n"))

@@ -6,11 +6,11 @@ from collections import Counter
 import pytest
 
 from keyvariety import incidence
-from keyvariety.algebra import (OffVarietyError, PointAffineRep, SmallPrime,
-                                matrix_rank_mod_p)
+from keyvariety.algebra import (OffVarietyError, PointAffineRep, Polynomial,
+                                SmallPrime, matrix_rank_mod_p)
 from keyvariety.catalog import build_case, trace_zero_matrix
 from keyvariety.incidence import (FIBER_CASES, _classify, base_points,
-                                  fiber_over,
+                                  fiber_birationality_check, fiber_over,
                                   g4_intersection_plane_fiber_check,
                                   g5_plane_fiber_dichotomy,
                                   g6q_vertex_fiber_oracle,
@@ -18,8 +18,8 @@ from keyvariety.incidence import (FIBER_CASES, _classify, base_points,
                                   linalg_equiv_check, plucker_vector,
                                   projected_veronese_points, proportional,
                                   subspace_from_plucker, two_subspaces)
-from keyvariety.projspace import (BudgetExceeded, ScanPlan, enumerate_points,
-                                  point_set)
+from keyvariety.projspace import (BudgetExceeded, ScanPlan, point_set,
+                                  points_block, proj_point_count)
 
 
 def test_subspace_from_plucker_basis_vector():
@@ -139,7 +139,6 @@ def test_g6q_vertex_fiber_is_confirmed_surface():
 
 @pytest.mark.parametrize("case", ["g8", "g6q", "g5", "g4"])
 def test_fiber_birationality_off_distinguished_loci(case):
-    from keyvariety.incidence import fiber_birationality_check
     checked, violations = fiber_birationality_check(case, 2)
     assert checked > 0 and violations == 0
 
@@ -248,10 +247,10 @@ def _oracle_g4_plane_check(p):
         ScanPlan(b6.ambient_dim, SmallPrime(p)), b6.generators).tolist()]
     profile = Counter()
     mismatches = []
-    for zc in enumerate_points(ScanPlan(7, p)):
-        t = PointAffineRep((0,) * 6 + zc.coords)
+    for zc in points_block(7, p, 0, proj_point_count(7, p)).tolist():
+        t = PointAffineRep((0,) * 6 + tuple(zc))
         count = len(_oracle_fiber("g4", t, p))
-        zmat = trace_zero_matrix(zc.coords)
+        zmat = trace_zero_matrix(zc)
         oracle = sum(1 for P in segre
                      if sum(zmat[i][j] * P[i][j]
                             for i in range(3) for j in range(3)) % p == 0)
@@ -289,6 +288,55 @@ def test_probes_make_no_scalar_elimination(monkeypatch):
     for p in (2, 3):
         g8_plane_fiber_profile(p)
         g4_intersection_plane_fiber_check(p)
+        for case in FIBER_CASES if p == 2 else ("g8", "g6q"):
+            fiber_birationality_check(case, p)
+
+
+# the distinguished locus of each case is where the old per-row loop skipped
+_OFF_LOCUS = {
+    "g8": lambda c: any(c[5:]),
+    "g6q": lambda c: any(c[4:9]),
+    "g5": lambda c: any(c[:4]),
+    "g4": lambda c: any(c[:3]) and any(c[3:6]),
+}
+
+
+def _oracle_birationality(case, p):
+    """fiber_birationality_check as it was: fiber_over, with its model
+    check, on every row of the model's point set off the distinguished
+    locus."""
+    spec = build_case(f"{case}_sigma_bar")
+    pts = point_set(ScanPlan(spec.ambient_dim, SmallPrime(p)), spec.generators)
+    checked = violations = 0
+    for row in pts.tolist():
+        if _OFF_LOCUS[case](row):
+            checked += 1
+            rep = fiber_over(case, PointAffineRep(tuple(row)), p)
+            violations += rep.fiber_count != 1
+    return checked, violations
+
+
+@pytest.mark.parametrize("case, p", [("g4", 2), ("g5", 2), ("g6q", 2),
+                                     ("g8", 2), ("g6q", 3), ("g8", 3)])
+def test_birationality_matches_per_row_probe_loop(case, p):
+    assert fiber_birationality_check(case, p) == _oracle_birationality(case, p)
+
+
+def test_birationality_and_g5_dichotomy_make_no_model_check(monkeypatch):
+    for case in FIBER_CASES:
+        spec = build_case(f"{case}_sigma_bar")
+        point_set(ScanPlan(spec.ambient_dim, SmallPrime(2)), spec.generators)
+        base_points(case, 2)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a model generator was evaluated")
+
+    monkeypatch.setattr(Polynomial, "eval_mod", boom)
+    for case in FIBER_CASES:
+        checked, violations = fiber_birationality_check(case, 2)
+        assert checked > 0 and violations == 0
+    counter, ok = g5_plane_fiber_dichotomy(2)
+    assert ok and dict(counter) == {(3, 1): 2520, (2, 3): 1470, (1, 7): 105}
 
 
 def test_fiber_over_rejects_non_residues():

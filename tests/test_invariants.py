@@ -197,12 +197,12 @@ def test_g6q_dual_vertex_plane_is_singular():
     # every point with z = x = 0 is Jacobian-singular and in the rank locus
     from keyvariety.algebra import PointAffineRep, jacobian_rank
     from keyvariety.catalog import rank_locus_member
-    from keyvariety.projspace import ScanPlan, enumerate_points
+    from keyvariety.projspace import points_block, proj_point_count
 
     spec = build_case("g6q_sigma_bar")
     codim = spec.ambient_dim - spec.expected_dim
-    for y in enumerate_points(ScanPlan(4, 2)):
-        pt = PointAffineRep((0,) * 9 + y.coords)
+    for y in points_block(4, 2, 0, proj_point_count(4, 2)).tolist():
+        pt = PointAffineRep((0,) * 9 + tuple(y))
         assert jacobian_rank(list(spec.generators), pt, 2) < codim
         assert rank_locus_member(spec.rank_locus, pt, 2)
 

@@ -9,18 +9,17 @@ from keyvariety.catalog import build_case, plucker_ideal
 from keyvariety.projspace import (GRID_CHUNK_POINTS, CompiledSystem,
                                   ScanPlan, ScanResult, _generator_values,
                                   _matmul_mod, clear_point_sets,
-                                  enumerate_points, index_to_point, point_set,
-                                  point_to_index, points_block,
-                                  proj_point_count, scan_system)
+                                  index_to_point, point_set, point_to_index,
+                                  points_block, proj_point_count, scan_system)
 from keyvariety.sections import SectionSpec, cut, section_report
 
 
 def scan(plan, predicate, ranges=None):
-    """Slow pointwise oracle: the points where a pure predicate holds, chunk
-    by chunk (plan.chunk_ranges() unless ranges are given) in chunk order.
+    """Slow pointwise oracle: the points where a pure predicate holds, range
+    by range (the whole index range unless ranges are given) in range order.
     Returns (ScanResult, the matching points in index order)."""
     examined, hits = 0, []
-    for start, stop in ranges or plan.chunk_ranges():
+    for start, stop in ranges or [(0, plan.total)]:
         examined += stop - start
         rows = points_block(plan.ambient_dim, plan.prime, start, stop).tolist()
         pts = [PointAffineRep(tuple(row)) for row in rows]
@@ -36,28 +35,34 @@ def test_point_count_examples():
         proj_point_count(-1, 2)
 
 
+def _all_rows(plan):
+    return [tuple(row) for row in points_block(
+        plan.ambient_dim, plan.prime, 0, plan.total).tolist()]
+
+
 def test_enumerate_line_over_f2():
-    pts = {pt.coords for pt in enumerate_points(ScanPlan(1, SmallPrime(2)))}
+    pts = set(_all_rows(ScanPlan(1, SmallPrime(2))))
     assert pts == {(1, 0), (1, 1), (0, 1)}
 
 
 def test_enumerate_plane_over_f2():
-    pts = list(enumerate_points(ScanPlan(2, SmallPrime(2))))
+    pts = _all_rows(ScanPlan(2, SmallPrime(2)))
     assert len(pts) == 7
-    assert len({p.coords for p in pts}) == 7
+    assert len(set(pts)) == 7
 
 
 def test_enumerate_p3_over_f3():
-    pts = list(enumerate_points(ScanPlan(3, SmallPrime(3))))
+    pts = _all_rows(ScanPlan(3, SmallPrime(3)))
     assert len(pts) == 40
-    assert len({p.coords for p in pts}) == 40
+    assert len(set(pts)) == 40
 
 
 def test_index_bijection():
     plan = ScanPlan(3, SmallPrime(3))
-    for i, pt in enumerate(enumerate_points(plan)):
-        assert index_to_point(plan, i) == pt.coords
-        assert point_to_index(plan, pt.coords) == i
+    for i, coords in enumerate(_all_rows(plan)):
+        PointAffineRep(coords)  # a normalized representative
+        assert index_to_point(plan, i) == coords
+        assert point_to_index(plan, coords) == i
 
 
 @pytest.mark.parametrize("coords", [
@@ -71,15 +76,6 @@ def test_index_bijection():
 def test_point_to_index_rejects_bad_input(coords):
     with pytest.raises(ValueError):
         point_to_index(ScanPlan(2, SmallPrime(3)), coords)
-
-
-def test_chunks_partition_exactly():
-    plan = ScanPlan(12, SmallPrime(3))  # 797161 points: 4 chunks
-    ranges = plan.chunk_ranges()
-    assert len(ranges) == 4
-    assert ranges[0][0] == 0 and ranges[-1][1] == plan.total
-    for (a, b), (c, d) in zip(ranges, ranges[1:]):
-        assert b == c and a < b
 
 
 def test_scan_true_predicate():
