@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -419,19 +420,87 @@ def _inverse_mod_p(v: np.ndarray, p: int) -> np.ndarray:
     return result
 
 
+_ONE = np.uint64(1)
+
+
+def _bit_planes(T: np.ndarray, p: int) -> list:
+    """Pack a batch-last (r, c, B) int64 view, c <= 64, into uint64 bit planes
+    of shape (r, B): bit j of a plane holds column j. p = 2 gives one plane
+    (the entry is odd: x & 1 is x mod 2 for every int64), p = 3 two (the
+    entry is 1, the entry is 2). At p = 3 each column is reduced mod p on
+    its own, unless every entry is a residue already: the check costs about
+    as much as reducing two columns."""
+    r, c, B = T.shape
+    planes = [np.zeros((r, B), dtype=np.uint64) for _ in range(p - 1)]
+    reduce = p == 3 and T.size and (T.min() < 0 or T.max() > 2)
+    for j in range(c):
+        col = (T[:, j, :] % p if reduce else T[:, j, :]).view(np.uint64)
+        shift = np.uint64(j)
+        planes[0] |= (col & _ONE) << shift
+        if p == 3:
+            planes[1] |= (col >> _ONE) << shift
+    return planes
+
+
+def _rank_bitsliced(T: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over F_2 or F_3 of a batch-last (r, c, B) view with c <= 64, by
+    the elimination of matrix_rank_mod_p_batch on bit planes (Boothby and
+    Bradshaw, arXiv:0901.1413). Step i takes the lowest set bit of row i as
+    its pivot. A lower row that holds the pivot bit h gets row i added under
+    the mask -h, which is all ones from the pivot bit up, where row i lives.
+    At p = 3 row i is first scaled so that its pivot entry cancels the lower
+    row's: negated (planes swapped) where the two entries are equal. The F_3
+    sum of one-hot planes (a1, a2) + (b1, b2) is, with t = (a1|b2)^(a2|b1),
+    ((a2|b2)^t, (a1|b1)^t)."""
+    r, B = T.shape[0], T.shape[2]
+    planes = _bit_planes(T, p)
+    rank = np.zeros(B, dtype=np.int64)
+    for i in range(r):
+        if p == 2:
+            x = planes[0][i]
+        else:
+            x1, x2 = planes[0][i], planes[1][i]
+            x = x1 | x2
+        rank += x != 0
+        if i == r - 1:
+            break
+        piv = x & (~x + _ONE)
+        if p == 2:
+            below = planes[0][i + 1:]
+            below ^= x & np.negative(below & piv)
+            continue
+        b1, b2 = planes[0][i + 1:], planes[1][i + 1:]
+        same = np.negative(((b1 & x1) | (b2 & x2)) & piv)
+        diff = np.negative(((b1 & x2) | (b2 & x1)) & piv)
+        a1 = (x2 & same) | (x1 & diff)
+        a2 = (x1 & same) | (x2 & diff)
+        t = (b1 | a2) ^ (b2 | a1)
+        planes[0][i + 1:], planes[1][i + 1:] = (b2 | a2) ^ t, (b1 | a1) ^ t
+    return rank
+
+
 def matrix_rank_mod_p_batch(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks over F_p of a batch of small matrices, shape (B, r, c).
 
     Row-echelon elimination vectorized across the batch, over the shorter
     side (a batch with r > c is transposed). Step i takes the first nonzero
-    column of row i as its pivot, inverts the pivot by Fermat's little
-    theorem (v^(p-2)) and clears that column from the rows below; the rank
-    is the number of rows that are nonzero when reached. Residues stay below
-    p and products below p^2 < 2^62, so every prime SmallPrime accepts
-    (p < 2^31) is exact, and no memory of size p is allocated. The result
-    matches matrix_rank_mod_p row by row.
+    column of row i as its pivot and clears that column from the rows below;
+    the rank is the number of rows that are nonzero when reached. At p = 2
+    and 3, with the longer side at most 64, the rows are uint64 bit planes
+    packed from the batch-last view, so a (B, r, c) view whose batch axis is
+    the last in memory is read without a copy (_rank_bitsliced). Otherwise
+    the pivot is inverted by Fermat's little theorem (v^(p-2)) in int64:
+    residues stay below p and products below p^2 < 2^62, so every prime
+    SmallPrime accepts (p < 2^31) is exact, and no memory of size p is
+    allocated. The result matches matrix_rank_mod_p row by row.
     """
-    A = np.asarray(mats, dtype=np.int64) % p
+    A = np.asarray(mats, dtype=np.int64)
+    T = A.transpose(1, 2, 0)
+    if T.shape[0] > T.shape[1]:
+        T = T.transpose(1, 0, 2)
+    if p in (2, 3) and T.shape[0] >= 1 and T.shape[1] <= 64:
+        return _rank_bitsliced(T, p)
+    A = A % p
     if A.shape[1] > A.shape[2]:
         A = np.ascontiguousarray(A.transpose(0, 2, 1))
     B, r, c = A.shape
@@ -453,6 +522,13 @@ def matrix_rank_mod_p_batch(mats: np.ndarray, p: int) -> np.ndarray:
     return rank
 
 
+@lru_cache(maxsize=64)
+def _jacobian_partials(fs: tuple) -> tuple:
+    """The Jacobian of fs as polynomials: one tuple of partials per f, over
+    every ring variable. Built once per generator tuple."""
+    return tuple(tuple(f.partial(i) for i in range(len(f.ring_vars))) for f in fs)
+
+
 def jacobian_rank(fs: Sequence[Polynomial], pt: PointAffineRep, p: int) -> int:
     """Rank over F_p of the Jacobian of fs at a point of their common zero set.
 
@@ -462,8 +538,7 @@ def jacobian_rank(fs: Sequence[Polynomial], pt: PointAffineRep, p: int) -> int:
     for f in fs:
         if f.eval_mod(coords, p) != 0:
             raise OffVarietyError(f"point {pt.serialize()} not on the variety mod {p}")
-    nv = len(coords)
-    rows = [[f.partial(i).eval_mod(coords, p) for i in range(nv)] for f in fs]
+    rows = [[d.eval_mod(coords, p) for d in row] for row in _jacobian_partials(tuple(fs))]
     return matrix_rank_mod_p(rows, p)
 
 

@@ -23,8 +23,8 @@ from .algebra import (OffVarietyError, PointAffineRep, SmallPrime,
 from .catalog import (build_case, g8_dual_net_matrix, g8_lift_to_wedge,
                       pair_labels, plucker_ideal, trace_zero_matrix)
 from .projspace import (DEFAULT_POINT_BUDGET, BudgetExceeded, CompiledSystem,
-                        ScanPlan, _matmul_mod, point_set, points_block,
-                        proj_point_count)
+                        ScanPlan, _check_budget, _matmul_mod, point_set,
+                        points_block, proj_point_count)
 
 @dataclass(frozen=True)
 class FiberReport:
@@ -434,7 +434,9 @@ def g5_plane_fiber_dichotomy(p: int):
     """(rank, fiber_count) profile over the genus-5 plane {x = 0};
     the expected law is fiber_count = #P^(3 - rank)(F_p). The plane lies on
     the model, so its rows go to the hit routine with no model check; the
-    rank of My is the independent side."""
+    rank of My is the independent side. Raises BudgetExceeded before any
+    enumeration when P^11(F_p) exceeds DEFAULT_POINT_BUDGET."""
+    _check_budget(ScanPlan(11, p), DEFAULT_POINT_BUDGET)
     base = base_points("g5", p)
     y = points_block(11, p, 0, proj_point_count(11, p))
     rows = np.zeros((len(y), 16), dtype=np.int64)
@@ -455,7 +457,10 @@ def g4_intersection_plane_fiber_check(p: int):
     surface in its Segre model. Both counts are zero counts of one product:
     the plane's z-block against the forms w^T Z u of the incident base
     pairs on the fiber side, its trace-zero matrices Z against those of the
-    B6 Segre rows on the oracle side. Returns (profile, mismatches)."""
+    B6 Segre rows on the oracle side. Returns (profile, mismatches). Raises
+    BudgetExceeded before any enumeration when P^7(F_p) exceeds
+    DEFAULT_POINT_BUDGET."""
+    _check_budget(ScanPlan(7, p), DEFAULT_POINT_BUDGET)
     base = base_points("g4", p)
     spec = base.model
     zc = points_block(7, p, 0, proj_point_count(7, p))

@@ -9,13 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SmallPrime, matrix_rank_mod_p_batch
+from .algebra import SmallPrime, _jacobian_partials, matrix_rank_mod_p_batch
 from .catalog import VarietySpec, RankLocusSpec, pinned_coordinate_change
 from .projspace import (DEFAULT_POINT_BUDGET, BudgetExceeded,  # noqa: F401
                         CompiledSystem, ScanPlan, _check_budget, point_set,
                         proj_point_count, scan_system)
 
-_RANK_BLOCK = 1 << 17
+_RANK_BLOCK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +189,17 @@ class SingularScanReport:
 
 def _jacobian_singular_mask(spec: VarietySpec, pts: np.ndarray, p: int) -> np.ndarray:
     """Rank < codimension of the Jacobian at each point, evaluated and ranked
-    one _RANK_BLOCK block of points at a time."""
+    one _RANK_BLOCK block of points at a time. A block is copied column-major,
+    so that each column the partials read is contiguous, and is small enough
+    that its partials and bit planes stay in cache; the partials reach the
+    batch rank as the (B, ngens, nv) view of their batch-last values."""
     gens = spec.generators
     nv = len(spec.vars)
     codim = spec.ambient_dim - spec.expected_dim
-    system = CompiledSystem([g.partial(i) for g in gens for i in range(nv)])
+    system = CompiledSystem([d for row in _jacobian_partials(tuple(gens)) for d in row])
     out = np.zeros(pts.shape[0], dtype=bool)
     for s in range(0, pts.shape[0], _RANK_BLOCK):
-        block = pts[s:s + _RANK_BLOCK]
+        block = np.asfortranarray(pts[s:s + _RANK_BLOCK])
         vals = system.eval_block(block, p)                  # (ngens*nv, B)
         mats = vals.reshape(len(gens), nv, block.shape[0]).transpose(2, 0, 1)
         out[s:s + block.shape[0]] = matrix_rank_mod_p_batch(mats, p) < codim

@@ -282,6 +282,51 @@ def test_batch_rank_at_largest_prime(shape):
     assert expected[1] == 0 and expected[0] == min(shape[0] - 2, shape[1])
 
 
+# (4, 65) is one column past the bit planes and takes the int64 path
+_BITSLICE_SHAPES = st.sampled_from([(1, 1), (2, 14), (6, 14), (15, 12), (3, 16),
+                                    (4, 64), (4, 65)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), _BITSLICE_SHAPES, st.sampled_from([2, 3]),
+       st.sampled_from([0, 1, 12]),
+       st.sampled_from([(0, 3), (-9, 10), (-2**62, 2**62)]),
+       st.booleans())
+def test_batch_rank_bit_planes_match_single(seed, shape, p, batch, entries,
+                                            batch_last):
+    rng = np.random.default_rng(seed)
+    r, c = shape
+    # sparse entries, and the last row a combination of the first two, so
+    # that rank-deficient matrices are common
+    mats = rng.integers(*entries, size=(batch, r, c)) * (rng.random((batch, r, c)) < 0.5)
+    if r >= 3:
+        mats[:, -1] = mats[:, 0] * rng.integers(-3, 4) + mats[:, 1] * rng.integers(-3, 4)
+    if batch_last:
+        # the Jacobian's layout: a transposed view of (r * c, B) values
+        vals = np.ascontiguousarray(mats.reshape(batch, r * c).T)
+        mats = vals.reshape(r, c, batch).transpose(2, 0, 1)
+        assert mats.strides[0] == mats.itemsize
+    out = matrix_rank_mod_p_batch(mats, p)
+    assert out.dtype == np.int64 and out.shape == (batch,)
+    assert out.tolist() == [matrix_rank_mod_p(m.tolist(), p) for m in mats]
+
+
+def test_batch_rank_takes_bit_planes_only_at_p2_p3_up_to_64(monkeypatch):
+    from keyvariety import algebra
+
+    def boom(*args):
+        raise AssertionError("bit planes")
+
+    monkeypatch.setattr(algebra, "_rank_bitsliced", boom)
+    eye = np.eye(4, 65, dtype=np.int64)[None]
+    assert matrix_rank_mod_p_batch(eye, 3).tolist() == [4]
+    assert matrix_rank_mod_p_batch(eye[:, :, :14], 5).tolist() == [4]
+    assert matrix_rank_mod_p_batch(eye[:, :0], 2).tolist() == [0]
+    for p in (2, 3):
+        with pytest.raises(AssertionError, match="bit planes"):
+            matrix_rank_mod_p_batch(eye[:, :, :64].transpose(0, 2, 1), p)
+
+
 def test_jacobian_rank_single_form():
     ring = ("y1", "y2", "y3", "x1", "x2", "x3")
     f = parse_poly("y1*x1 + y2*x2 + y3*x3", ring)
@@ -320,6 +365,20 @@ def test_jacobian_rank_rescaling_invariance():
     for scale in (2, 3, 4):
         scaled = [(scale * c) % p for c in base]
         assert jacobian_rank(fs, PointAffineRep.normalize(scaled, p), p) == r0
+
+
+def test_jacobian_rank_builds_partials_once_per_generators(monkeypatch):
+    fs, ring = _g5_system()
+    coords = [0, 0, 0, 0] + [1, 0, 0, 0] + [0, 1, 0, 0] + [0, 0, 0, 0]
+    pt = PointAffineRep(tuple(coords))
+    assert jacobian_rank(fs, pt, 3) == 2
+
+    def boom(self, var_index):
+        raise AssertionError("partials built again")
+
+    monkeypatch.setattr(Polynomial, "partial", boom)
+    assert jacobian_rank(list(fs), pt, 3) == 2
+    assert jacobian_rank(tuple(fs), pt, 2) == 2
 
 
 def test_point_normalization_and_serialization():

@@ -380,6 +380,20 @@ def test_base_budget_fails_before_any_enumeration(monkeypatch):
     incidence._check_base_budget("g4", 97)
 
 
+@pytest.mark.parametrize("check,p,space", [
+    (g5_plane_fiber_dichotomy, 7, "P^11(F_7)"),             # 2,306,881,200 rows
+    (g4_intersection_plane_fiber_check, 17, "P^7(F_17)"),   # 437,462,640 rows
+])
+def test_plane_checks_over_budget_fail_before_any_enumeration(monkeypatch, check,
+                                                              p, space):
+    def boom(*args, **kwargs):
+        raise AssertionError("plane or base enumeration started over the budget")
+
+    monkeypatch.setattr(incidence, "points_block", boom)
+    with pytest.raises(BudgetExceeded, match=f"^{re.escape(space)} has "):
+        check(p)
+
+
 @pytest.mark.parametrize("case", ["g8", "g6q"])
 def test_scanned_bases_over_budget_fail_in_the_scan(case):
     with pytest.raises(BudgetExceeded, match=r"^P\^\d+\(F_101\) has "):

@@ -132,6 +132,25 @@ def test_jacobian_mask_independent_of_block_size(monkeypatch):
     assert invariants._jacobian_singular_mask(spec, pts[:0], 2).shape == (0,)
 
 
+def test_jacobian_mask_matches_pointwise_rank_g4_p3(monkeypatch):
+    """The batched mask (bit planes at p = 3) against jacobian_rank < codim
+    at a seeded 3000 points of g4, in blocks of 1024 rows."""
+    from keyvariety.algebra import PointAffineRep, jacobian_rank
+    from keyvariety.projspace import ScanPlan, point_set
+
+    spec = build_case("g4_sigma_bar")
+    pts = point_set(ScanPlan(spec.ambient_dim, 3), spec.generators)
+    rows = pts[np.random.default_rng(11).choice(pts.shape[0], 3000, replace=False)]
+    monkeypatch.setattr(invariants, "_RANK_BLOCK", 1024)
+    mask = invariants._jacobian_singular_mask(spec, rows, 3)
+    codim = spec.ambient_dim - spec.expected_dim
+    gens = list(spec.generators)
+    want = [jacobian_rank(gens, PointAffineRep(tuple(row)), 3) < codim
+            for row in rows.tolist()]
+    assert mask.tolist() == want
+    assert 0 < mask.sum() < len(want)
+
+
 def _zero_block_rows(spec, branch, pts):
     return (pts[:, [spec.var_index(v) for v in branch.zero_vars]] == 0).all(axis=1)
 
