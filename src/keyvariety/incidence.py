@@ -22,9 +22,10 @@ from .algebra import (OffVarietyError, PointAffineRep, SmallPrime,
                       matrix_rank_mod_p, nullspace_mod_p)
 from .catalog import (build_case, g8_dual_net_matrix, g8_lift_to_wedge,
                       pair_labels, plucker_ideal, trace_zero_matrix)
-from .projspace import (DEFAULT_POINT_BUDGET, BudgetExceeded, CompiledSystem,
-                        ScanPlan, _check_budget, _matmul_mod, point_set,
-                        points_block, proj_point_count)
+from .projspace import (DEFAULT_POINT_BUDGET, GRID_CHUNK_POINTS,
+                        BudgetExceeded, CompiledSystem, ScanPlan,
+                        _check_budget, _zero_mod, point_set, points_block,
+                        proj_point_count)
 
 @dataclass(frozen=True)
 class FiberReport:
@@ -423,31 +424,39 @@ def g8_plane_fiber_profile(p: int):
     bases = base_points("g8", p)
     plane = points_block(4, p, 0, proj_point_count(4, p))
     forms = np.array(bases.forms, dtype=np.int64).reshape(-1, 5)
-    vanish = _matmul_mod(plane, forms.T, p) == 0
+    vanish = _zero_mod(plane, forms.T, p)
     counts = vanish.reshape(len(plane), len(bases), -1).all(axis=2).sum(axis=1)
     counter = Counter(counts.tolist())
     jump = {tuple(row) for row in plane[counts == p + 1].tolist()}
     return counter, jump
 
 
+def _point_blocks(n: int, p: int) -> Iterator[np.ndarray]:
+    """P^n(F_p) in index order, as points_block arrays of at most
+    GRID_CHUNK_POINTS rows each."""
+    total = proj_point_count(n, p)
+    for lo in range(0, total, GRID_CHUNK_POINTS):
+        yield points_block(n, p, lo, min(lo + GRID_CHUNK_POINTS, total))
+
+
 def g5_plane_fiber_dichotomy(p: int):
     """(rank, fiber_count) profile over the genus-5 plane {x = 0};
     the expected law is fiber_count = #P^(3 - rank)(F_p). The plane lies on
     the model, so its rows go to the hit routine with no model check; the
-    rank of My is the independent side. Raises BudgetExceeded before any
+    rank of My is the independent side. The plane is enumerated in blocks
+    of at most GRID_CHUNK_POINTS rows. Raises BudgetExceeded before any
     enumeration when P^11(F_p) exceeds DEFAULT_POINT_BUDGET."""
     _check_budget(ScanPlan(11, p), DEFAULT_POINT_BUDGET)
     base = base_points("g5", p)
-    y = points_block(11, p, 0, proj_point_count(11, p))
-    rows = np.zeros((len(y), 16), dtype=np.int64)
-    rows[:, 4:] = y
     counter: Counter = Counter()
     ok = True
-    for row in rows.tolist():
-        rank = matrix_rank_mod_p([row[4:8], row[8:12], row[12:]], p)
-        count = len(_hits("g5", base, row, p))
-        counter[(rank, count)] += 1
-        ok &= count == (p ** (4 - rank) - 1) // (p - 1)
+    for y in _point_blocks(11, p):
+        for y_row in y.tolist():
+            row = [0, 0, 0, 0] + y_row
+            rank = matrix_rank_mod_p([row[4:8], row[8:12], row[12:]], p)
+            count = len(_hits("g5", base, row, p))
+            counter[(rank, count)] += 1
+            ok &= count == (p ** (4 - rank) - 1) // (p - 1)
     return counter, ok
 
 
@@ -457,28 +466,33 @@ def g4_intersection_plane_fiber_check(p: int):
     surface in its Segre model. Both counts are zero counts of one product:
     the plane's z-block against the forms w^T Z u of the incident base
     pairs on the fiber side, its trace-zero matrices Z against those of the
-    B6 Segre rows on the oracle side. Returns (profile, mismatches). Raises
-    BudgetExceeded before any enumeration when P^7(F_p) exceeds
-    DEFAULT_POINT_BUDGET."""
+    B6 Segre rows on the oracle side. The plane is enumerated in blocks of
+    at most GRID_CHUNK_POINTS rows, so the mismatches are in index order.
+    Returns (profile, mismatches). Raises BudgetExceeded before any
+    enumeration when P^7(F_p) exceeds DEFAULT_POINT_BUDGET."""
     _check_budget(ScanPlan(7, p), DEFAULT_POINT_BUDGET)
     base = base_points("g4", p)
     spec = base.model
-    zc = points_block(7, p, 0, proj_point_count(7, p))
-    pts = np.zeros((len(zc), spec.ambient_dim + 1), dtype=np.int64)
-    pts[:, 6:] = zc
-    on_model = CompiledSystem(spec.generators).vanishing_mask(pts, p)
-    if not on_model.all():
-        t = PointAffineRep(tuple(pts[np.argmin(on_model)].tolist()))
-        raise OffVarietyError(f"{t.serialize()} is not on {spec.case_id} mod {p}")
-    pairs = np.array([f for (f,) in base.forms], dtype=np.int64)
-    fiber = (_matmul_mod(zc, pairs.T, p) == 0).sum(axis=1)
+    model = CompiledSystem(spec.generators)
+    pairs = np.array([f for (f,) in base.forms], dtype=np.int64).T
     b6 = build_case("B6")
     segre = point_set(ScanPlan(b6.ambient_dim, SmallPrime(p)), b6.generators)
-    z = _trace_zero_rows(zc, p)
-    oracle = (_matmul_mod(z, _trace_zero_rows(segre, p).T, p) == 0).sum(axis=1)
-    profile = Counter(zip(fiber.tolist(), oracle.tolist()))
-    mismatches = [PointAffineRep(tuple(row))
-                  for row in pts[fiber != oracle].tolist()]
+    segre_z = _trace_zero_rows(segre, p).T
+    profile: Counter = Counter()
+    mismatches = []
+    for zc in _point_blocks(7, p):
+        pts = np.zeros((len(zc), spec.ambient_dim + 1), dtype=np.int64)
+        pts[:, 6:] = zc
+        on_model = model.vanishing_mask(pts, p)
+        if not on_model.all():
+            t = PointAffineRep(tuple(pts[np.argmin(on_model)].tolist()))
+            raise OffVarietyError(
+                f"{t.serialize()} is not on {spec.case_id} mod {p}")
+        fiber = _zero_mod(zc, pairs, p).sum(axis=1)
+        oracle = _zero_mod(_trace_zero_rows(zc, p), segre_z, p).sum(axis=1)
+        profile.update(zip(fiber.tolist(), oracle.tolist()))
+        mismatches += [PointAffineRep(tuple(row))
+                       for row in pts[fiber != oracle].tolist()]
     return profile, mismatches
 
 

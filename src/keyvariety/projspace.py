@@ -11,20 +11,28 @@ most significant digits first; split into s = ceil(m/2) outer and m - s inner
 digits (more outer ones where the inner grid would exceed GRID_CHUNK_POINTS
 points), its indices are outer-major. With x_0..x_{k-1} = 0 and x_k = 1 a
 generator is M_O(o)^T C M_I(i), M_O and M_I being the values of its outer and
-inner monomials on the outer and inner digit grids and C its coefficients. Its
-values on a block of outer rows are ((M_O[rows] @ C) % p) @ M_I^T: one int64
-matrix product per generator. An entry is at most T(p-1)^2 for T summed
-monomials; where that could reach 2^63 the sum is cut into slices reduced mod p
-in between, so the kernel is exact for every prime SmallPrime accepts and uses
-no floating point. Point rows are built only for matched entries, which
+inner monomials on the outer and inner digit grids and C its coefficients. A
+block of outer rows holds a common zero where M_O[rows] @ F vanishes mod p,
+with F = (C @ M_I^T) % p the generator's fused table, built once per group:
+one product per generator, tested by _zero_mod. An entry of it is at most T(p-1)^2
+for T outer monomials. Where T(p-1)^2 + p < 2^24 (so p <= 4096) the product
+runs in float32 on BLAS, in row blocks small enough to stay on the calling
+thread, and is exact: every product and partial sum is an integer below 2^24,
+so the result is the same in any summation order, with or without FMA. The
+test x == p*rint(x/p) is exact too: if p divides x, x/p is exact; otherwise
+p*rint(x/p) is a representable multiple of p, so it differs from x. Where the
+bound fails the group keeps C and M_I^T and runs two int64 products,
+((M_O[rows] @ C) % p) @ M_I^T, with the inner axis cut into slices reduced mod
+p wherever a sum could reach 2^63, so the kernel is exact for every prime
+SmallPrime accepts. Point rows are built only for matched entries, which
 np.nonzero returns in index order. points_block builds rows by index, and
-CompiledSystem evaluates generators on explicit rows of residues: each term
-is a raw int64 product of its coefficient and columns, added raw into the
-sum, and a Python-int bound on the entries of the product and of the sum
-decides when to reduce mod p, only where the next product or addition could
-pass 2^63 - 1; one % p ends the sum. At p = 2 and 3 nothing is reduced
-before that for the catalog's degrees, and at the largest SmallPrime it
-reduces about once per factor, so the loop is exact for every SmallPrime.
+CompiledSystem evaluates generators on explicit rows of residues: each term is
+a raw int64 product of its coefficient and columns, added raw into the sum,
+and a Python-int bound on the entries of the product and of the sum decides
+when to reduce mod p, only where the next product or addition could pass
+2^63 - 1; one % p ends the sum. At p = 2 and 3 nothing is reduced before that for
+the catalog's degrees, and at the largest SmallPrime it reduces about once per
+factor, so the loop is exact for every SmallPrime.
 
 Chunks (blocks of outer rows of about GRID_CHUNK_POINTS points) run one after
 another in index order, which bounds the memory of one step. Every scan is
@@ -243,6 +251,46 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+_FLOAT32_EXACT = 1 << 24
+# OpenBLAS runs a gemm of at most 65536 * GEMM_MULTITHREAD_THRESHOLD (4)
+# multiply-adds on the calling thread. A chunk's product is about 2^16 * T
+# of them, too small to gain from a second thread: with one, fibers-p3
+# launches took 5-25% more wall and CPU time on 2 CPUs (five each way).
+_BLAS_ONE_THREAD = 1 << 18
+
+
+def _fits_float32(inner: int, p: int) -> bool:
+    """Whether every entry of an inner-length product of residues mod p, and
+    p*rint(x/p) for each, stays below 2^24, so that float32 is exact."""
+    return inner * (p - 1) ** 2 + p < _FLOAT32_EXACT
+
+
+def _float32_zero(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) % p == 0 by a float32 product x, in row blocks that each stay
+    under _BLAS_ONE_THREAD, tested by x == p*rint(x/p); exact only where
+    _fits_float32(a.shape[1], p) holds."""
+    a = a.astype(np.float32)
+    b = b.astype(np.float32, copy=False)
+    x = np.empty((a.shape[0], b.shape[1]), dtype=np.float32)
+    step = max(1, (_BLAS_ONE_THREAD - 1) // max(1, b.size))
+    for lo in range(0, a.shape[0], step):
+        np.matmul(a[lo:lo + step], b, out=x[lo:lo + step])
+    pf = np.float32(p)
+    q = np.divide(x, pf)
+    np.rint(q, out=q)
+    q *= pf
+    return q == x
+
+
+def _zero_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) % p == 0 for matrices with entries in [0, p), exact: the
+    float32 product where _fits_float32 holds for the inner length, else
+    _matmul_mod."""
+    if _fits_float32(a.shape[1], p):
+        return _float32_zero(a, b, p)
+    return _matmul_mod(a, b, p) == 0
+
+
 def _digit_grid(p: int, start: int, stop: int, width: int) -> np.ndarray:
     """Base-p digits of start..stop-1, most significant first: (stop-start, width)."""
     idx = np.arange(start, stop, dtype=np.int64)
@@ -274,7 +322,9 @@ class _GridGroup:
     inner points. gens holds, per generator that does not vanish on the whole
     group, (outer exponents E_O, coefficients C, inner table M_I^T): its
     value at outer row o and inner point i is (M_O(o) @ C @ M_I^T)[i] mod p,
-    where M_O(o) are the values of the monomials E_O at the digits of o."""
+    where M_O(o) are the values of the monomials E_O at the digits of o.
+    Where _fits_float32 holds for len(E_O), C is None and the table is the
+    fused (C @ M_I^T) % p in float32."""
     k: int
     s: int
     width: int
@@ -319,26 +369,32 @@ def _grid_group(polys: Sequence[Polynomial], n: int, k: int, p: int) -> _GridGro
         ii = [inner_idx.setdefault(e[s:], len(inner_idx)) for _, e in gen]
         coef = np.zeros((len(outer_idx), len(inner_idx)), dtype=np.int64)
         np.add.at(coef, (oi, ii), [c for c, _ in gen])
-        cols = [inner[e] for e in inner_idx]
-        gens.append((_exponent_rows(outer_idx, s), coef % p,
-                     np.ascontiguousarray(table[:, cols].T)))
+        coef %= p
+        inner_t = np.ascontiguousarray(table[:, [inner[e] for e in inner_idx]].T)
+        if _fits_float32(len(outer_idx), p):
+            # p <= 4096 here: a raw int64 sum of < 2^39 terms cannot overflow
+            coef, inner_t = None, ((coef @ inner_t) % p).astype(np.float32)
+        gens.append((_exponent_rows(outer_idx, s), coef, inner_t))
     return _GridGroup(k, s, width, inner_digits, tuple(gens))
 
 
 def _grid_chunk(group: _GridGroup, n: int, p: int, r0: int, r1: int,
                 collect: bool):
-    """Scan outer rows [r0, r1) of a group: one exact int64 product per
-    generator over the rows that still hold a common zero. Returns (points
-    examined, matched count, the matched rows in index order with collect,
-    else None)."""
+    """Scan outer rows [r0, r1) of a group: per generator, one exact zero
+    test of a product (float32 with a fused table, else two int64 products)
+    over the rows that still hold a common zero. Returns (points examined,
+    matched count, the matched rows in index order with collect, else
+    None)."""
     outer = _digit_grid(p, r0, r1, group.s)
     mask = np.ones((r1 - r0, group.width), dtype=bool)
-    for outer_expos, coef, inner_t in group.gens:
+    for outer_expos, coef, table in group.gens:
         live = np.flatnonzero(mask.any(axis=1))
         if live.size == 0:
             break
-        a = _matmul_mod(_monomial_table(outer[live], outer_expos, p), coef, p)
-        mask[live] &= _matmul_mod(a, inner_t, p) == 0
+        a = _monomial_table(outer[live], outer_expos, p)
+        if coef is not None:
+            a = _matmul_mod(a, coef, p)
+        mask[live] &= _zero_mod(a, table, p)
     examined = (r1 - r0) * group.width
     if not collect:
         return examined, int(np.count_nonzero(mask)), None

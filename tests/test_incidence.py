@@ -18,8 +18,8 @@ from keyvariety.incidence import (FIBER_CASES, _classify, base_points,
                                   linalg_equiv_check, plucker_vector,
                                   projected_veronese_points, proportional,
                                   subspace_from_plucker, two_subspaces)
-from keyvariety.projspace import (BudgetExceeded, ScanPlan, point_set,
-                                  points_block, proj_point_count)
+from keyvariety.projspace import (BudgetExceeded, ScanPlan, _zero_mod,
+                                  point_set, points_block, proj_point_count)
 
 
 def test_subspace_from_plucker_basis_vector():
@@ -392,6 +392,50 @@ def test_plane_checks_over_budget_fail_before_any_enumeration(monkeypatch, check
     monkeypatch.setattr(incidence, "points_block", boom)
     with pytest.raises(BudgetExceeded, match=f"^{re.escape(space)} has "):
         check(p)
+
+
+def _skewed_zero_mod(a, b, p):
+    """_zero_mod with its first column flipped on the rows of a whose
+    entries sum to 0 mod 5. The flip reads row contents only, so chunked and
+    single-array runs must still agree, and the g4 plane check gets
+    mismatches whose order is compared."""
+    out = _zero_mod(a, b, p)
+    out[:, 0] ^= a.sum(axis=1) % 5 == 0
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_plane_checks_enumerate_in_chunks(monkeypatch, p):
+    monkeypatch.setattr(incidence, "_zero_mod", _skewed_zero_mod)
+    probed = []
+    if p == 3:
+        # the 265,720 rows of the g5 plane at p = 3 get stand-ins for the
+        # Python per-row work; the rows that reach them are compared
+        monkeypatch.setattr(incidence, "matrix_rank_mod_p",
+                            lambda rows, p: sum(map(any, rows)))
+        monkeypatch.setattr(incidence, "_hits",
+                            lambda case, base, row, p:
+                            probed.append(tuple(row)) or [0] * (sum(row) % 4))
+    requests = []
+    monkeypatch.setattr(incidence, "points_block",
+                        lambda n, p, lo, hi: requests.append((n, hi - lo))
+                        or points_block(n, p, lo, hi))
+    runs = []
+    for chunk in (10**9, 100):
+        monkeypatch.setattr(incidence, "GRID_CHUNK_POINTS", chunk)
+        requests.clear()
+        probed.clear()
+        g4 = g4_intersection_plane_fiber_check(p)
+        g5 = g5_plane_fiber_dichotomy(p)
+        assert max(size for _, size in requests) <= chunk
+        # the planes are P^7 (g4) and P^11 (g5); the bases are smaller
+        planes = sum(n in (7, 11) for n, _ in requests)
+        runs.append((list(g4[0].items()), g4[1], list(g5[0].items()), g5[1],
+                     list(probed), planes))
+    single, chunked = runs
+    assert single[-1] == 2 and chunked[-1] > 2
+    assert single[:-1] == chunked[:-1]
+    assert single[1] and (p == 2 or single[4])
 
 
 @pytest.mark.parametrize("case", ["g8", "g6q"])

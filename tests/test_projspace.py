@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from keyvariety import projspace
 from keyvariety.algebra import (PointAffineRep, Polynomial, SmallPrime,
                                 parse_poly)
 from keyvariety.catalog import build_case, plucker_ideal
 from keyvariety.projspace import (GRID_CHUNK_POINTS, CompiledSystem,
-                                  ScanPlan, ScanResult, _generator_values,
-                                  _matmul_mod, clear_point_sets,
+                                  ScanPlan, ScanResult, _fits_float32,
+                                  _generator_values, _matmul_mod, _zero_mod,
+                                  clear_point_sets,
                                   index_to_point, point_set, point_to_index,
                                   points_block, proj_point_count, scan_system)
 from keyvariety.sections import SectionSpec, cut, section_report
@@ -172,9 +173,10 @@ def _oracle_rows(plan, polys):
 @st.composite
 def _systems(draw):
     """(n, p, generators): 1-3 polynomials of degree <= 3 in n + 1 variables,
-    coefficients in [-8, 8] (some of them 0 mod p)."""
-    n = draw(st.integers(0, 5))
-    p = draw(st.sampled_from([2, 3, 5, 7]))
+    coefficients in [-8, 8] (some of them 0 mod p). n stops at 3 for p = 13,
+    which keeps the pointwise oracle below P^5(F_7) (19,608 points)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    n = draw(st.integers(0, 5 if p < 13 else 3))
     ring = tuple(f"x{i}" for i in range(n + 1))
     monomial = st.lists(st.integers(0, n), max_size=3).map(
         lambda vs: tuple(vs.count(i) for i in range(n + 1)))
@@ -224,6 +226,84 @@ def test_matmul_mod_exact_at_largest_prime():
     want = [[sum(int(a[i, t]) * int(b[t, j]) for t in range(7)) % p
              for j in range(4)] for i in range(3)]
     assert _matmul_mod(a, b, p).tolist() == want
+
+
+def _edge(p):
+    """The longest inner length at which float32 products are exact mod p."""
+    return (2**24 - p - 1) // (p - 1) ** 2
+
+
+_EDGES = [(p, k, 1, 1, 0) for p in (5, 13) for k in (_edge(p), _edge(p) + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5, 13, 65537, 2**31 - 1]).flatmap(
+    lambda p: st.tuples(st.just(p),
+                        st.integers(1, 64) | st.sampled_from(
+                            [_edge(p), _edge(p) + 1] if p in (5, 13) else [1]),
+                        st.integers(0, 2), st.integers(0, 2),
+                        st.integers(0, 2**32 - 1))))
+@example(_EDGES[0])
+@example(_EDGES[1])
+@example(_EDGES[2])
+@example(_EDGES[3])
+def test_zero_mod_matches_matmul_mod(case):
+    p, k, rows, cols, seed = case
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, (rows + 1, k), dtype=np.int64)
+    b = rng.integers(0, p, (k, cols + 2), dtype=np.int64)
+    # the largest entry the inner length allows, once as a multiple of p:
+    # the all-(p-1) row against an all-(p-1) column, and against one whose
+    # first k mod p entries are 0
+    a[-1] = b[:, -2:] = p - 1
+    b[:k % p, -1] = 0
+    got = _zero_mod(a, b, p)
+    assert got.dtype == bool
+    assert np.array_equal(got, _matmul_mod(a, b, p) == 0)
+    assert got[-1, -1]
+
+
+def test_zero_mod_row_blocks():
+    # 2^18 // (9 * 100) = 291 rows per block: 18 blocks, the last one short
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, 13, (5000, 9), dtype=np.int64)
+    b = rng.integers(0, 13, (9, 100), dtype=np.int64)
+    got = _zero_mod(a, b, 13)
+    assert got.any() and np.array_equal(got, _matmul_mod(a, b, 13) == 0)
+
+
+def test_float32_bound_edges():
+    for p in (5, 13):
+        assert _fits_float32(_edge(p), p) and not _fits_float32(_edge(p) + 1, p)
+    for p in (65537, 2**31 - 1):
+        assert not _fits_float32(1, p)
+    assert _fits_float32(1, 4093) and not _fits_float32(1, 4099)
+
+
+def test_zero_mod_dispatch(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the wrong product path ran")
+
+    ring = ("x", "y")
+    x, y = (Polynomial.variable(ring, v) for v in ring)
+    big = 2**31 - 1
+    scans = {65537: (ScanPlan(1, SmallPrime(65537)),
+                     (y - x * 40000) * (x - y * 3), 2),
+             big: (ScanPlan(0, SmallPrime(big)),
+                   parse_poly(f"{big - 1}*x^3 + {big - 2}*x^2 + 3*x", ("x",)), 1)}
+    monkeypatch.setattr(projspace, "_float32_zero", boom)
+    for p, (plan, f, matched) in scans.items():
+        a = np.full((2, 3), p - 1, dtype=np.int64)
+        assert _zero_mod(a, a.T, p).tolist() == [[False] * 2] * 2
+        assert scan_system(plan, [f]).matched == matched
+    monkeypatch.undo()
+    gens = plucker_ideal(5)
+    plan = ScanPlan(len(gens[0].ring_vars) - 1, SmallPrime(3))
+    want, want_rows = scan_system(plan, gens, collect=True)
+    monkeypatch.setattr(projspace, "_matmul_mod", boom)
+    got, rows = scan_system(plan, gens, collect=True)
+    assert got == want and got.matched == 1210
+    assert np.array_equal(rows, want_rows)
 
 
 def test_grid_kernel_exact_at_largest_prime_on_p0():
