@@ -148,7 +148,7 @@ def parse_config(path: str) -> RunConfig:
                 out.append(int(SmallPrime(int(item.strip()))))
             except ValueError as exc:
                 raise ConfigError(f"invalid prime {item.strip()!r}: {exc}") from exc
-        primes = tuple(out)
+        primes = tuple(dict.fromkeys(out))
     checks = ALL_CHECKS
     if "checks" in values:
         out = []

@@ -19,7 +19,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .algebra import (OffVarietyError, PointAffineRep, SmallPrime,
-                      matrix_rank_mod_p, nullspace_mod_p)
+                      matrix_rank_mod_p, matrix_rank_mod_p_batch,
+                      nullspace_mod_p)
 from .catalog import (build_case, g8_dual_net_matrix, g8_lift_to_wedge,
                       pair_labels, plucker_ideal, trace_zero_matrix)
 from .projspace import (DEFAULT_POINT_BUDGET, GRID_CHUNK_POINTS,
@@ -441,22 +442,23 @@ def _point_blocks(n: int, p: int) -> Iterator[np.ndarray]:
 
 def g5_plane_fiber_dichotomy(p: int):
     """(rank, fiber_count) profile over the genus-5 plane {x = 0};
-    the expected law is fiber_count = #P^(3 - rank)(F_p). The plane lies on
-    the model, so its rows go to the hit routine with no model check; the
-    rank of My is the independent side. The plane is enumerated in blocks
-    of at most GRID_CHUNK_POINTS rows. Raises BudgetExceeded before any
-    enumeration when P^11(F_p) exceeds DEFAULT_POINT_BUDGET."""
-    _check_budget(ScanPlan(11, p), DEFAULT_POINT_BUDGET)
-    base = base_points("g5", p)
+    the expected law is fiber_count = #P^(3 - rank)(F_p). A plane row y lies
+    over the base points u with My.u = 0, so its fiber count is the number
+    of u on which all three 4-column blocks of y vanish: three _zero_mod
+    tests against the stacked base points, AND-ed. The batched rank of My is
+    the independent side. The plane is enumerated in blocks of at most
+    GRID_CHUNK_POINTS rows. Raises BudgetExceeded before any enumeration
+    when P^11(F_p) exceeds DEFAULT_POINT_BUDGET."""
+    _check_budget(ScanPlan(11, p))
+    u = np.array(base_points("g5", p), dtype=np.int64).T
     counter: Counter = Counter()
-    ok = True
     for y in _point_blocks(11, p):
-        for y_row in y.tolist():
-            row = [0, 0, 0, 0] + y_row
-            rank = matrix_rank_mod_p([row[4:8], row[8:12], row[12:]], p)
-            count = len(_hits("g5", base, row, p))
-            counter[(rank, count)] += 1
-            ok &= count == (p ** (4 - rank) - 1) // (p - 1)
+        rank = matrix_rank_mod_p_batch(y.reshape(-1, 3, 4), p)
+        hit = _zero_mod(y[:, :4], u, p)
+        hit &= _zero_mod(y[:, 4:8], u, p)
+        hit &= _zero_mod(y[:, 8:], u, p)
+        counter.update(zip(rank.tolist(), hit.sum(axis=1).tolist()))
+    ok = all(count == (p ** (4 - rank) - 1) // (p - 1) for rank, count in counter)
     return counter, ok
 
 
@@ -470,7 +472,7 @@ def g4_intersection_plane_fiber_check(p: int):
     at most GRID_CHUNK_POINTS rows, so the mismatches are in index order.
     Returns (profile, mismatches). Raises BudgetExceeded before any
     enumeration when P^7(F_p) exceeds DEFAULT_POINT_BUDGET."""
-    _check_budget(ScanPlan(7, p), DEFAULT_POINT_BUDGET)
+    _check_budget(ScanPlan(7, p))
     base = base_points("g4", p)
     spec = base.model
     model = CompiledSystem(spec.generators)

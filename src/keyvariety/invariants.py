@@ -11,9 +11,9 @@ import numpy as np
 
 from .algebra import SmallPrime, _jacobian_partials, matrix_rank_mod_p_batch
 from .catalog import VarietySpec, RankLocusSpec, pinned_coordinate_change
-from .projspace import (DEFAULT_POINT_BUDGET, BudgetExceeded,  # noqa: F401
-                        CompiledSystem, ScanPlan, _check_budget, point_set,
-                        proj_point_count, scan_system)
+from .projspace import (BudgetExceeded,  # noqa: F401
+                        CompiledSystem, ScanPlan, point_set, proj_point_count,
+                        scan_system)
 
 _RANK_BLOCK = 1 << 13
 
@@ -131,20 +131,17 @@ def bracket_dimension(count: int, p: int, max_dim: int) -> int:
     return d
 
 
-def count_points(spec: VarietySpec, p: int, budget: int = DEFAULT_POINT_BUDGET) -> int:
-    plan = ScanPlan(spec.ambient_dim, SmallPrime(p))
-    _check_budget(plan, budget)
-    return len(point_set(plan, spec.generators))
+def count_points(spec: VarietySpec, p: int) -> int:
+    return len(point_set(ScanPlan(spec.ambient_dim, SmallPrime(p)), spec.generators))
 
 
-def estimate_dimension(spec: VarietySpec, primes,
-                       budget: int = DEFAULT_POINT_BUDGET) -> DimensionEstimate:
+def estimate_dimension(spec: VarietySpec, primes) -> DimensionEstimate:
     """Per-prime point counts and bracket dimension estimates."""
     counts: dict[int, int] = {}
     per_prime: dict[int, int] = {}
     for p in primes:
         p = SmallPrime(p)
-        counts[p] = count_points(spec, p, budget=budget)
+        counts[p] = count_points(spec, p)
         per_prime[p] = bracket_dimension(counts[p], p, spec.ambient_dim)
     estimates = set(per_prime.values())
     consistent = len(estimates) == 1

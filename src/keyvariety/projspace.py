@@ -6,33 +6,38 @@ the free coordinates after position k run in base-p lexicographic order, the
 coordinate right after the leading 1 being the most significant digit. This
 gives O(1) index -> point and a trivially partitionable index range.
 
+One routine evaluates polynomials on rows of residues: _generator_values,
+the term loop of a generator compiled by _compile (the columns it uses, then
+per term its coefficient and the exponents of those columns). Each term is a
+raw int64 product of its coefficient and columns, added raw into the sum, and
+a Python-int bound on the entries of the product and of the sum decides when
+to reduce mod p, only where the next product or addition could pass
+2^63 - 1; one % p ends the sum. At p = 2 and 3 nothing is reduced before that
+for the catalog's degrees, and at the largest SmallPrime it reduces about once
+per factor, so every value is exact for every SmallPrime.
+
+One routine tests products: _zero_mod(a, b, p) is (a @ b) % p == 0 for
+entries in [0, p). An entry of a @ b is at most L(p-1)^2 for inner length L.
+Where L(p-1)^2 + p < 2^24 (so p <= 4096) the product runs in float32 on BLAS,
+in row blocks small enough to stay on the calling thread, and is exact: every
+product and partial sum is an integer below 2^24, so the result is the same
+in any summation order, with or without FMA. The test x == p*rint(x/p) is
+exact too: if p divides x, x/p is exact; otherwise p*rint(x/p) is a
+representable multiple of p, so it differs from x. Where the bound fails the
+product is int64, its inner axis cut into slices reduced mod p wherever a sum
+could reach 2^63, so the test is exact for every prime SmallPrime accepts.
+
 Scans use a grid kernel. Group k is the full grid F_p^m, m = n - k, with its
 most significant digits first; split into s = ceil(m/2) outer and m - s inner
 digits (more outer ones where the inner grid would exceed GRID_CHUNK_POINTS
 points), its indices are outer-major. With x_0..x_{k-1} = 0 and x_k = 1 a
-generator is M_O(o)^T C M_I(i), M_O and M_I being the values of its outer and
-inner monomials on the outer and inner digit grids and C its coefficients. A
-block of outer rows holds a common zero where M_O[rows] @ F vanishes mod p,
-with F = (C @ M_I^T) % p the generator's fused table, built once per group:
-one product per generator, tested by _zero_mod. An entry of it is at most T(p-1)^2
-for T outer monomials. Where T(p-1)^2 + p < 2^24 (so p <= 4096) the product
-runs in float32 on BLAS, in row blocks small enough to stay on the calling
-thread, and is exact: every product and partial sum is an integer below 2^24,
-so the result is the same in any summation order, with or without FMA. The
-test x == p*rint(x/p) is exact too: if p divides x, x/p is exact; otherwise
-p*rint(x/p) is a representable multiple of p, so it differs from x. Where the
-bound fails the group keeps C and M_I^T and runs two int64 products,
-((M_O[rows] @ C) % p) @ M_I^T, with the inner axis cut into slices reduced mod
-p wherever a sum could reach 2^63, so the kernel is exact for every prime
-SmallPrime accepts. Point rows are built only for matched entries, which
-np.nonzero returns in index order. points_block builds rows by index, and
-CompiledSystem evaluates generators on explicit rows of residues: each term is
-a raw int64 product of its coefficient and columns, added raw into the sum,
-and a Python-int bound on the entries of the product and of the sum decides
-when to reduce mod p, only where the next product or addition could pass
-2^63 - 1; one % p ends the sum. At p = 2 and 3 nothing is reduced before that for
-the catalog's degrees, and at the largest SmallPrime it reduces about once per
-factor, so the loop is exact for every SmallPrime.
+generator is sum_j M_j(o) P_j(i) over its distinct outer monomials M_j. Its
+fused table F, built once per group, holds P_j on the inner digit grid in row
+j. A block of outer rows holds a common zero where M_O[rows] @ F vanishes mod
+p, M_O being the values of the M_j: one _zero_mod per generator and block,
+both operands from the term loop. Point rows are built only for matched
+entries, which np.nonzero returns in index order. CompiledSystem evaluates
+generators on explicit rows of points, which points_block builds by index.
 
 Chunks (blocks of outer rows of about GRID_CHUNK_POINTS points) run one after
 another in index order, which bounds the memory of one step. Every scan is
@@ -87,10 +92,10 @@ class ScanResult:
     matched: int
 
 
-def _check_budget(plan: ScanPlan, budget: int) -> None:
-    if plan.total > budget:
+def _check_budget(plan: ScanPlan) -> None:
+    if plan.total > DEFAULT_POINT_BUDGET:
         raise BudgetExceeded(f"P^{plan.ambient_dim}(F_{plan.prime}) has "
-                             f"{plan.total} points, budget {budget}")
+                             f"{plan.total} points, budget {DEFAULT_POINT_BUDGET}")
 
 
 def index_to_point(plan: ScanPlan, index: int) -> tuple:
@@ -139,23 +144,36 @@ def points_block(n: int, p: int, start: int, stop: int) -> np.ndarray:
     pos = 0
     gstart = 0
     for k in range(n + 1):
-        gsize = p ** (n - k)
-        gend = gstart + gsize
+        gend = gstart + p ** (n - k)
         lo, hi = max(start, gstart), min(stop, gend)
         if lo < hi:
-            off = np.arange(lo - gstart, hi - gstart, dtype=np.int64)
             rows = slice(pos, pos + hi - lo)
             out[rows, k] = 1
-            m = n - k
-            for j in range(m):
-                out[rows, k + 1 + j] = (off // p ** (m - 1 - j)) % p
+            out[rows, k + 1:] = _digit_grid(p, lo - gstart, hi - gstart, n - k)
             pos += hi - lo
         gstart = gend
     return out
 
 
+def _digit_grid(p: int, start: int, stop: int, width: int) -> np.ndarray:
+    """Base-p digits of start..stop-1, most significant first: (stop-start, width)."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((stop - start, width), dtype=np.int64)
+    for j in range(width):
+        out[:, j] = (idx // p ** (width - 1 - j)) % p
+    return out
+
+
 # ---------------------------------------------------------------------------
 # fast path: vectorized evaluation of polynomial systems
+
+
+def _compile(terms: dict) -> tuple:
+    """A polynomial given as {exponent tuple: coefficient} in the form that
+    _generator_values evaluates: (the columns it uses, per term the
+    coefficient and the exponents of those columns)."""
+    used = sorted({v for e in terms for v, d in enumerate(e) if d})
+    return used, [(c, [e[v] for v in used]) for e, c in terms.items()]
 
 
 def _generator_values(gen: tuple, pts: np.ndarray, rows: np.ndarray | None,
@@ -194,23 +212,14 @@ def _generator_values(gen: tuple, pts: np.ndarray, rows: np.ndarray | None,
 
 
 class CompiledSystem:
-    """Generators compiled for evaluation on explicit rows of points, whose
-    entries are residues in [0, p). Each generator keeps its coefficients,
-    the columns it uses and, per term, the exponents of those columns. Terms
-    and their sum stay unreduced until a tracked bound on their entries says
-    the next product or addition could pass 2^63 - 1, so evaluation is exact
-    for every SmallPrime."""
+    """Generators compiled by _compile, evaluated by the term loop
+    (_generator_values) on explicit rows of points whose entries are residues
+    in [0, p): compiled holds one entry per generator."""
 
     def __init__(self, polys: Sequence[Polynomial]):
         if not polys:
             raise ValueError("empty system")
-        self.nvars = len(polys[0].ring_vars)
-        self.polys = tuple(polys)
-        self.compiled = []
-        for f in polys:
-            used = [v for v in range(self.nvars) if any(e[v] for e in f.terms)]
-            terms = [(c, [e[v] for v in used]) for e, c in f.terms.items()]
-            self.compiled.append((used, terms))
+        self.compiled = [_compile(f.terms) for f in polys]
 
     def eval_block(self, pts: np.ndarray, p: int) -> np.ndarray:
         """Values of all generators on a block of points: shape (ngens, npts)."""
@@ -291,40 +300,14 @@ def _zero_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _matmul_mod(a, b, p) == 0
 
 
-def _digit_grid(p: int, start: int, stop: int, width: int) -> np.ndarray:
-    """Base-p digits of start..stop-1, most significant first: (stop-start, width)."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, width), dtype=np.int64)
-    for j in range(width):
-        out[:, j] = (idx // p ** (width - 1 - j)) % p
-    return out
-
-
-def _monomial_table(digits: np.ndarray, expos: np.ndarray, p: int) -> np.ndarray:
-    """Values mod p of the monomials expos (one exponent row each) at each
-    digit row: shape (len(digits), len(expos))."""
-    out = np.ones((digits.shape[0], expos.shape[0]), dtype=np.int64)
-    if not expos.size:
-        return out
-    for v, top in enumerate(expos.max(axis=0).tolist()):
-        if top == 0:
-            continue
-        powers = np.ones((digits.shape[0], top + 1), dtype=np.int64)
-        for d in range(1, top + 1):
-            powers[:, d] = powers[:, d - 1] * digits[:, v] % p
-        out = out * powers[:, expos[:, v]] % p
-    return out
-
-
 @dataclass(frozen=True)
 class _GridGroup:
     """Index group k (leading 1 at k) split into p^s outer rows of `width`
     inner points. gens holds, per generator that does not vanish on the whole
-    group, (outer exponents E_O, coefficients C, inner table M_I^T): its
-    value at outer row o and inner point i is (M_O(o) @ C @ M_I^T)[i] mod p,
-    where M_O(o) are the values of the monomials E_O at the digits of o.
-    Where _fits_float32 holds for len(E_O), C is None and the table is the
-    fused (C @ M_I^T) % p in float32."""
+    group, its outer monomials M_j (compiled, coefficient 1) and its fused
+    table F, whose row j is P_j on the inner digits: the generator's value at
+    outer row o and inner point i is sum_j M_j(o) F[j, i] mod p. F is float32
+    where _fits_float32 holds for its row count, else int64."""
     k: int
     s: int
     width: int
@@ -332,79 +315,62 @@ class _GridGroup:
     gens: tuple
 
 
-def _exponent_rows(expos, width: int) -> np.ndarray:
-    """The exponent tuples expos (any iterable of them) as an int64 array."""
-    return np.array(list(expos), dtype=np.int64).reshape(len(expos), width)
-
-
 def _grid_group(polys: Sequence[Polynomial], n: int, k: int, p: int) -> _GridGroup:
     """Restrict every generator to group k (x_0..x_{k-1} = 0, x_k = 1) and
     split its m = n - k free digits in half, the outer half taking the odd
     digit and any more it needs to leave at most GRID_CHUNK_POINTS inner
-    points. Balanced grids keep both monomial tables near p^(m/2) rows and
-    few monomials in the product over all p^m points; the widest inner grid
+    points. Balanced grids keep both digit grids near p^(m/2) rows and few
+    outer monomials in the product over all p^m points; the widest inner grid
     puts nearly every monomial there and made the scans of the catalog's
-    systems about ten times slower."""
+    systems about ten times slower. Terms that merge under x_k = 1 have their
+    coefficients summed before the term loop evaluates the tables."""
     m = n - k
-    terms = []
-    for f in polys:
-        gen = [(c % p, e[k + 1:]) for e, c in f.terms.items()
-               if c % p and not any(e[:k])]
-        if gen:
-            terms.append(gen)
     s = max((m + 1) // 2,
             next(s for s in range(m + 1) if p ** (m - s) <= GRID_CHUNK_POINTS))
     width = p ** (m - s)
     inner_digits = _digit_grid(p, 0, width, m - s)
-    inner: dict = {}
-    for gen in terms:
-        for _, e in gen:
-            inner.setdefault(e[s:], len(inner))
-    table = _monomial_table(inner_digits, _exponent_rows(inner, m - s), p)
     gens = []
-    for gen in terms:
-        outer_idx: dict = {}
-        inner_idx: dict = {}
-        oi = [outer_idx.setdefault(e[:s], len(outer_idx)) for _, e in gen]
-        ii = [inner_idx.setdefault(e[s:], len(inner_idx)) for _, e in gen]
-        coef = np.zeros((len(outer_idx), len(inner_idx)), dtype=np.int64)
-        np.add.at(coef, (oi, ii), [c for c, _ in gen])
-        coef %= p
-        inner_t = np.ascontiguousarray(table[:, [inner[e] for e in inner_idx]].T)
-        if _fits_float32(len(outer_idx), p):
-            # p <= 4096 here: a raw int64 sum of < 2^39 terms cannot overflow
-            coef, inner_t = None, ((coef @ inner_t) % p).astype(np.float32)
-        gens.append((_exponent_rows(outer_idx, s), coef, inner_t))
+    for f in polys:
+        parts: dict = {}
+        for e, c in f.terms.items():
+            if c % p and not any(e[:k]):
+                inner = parts.setdefault(e[k + 1:k + 1 + s], {})
+                inner[e[k + 1 + s:]] = inner.get(e[k + 1 + s:], 0) + c
+        if not parts:
+            continue
+        table = np.stack([_generator_values(_compile(part), inner_digits, None, p)
+                          for part in parts.values()])
+        if _fits_float32(len(parts), p):
+            table = table.astype(np.float32)
+        gens.append(([_compile({o: 1}) for o in parts], table))
     return _GridGroup(k, s, width, inner_digits, tuple(gens))
 
 
 def _grid_chunk(group: _GridGroup, n: int, p: int, r0: int, r1: int,
                 collect: bool):
-    """Scan outer rows [r0, r1) of a group: per generator, one exact zero
-    test of a product (float32 with a fused table, else two int64 products)
-    over the rows that still hold a common zero. Returns (points examined,
-    matched count, the matched rows in index order with collect, else
-    None)."""
+    """Scan outer rows [r0, r1) of a group: per generator, the values of its
+    outer monomials at the rows that still hold a common zero, and one
+    _zero_mod of them against its fused table. Returns (matched count, the
+    matched rows in index order with collect, else None)."""
     outer = _digit_grid(p, r0, r1, group.s)
     mask = np.ones((r1 - r0, group.width), dtype=bool)
-    for outer_expos, coef, table in group.gens:
+    for monomials, table in group.gens:
         live = np.flatnonzero(mask.any(axis=1))
         if live.size == 0:
             break
-        a = _monomial_table(outer[live], outer_expos, p)
-        if coef is not None:
-            a = _matmul_mod(a, coef, p)
+        digits = outer[live]
+        a = np.stack([_generator_values(mono, digits, None, p)
+                      for mono in monomials], axis=1)
         mask[live] &= _zero_mod(a, table, p)
-    examined = (r1 - r0) * group.width
     if not collect:
-        return examined, int(np.count_nonzero(mask)), None
+        return int(np.count_nonzero(mask)), None
     o, i = np.nonzero(mask)
     k, s = group.k, group.s
     rows = np.zeros((o.size, n + 1), dtype=np.int64)
     rows[:, k] = 1
     rows[:, k + 1:k + 1 + s] = outer[o]
     rows[:, k + 1 + s:] = group.inner_digits[i]
-    return examined, int(o.size), rows
+    return int(o.size), rows
 
 
 def scan_system(plan: ScanPlan, polys: Sequence[Polynomial], *,
@@ -415,25 +381,24 @@ def scan_system(plan: ScanPlan, polys: Sequence[Polynomial], *,
     Chunks run in index order, so the rows are in index order. Raises
     BudgetExceeded before any work when P^n(F_p) exceeds DEFAULT_POINT_BUDGET.
     """
-    _check_budget(plan, DEFAULT_POINT_BUDGET)
+    _check_budget(plan)
     if not polys:
         raise ValueError("empty system")
     if len(polys[0].ring_vars) != plan.ambient_dim + 1:
         raise ValueError("system arity does not match the scan plan")
     n, p = plan.ambient_dim, int(plan.prime)
-    total = matched = 0
+    matched = 0
     pieces = []
     for k in range(n + 1):
         group = _grid_group(polys, n, k, p)
         step = max(1, GRID_CHUNK_POINTS // group.width)
         nrows = p ** group.s
         for r0 in range(0, nrows, step):
-            examined, nmatch, rows = _grid_chunk(group, n, p, r0,
-                                                 min(r0 + step, nrows), collect)
-            total += examined
+            nmatch, rows = _grid_chunk(group, n, p, r0, min(r0 + step, nrows),
+                                       collect)
             matched += nmatch
             pieces.append(rows)
-    result = ScanResult(total, matched)
+    result = ScanResult(plan.total, matched)
     if collect:
         return result, np.concatenate(pieces, axis=0)
     return result

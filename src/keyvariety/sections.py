@@ -19,8 +19,7 @@ from .algebra import (ParseError, Polynomial, SmallPrime, fraction_matrix_rank,
                       matrix_rank_mod_p, parse_poly)
 from .catalog import VarietySpec, form_vanishes_on_plane
 from .invariants import _jacobian_singular_mask, bracket_dimension
-from .projspace import (DEFAULT_POINT_BUDGET, ScanPlan, _check_budget,
-                        common_zeros)
+from .projspace import ScanPlan, common_zeros
 
 # committed seeds for the shipped section checks (one per case); the g8 seed
 # is shared by the plane-preserving terminality probe
@@ -160,8 +159,7 @@ def parse_section_file(text: str, ring: Sequence[str]) -> tuple:
 
 
 def section_report(spec: VarietySpec, primes: Sequence[int],
-                   plane: str | None = None,
-                   budget: int = DEFAULT_POINT_BUDGET) -> list:
+                   plane: str | None = None) -> list:
     """Per-prime profile of a (cut) spec: point count, bracket dimension,
     Jacobian-singular rational points, and - when a plane is tracked - the
     plane-section count and the singular count off the plane. Point sets
@@ -169,9 +167,7 @@ def section_report(spec: VarietySpec, primes: Sequence[int],
     out = []
     for p in primes:
         p = SmallPrime(p)
-        plan = ScanPlan(spec.ambient_dim, p)
-        _check_budget(plan, budget)
-        pts = common_zeros(plan, spec.generators)
+        pts = common_zeros(ScanPlan(spec.ambient_dim, p), spec.generators)
         count = pts.shape[0]
         est = bracket_dimension(count, p, spec.ambient_dim)
         sing = _jacobian_singular_mask(spec, pts, p)

@@ -60,6 +60,16 @@ def test_parse_config_rejects_unknown_case_and_check(tmp_path):
         parse_config(_write(tmp_path, "cases=g5\nchecks=zap\n"))
 
 
+def test_parse_config_removes_duplicates(tmp_path):
+    text = "cases=Q3_g6q,Q3_g6q\nprimes=2,2\nchecks=count,dimension,count\n"
+    cfg = parse_config(_write(tmp_path, text))
+    assert cfg.cases == ("Q3_g6q",) and cfg.primes == (2,)
+    assert cfg.checks == ("count", "dimension")
+    report = run(cfg)
+    assert report["config"]["primes"] == [2]
+    assert [r["check"] for r in report["records"]] == ["count", "dimension"]
+
+
 def test_parse_config_full_round_trips_into_report(tmp_path):
     text = ("cases=g8,grass_2_5\nprimes=2,3\nchecks=degrees,ledger\n"
             "threads=2\nsample_cap=13\noutput_path=out.json\n")

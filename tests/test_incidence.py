@@ -95,6 +95,27 @@ def test_fiber_rejects_unpinned_case():
         base_points("g6c", 2)
 
 
+def _g5_rank_strata(p):
+    """{(rank, #P^(3 - rank)(F_p)): number of points of P^11(F_p)} for the
+    3x4 matrices My of each rank, up to scale: the rank-r matrices number
+    prod_{i<r} (p^3 - p^i)(p^4 - p^i)/(p^r - p^i)."""
+    out = {}
+    for r in (1, 2, 3):
+        num = den = 1
+        for i in range(r):
+            num *= (p**3 - p**i) * (p**4 - p**i)
+            den *= p**r - p**i
+        out[(r, proj_point_count(3 - r, p))] = num // den // (p - 1)
+    return out
+
+
+def test_g5_dichotomy_exhaustive_f3():
+    counter, ok = g5_plane_fiber_dichotomy(3)
+    assert ok
+    assert dict(counter) == _g5_rank_strata(3) == {
+        (3, 1): 224640, (2, 4): 40560, (1, 13): 520}
+
+
 def test_g5_dichotomy_exhaustive_f2():
     counter, ok = g5_plane_fiber_dichotomy(2)
     assert ok
@@ -407,15 +428,6 @@ def _skewed_zero_mod(a, b, p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_plane_checks_enumerate_in_chunks(monkeypatch, p):
     monkeypatch.setattr(incidence, "_zero_mod", _skewed_zero_mod)
-    probed = []
-    if p == 3:
-        # the 265,720 rows of the g5 plane at p = 3 get stand-ins for the
-        # Python per-row work; the rows that reach them are compared
-        monkeypatch.setattr(incidence, "matrix_rank_mod_p",
-                            lambda rows, p: sum(map(any, rows)))
-        monkeypatch.setattr(incidence, "_hits",
-                            lambda case, base, row, p:
-                            probed.append(tuple(row)) or [0] * (sum(row) % 4))
     requests = []
     monkeypatch.setattr(incidence, "points_block",
                         lambda n, p, lo, hi: requests.append((n, hi - lo))
@@ -424,18 +436,18 @@ def test_plane_checks_enumerate_in_chunks(monkeypatch, p):
     for chunk in (10**9, 100):
         monkeypatch.setattr(incidence, "GRID_CHUNK_POINTS", chunk)
         requests.clear()
-        probed.clear()
         g4 = g4_intersection_plane_fiber_check(p)
         g5 = g5_plane_fiber_dichotomy(p)
         assert max(size for _, size in requests) <= chunk
         # the planes are P^7 (g4) and P^11 (g5); the bases are smaller
         planes = sum(n in (7, 11) for n, _ in requests)
         runs.append((list(g4[0].items()), g4[1], list(g5[0].items()), g5[1],
-                     list(probed), planes))
+                     planes))
     single, chunked = runs
     assert single[-1] == 2 and chunked[-1] > 2
     assert single[:-1] == chunked[:-1]
-    assert single[1] and (p == 2 or single[4])
+    # the skew reaches the g4 mismatches and the g5 fiber counts
+    assert single[1] and dict(single[2]) != _g5_rank_strata(p)
 
 
 @pytest.mark.parametrize("case", ["g8", "g6q"])

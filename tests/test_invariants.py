@@ -8,6 +8,7 @@ from keyvariety.invariants import (BudgetExceeded, bracket_dimension,
                                    grassmann_degree, hilbert_ci_degree,
                                    singular_scan, two_path_count_check)
 from keyvariety.projspace import proj_point_count
+from keyvariety.sections import section_report
 
 # frozen by exhaustive scans; regression-guarded here
 FROZEN_COUNTS = {
@@ -76,7 +77,7 @@ def test_estimate_dimension_g8():
 
 def test_estimate_dimension_budget():
     with pytest.raises(BudgetExceeded):
-        estimate_dimension(build_case("g5_sigma_bar"), (13,), budget=10**6)
+        estimate_dimension(build_case("g5_sigma_bar"), (13,))
 
 
 @pytest.mark.parametrize("case,p", list(FROZEN_COUNTS))
@@ -229,7 +230,8 @@ def test_g6q_dual_vertex_plane_is_singular():
 @pytest.mark.parametrize("check", [
     lambda spec: two_path_count_check(spec, 5),
     lambda spec: singular_scan(spec, spec.rank_locus, 5),
-], ids=["two_path_count_check", "singular_scan"])
+    lambda spec: section_report(spec, (5,)),
+], ids=["two_path_count_check", "singular_scan", "section_report"])
 def test_unbudgeted_paths_hit_the_default_budget(check):
     # P^15(F_5) has 3.8e10 points; the scan refuses before it starts
     with pytest.raises(BudgetExceeded):
