@@ -63,18 +63,6 @@ class RankBranch:
     matrix: tuple                    # tuple of rows of Polynomial entries
     rank_bound: int
 
-    def minors(self) -> list[Polynomial]:
-        """All (rank_bound+1)-minors; their vanishing (plus the zero block)
-        cuts out the branch."""
-        rows = len(self.matrix)
-        cols = len(self.matrix[0])
-        k = self.rank_bound + 1
-        out = []
-        for ris in itertools.combinations(range(rows), k):
-            for cis in itertools.combinations(range(cols), k):
-                out.append(_poly_det([[self.matrix[i][j] for j in cis] for i in ris]))
-        return out
-
 
 @dataclass(frozen=True)
 class RankLocusSpec:
@@ -96,36 +84,6 @@ class VarietySpec:
 
     def var_index(self, name: str) -> int:
         return self.vars.index(name)
-
-
-def _poly_det(entries: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    n = len(entries)
-    ring = entries[0][0].ring_vars
-    out = Polynomial.zero(ring)
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        term = Polynomial.constant(ring, sign)
-        for i in range(n):
-            term = term * entries[i][perm[i]]
-        out = out + term
-    return out
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------

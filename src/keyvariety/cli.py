@@ -384,16 +384,17 @@ def check_sections(config: RunConfig) -> list:
         if case not in MAIN_CASES:
             continue
         spec = build_case(case)
-        base_seed = DEFAULT_SECTION_SEEDS[case]
-        codim = spec.expected_dim - 3
-        seed_used, draws, reports = _section_to_threefold(
-            spec, codim, base_seed)
-        rep = reports[0]
+        found = _seeded_section(spec, spec.expected_dim - 3,
+                                DEFAULT_SECTION_SEEDS[case], (3,), 20,
+                                lambda reports: reports[0].estimated_dim == 3)
+        if found is None:
+            raise RuntimeError(f"no nondegenerate section found for {case}")
+        seed, draws, (rep,) = found
         records.append(_rec(
             "sections", case, 3,
             {"dim": 3},
             {"dim": rep.estimated_dim, "count": rep.count,
-             "seed": seed_used, "draws": draws},
+             "seed": seed, "draws": draws},
             "a seeded random 3-fold section has dimension 3 at p = 3",
             ok=(rep.estimated_dim == 3)))
     if "g8_sigma_bar" in config.cases:
@@ -401,49 +402,43 @@ def check_sections(config: RunConfig) -> list:
     return records
 
 
-def _section_to_threefold(spec, codim, base_seed, max_reseeds=20):
-    """Seeded random section with re-seeding on degenerate draws."""
+def _seeded_section(spec, codim, base_seed, primes, tries, accept, plane=None):
+    """Seeded random sections of spec, through plane when one is given,
+    re-seeded from base_seed upward until accept(the section's reports)
+    holds: (seed, draws over all seeds, reports), or None after tries seeds."""
     total_draws = 0
-    for attempt in range(max_reseeds):
-        seed = base_seed + attempt
-        section, draws = random_section(spec, codim, seed, (3,))
+    for seed in range(base_seed, base_seed + tries):
+        section, draws = random_section(spec, codim, seed, primes,
+                                        contains_planes=(plane,) if plane else ())
         total_draws += draws
-        reports = section_report(cut(spec, section), (3,))
-        if reports[0].estimated_dim == 3:
+        reports = section_report(cut(spec, section), primes, plane=plane)
+        if accept(reports):
             return seed, total_draws, reports
-    raise RuntimeError(f"no nondegenerate section found for {spec.case_id}")
+    return None
 
 
-def _g8_plane_section_records(max_reseeds=50):
-    spec = build_case("g8_sigma_bar")
-    base_seed = DEFAULT_SECTION_SEEDS["g8_plane"]
-    total_draws = 0
-    for attempt in range(max_reseeds):
-        seed = base_seed + attempt
-        section, draws = random_section(spec, 2, seed, (2, 3),
-                                        contains_planes=("Pi",))
-        total_draws += draws
-        w = cut(spec, section)
-        reports = section_report(w, (2, 3), plane="Pi")
-        if (all(r.estimated_dim == 3 for r in reports)
-                and all(r.singular_off_plane == 0 for r in reports)
-                and all(r.plane_section_count == r.prime ** 2 + r.prime + 1
-                        for r in reports)):
-            out = []
-            for r in reports:
-                out.append(_rec(
-                    "sections", "g8_sigma_bar", r.prime,
-                    {"dim": 3, "plane_points": r.prime ** 2 + r.prime + 1,
-                     "singular_off_plane": 0},
-                    {"dim": r.estimated_dim, "plane_points": r.plane_section_count,
-                     "singular_off_plane": r.singular_off_plane,
-                     "seed": seed, "draws": total_draws},
-                    "a plane-preserving section is smooth at rational points "
-                    "off the plane", ok=True))
-            return out
-    return [CheckRecord("sections", "g8_sigma_bar", None,
-                        {"singular_off_plane": 0}, {"found": False}, "fail",
-                        "no plane-preserving section seed validated")]
+def _g8_plane_section_records():
+    found = _seeded_section(
+        build_case("g8_sigma_bar"), 2, DEFAULT_SECTION_SEEDS["g8_plane"],
+        (2, 3), 50,
+        lambda reports: all(r.estimated_dim == 3 and r.singular_off_plane == 0
+                            and r.plane_section_count == r.prime ** 2 + r.prime + 1
+                            for r in reports),
+        plane="Pi")
+    if found is None:
+        return [CheckRecord("sections", "g8_sigma_bar", None,
+                            {"singular_off_plane": 0}, {"found": False}, "fail",
+                            "no plane-preserving section seed validated")]
+    seed, draws, reports = found
+    return [_rec("sections", "g8_sigma_bar", r.prime,
+                 {"dim": 3, "plane_points": r.prime ** 2 + r.prime + 1,
+                  "singular_off_plane": 0},
+                 {"dim": r.estimated_dim, "plane_points": r.plane_section_count,
+                  "singular_off_plane": r.singular_off_plane,
+                  "seed": seed, "draws": draws},
+                 "a plane-preserving section is smooth at rational points "
+                 "off the plane", ok=True)
+            for r in reports]
 
 
 _CHECK_FUNCS = {
@@ -594,7 +589,8 @@ def main(argv=None) -> int:
             spec = build_case(case)
             with open(args.forms, "r", encoding="utf-8") as fh:
                 forms = parse_section_file(fh.read(), spec.vars)
-            primes = tuple(int(SmallPrime(int(x))) for x in args.primes.split(","))
+            primes = tuple(dict.fromkeys(int(SmallPrime(int(x)))
+                                         for x in args.primes.split(",")))
             w = cut(spec, SectionSpec(case, forms))
             for rep in section_report(w, primes):
                 print(json.dumps({

@@ -184,35 +184,47 @@ class SingularScanReport:
     containment_holds: bool | None = None
 
 
-def _jacobian_singular_mask(spec: VarietySpec, pts: np.ndarray, p: int) -> np.ndarray:
-    """Rank < codimension of the Jacobian at each point, evaluated and ranked
-    one _RANK_BLOCK block of points at a time. A block is copied column-major,
-    so that each column the partials read is contiguous, and is small enough
-    that its partials and bit planes stay in cache; the partials reach the
-    batch rank as the (B, ngens, nv) view of their batch-last values."""
-    gens = spec.generators
-    nv = len(spec.vars)
-    codim = spec.ambient_dim - spec.expected_dim
-    system = CompiledSystem([d for row in _jacobian_partials(tuple(gens)) for d in row])
-    out = np.zeros(pts.shape[0], dtype=bool)
+def _rank_mask(entries, shape: tuple, pts: np.ndarray, p: int) -> np.ndarray:
+    """F_p rank at each row of pts of the polynomial matrix of the given
+    (rows, cols) shape whose entries are listed in row order, evaluated and
+    ranked one _RANK_BLOCK block of points at a time. A block is copied
+    column-major, so that each column the entries read is contiguous, and is
+    small enough that its values and bit planes stay in cache; the values
+    reach the batch rank as the (B, rows, cols) view of their batch-last
+    array."""
+    system = CompiledSystem(list(entries))
+    out = np.zeros(pts.shape[0], dtype=np.int64)
     for s in range(0, pts.shape[0], _RANK_BLOCK):
         block = np.asfortranarray(pts[s:s + _RANK_BLOCK])
-        vals = system.eval_block(block, p)                  # (ngens*nv, B)
-        mats = vals.reshape(len(gens), nv, block.shape[0]).transpose(2, 0, 1)
-        out[s:s + block.shape[0]] = matrix_rank_mod_p_batch(mats, p) < codim
+        vals = system.eval_block(block, p)                  # (rows*cols, B)
+        mats = vals.reshape(*shape, block.shape[0]).transpose(2, 0, 1)
+        out[s:s + block.shape[0]] = matrix_rank_mod_p_batch(mats, p)
     return out
+
+
+def _on_zero_block(spec: VarietySpec, names, pts: np.ndarray) -> np.ndarray:
+    """Rows of pts (residues) on the coordinate subspace {names = 0}."""
+    return (pts[:, [spec.var_index(v) for v in names]] == 0).all(axis=1)
+
+
+def _jacobian_singular_mask(spec: VarietySpec, pts: np.ndarray, p: int) -> np.ndarray:
+    """Rank < codimension of the Jacobian at each point."""
+    shape = (len(spec.generators), len(spec.vars))
+    partials = [d for row in _jacobian_partials(tuple(spec.generators)) for d in row]
+    return _rank_mask(partials, shape, pts, p) < spec.ambient_dim - spec.expected_dim
 
 
 def _rank_locus_mask(spec: VarietySpec, locus: RankLocusSpec,
                      pts: np.ndarray, p: int) -> np.ndarray:
-    """Membership in the declared rank locus. A branch's minors are evaluated
-    only on the rows where its zero block vanishes (the rows are residues)."""
+    """Membership in the declared rank locus. A branch's matrix is ranked
+    only on the rows where its zero block vanishes; over a field, rank <= r
+    holds exactly where every (r+1)-minor vanishes."""
     member = np.zeros(pts.shape[0], dtype=bool)
     for branch in locus.branches:
-        zero_idx = [spec.var_index(v) for v in branch.zero_vars]
-        idx = np.flatnonzero((pts[:, zero_idx] == 0).all(axis=1))
-        minors = CompiledSystem(branch.minors())
-        member[idx[minors.vanishing_mask(pts[idx], p)]] = True
+        idx = np.flatnonzero(_on_zero_block(spec, branch.zero_vars, pts))
+        shape = (len(branch.matrix), len(branch.matrix[0]))
+        entries = [e for row in branch.matrix for e in row]
+        member[idx[_rank_mask(entries, shape, pts[idx], p) <= branch.rank_bound]] = True
     return member
 
 
@@ -235,9 +247,8 @@ def singular_scan(spec: VarietySpec, locus: RankLocusSpec | None, p: int,
         plane_name = next(iter(spec.planes)) if spec.planes else None
         holds = None
         if plane_name is not None:
-            zero_idx = [spec.var_index(v)
-                        for v in spec.planes[plane_name].vanishing_vars]
-            holds = bool((sing_pts[:, zero_idx] % p == 0).all()) if len(sing_pts) else True
+            holds = bool(_on_zero_block(
+                spec, spec.planes[plane_name].vanishing_vars, sing_pts).all())
         return SingularScanReport(p, pts.shape[0], jac_summary, None, None, 0, (),
                                   containment_plane=plane_name,
                                   containment_holds=holds)

@@ -88,7 +88,6 @@ class ScanPlan:
 
 @dataclass(frozen=True)
 class ScanResult:
-    total_examined: int
     matched: int
 
 
@@ -398,7 +397,7 @@ def scan_system(plan: ScanPlan, polys: Sequence[Polynomial], *,
                                        collect)
             matched += nmatch
             pieces.append(rows)
-    result = ScanResult(plan.total, matched)
+    result = ScanResult(matched)
     if collect:
         return result, np.concatenate(pieces, axis=0)
     return result

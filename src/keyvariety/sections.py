@@ -13,12 +13,11 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .algebra import (ParseError, Polynomial, SmallPrime, fraction_matrix_rank,
                       matrix_rank_mod_p, parse_poly)
 from .catalog import VarietySpec, form_vanishes_on_plane
-from .invariants import _jacobian_singular_mask, bracket_dimension
+from .invariants import (_jacobian_singular_mask, _on_zero_block,
+                         bracket_dimension)
 from .projspace import ScanPlan, common_zeros
 
 # committed seeds for the shipped section checks (one per case); the g8 seed
@@ -174,10 +173,7 @@ def section_report(spec: VarietySpec, primes: Sequence[int],
         plane_count = None
         off_plane = None
         if plane is not None:
-            zero_idx = [spec.var_index(v)
-                        for v in spec.planes[plane].vanishing_vars]
-            on_plane = (pts[:, zero_idx] % p == 0).all(axis=1) if count else \
-                np.zeros(0, dtype=bool)
+            on_plane = _on_zero_block(spec, spec.planes[plane].vanishing_vars, pts)
             plane_count = int(on_plane.sum())
             off_plane = int((sing & ~on_plane).sum())
         out.append(SectionReport(spec.case_id, p, int(count), est,

@@ -222,6 +222,15 @@ def test_cli_section_command(tmp_path, capsys):
     assert json.loads(lines[0])["estimated_dim"] == 3
 
 
+def test_cli_section_removes_duplicate_primes(tmp_path, capsys):
+    forms = tmp_path / "forms.txt"
+    forms.write_text("x5 - x6\n")
+    assert main(["section", "--case", "g8", "--forms", str(forms),
+                 "--primes", "2,2"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["prime"] == 2
+
+
 def test_run_over_budget_exits_2_before_any_scan(tmp_path, capsys, monkeypatch):
     chunks = []
     real = projspace._grid_chunk

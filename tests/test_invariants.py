@@ -158,15 +158,16 @@ def _zero_block_rows(spec, branch, pts):
 
 @pytest.mark.parametrize("case,p,sample", [
     ("g4_sigma_bar", 2, None), ("g5_sigma_bar", 2, None),
-    ("g6q_sigma_bar", 2, None), ("g4_sigma_bar", 3, 1000)])
+    ("g6q_sigma_bar", 2, None), ("g4_sigma_bar", 3, 1000),
+    ("g5_sigma_bar", 3, 1000), ("g6q_sigma_bar", 3, 1000)])
 def test_rank_locus_mask_matches_pointwise_membership(monkeypatch, case, p,
                                                       sample):
     """The array mask against catalog.rank_locus_member at every point; at
-    p = 3 a seeded sample of 1000 points plus 1000 with a zero block. The
-    minors only ever see a branch's zero-block rows."""
+    p = 3 a seeded sample of 1000 points plus 1000 with a zero block. A
+    branch's matrix is only ever ranked on its zero-block rows."""
     from keyvariety.algebra import PointAffineRep
     from keyvariety.catalog import rank_locus_member
-    from keyvariety.projspace import CompiledSystem, ScanPlan, point_set
+    from keyvariety.projspace import ScanPlan, point_set
 
     spec = build_case(case)
     locus = spec.rank_locus
@@ -179,10 +180,10 @@ def test_rank_locus_mask_matches_pointwise_membership(monkeypatch, case, p,
             pts[rng.choice(pts.shape[0], sample, replace=False)],
             pts[rng.choice(np.flatnonzero(blocks), sample, replace=False)]])
     seen = []
-    real = CompiledSystem.vanishing_mask
-    monkeypatch.setattr(CompiledSystem, "vanishing_mask",
-                        lambda self, rows, q: seen.append(rows.shape[0]) or
-                        real(self, rows, q))
+    real = invariants._rank_mask
+    monkeypatch.setattr(invariants, "_rank_mask",
+                        lambda entries, shape, rows, q: seen.append(rows.shape[0])
+                        or real(entries, shape, rows, q))
     member = invariants._rank_locus_mask(spec, locus, pts, p)
     assert seen == [int(_zero_block_rows(spec, b, pts).sum())
                     for b in locus.branches]
@@ -191,6 +192,23 @@ def test_rank_locus_mask_matches_pointwise_membership(monkeypatch, case, p,
             for row in pts.tolist()]
     assert member.tolist() == want
     assert 0 < member.sum() < pts.shape[0]
+
+
+def test_rank_locus_mask_multiplies_no_polynomial(monkeypatch):
+    """The declared matrices are ranked point by point: no minor is expanded
+    symbolically once the specs are built."""
+    from keyvariety.algebra import Polynomial
+    from keyvariety.projspace import ScanPlan, point_set
+
+    specs = [build_case(c) for c in ("g4_sigma_bar", "g5_sigma_bar", "g6q_sigma_bar")]
+    sets = [point_set(ScanPlan(s.ambient_dim, 2), s.generators) for s in specs]
+
+    def refuse(*_):
+        raise AssertionError("a Polynomial product")
+
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    for spec, pts in zip(specs, sets):
+        assert invariants._rank_locus_mask(spec, spec.rank_locus, pts, 2).any()
 
 
 def test_g8_singular_set_is_projected_veronese():
