@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .algebra import PointAffineRep, SmallPrime
 from .catalog import (ALL_CASES, CASE_ALIASES, MAIN_CASES, build_case,
-                      plane_containment_check)
+                      pinned_coordinate_change, plane_containment_check)
 from .incidence import (FIBER_CASES, base_points, clear_base_points,
                         fiber_birationality_check, fiber_over,
                         g4_intersection_plane_fiber_check,
@@ -181,8 +181,9 @@ def check_count(config: RunConfig) -> list:
     records = []
     for case in config.cases:
         spec = build_case(case)
+        moved = pinned_coordinate_change(spec)
         for p in config.primes:
-            direct, transformed = two_path_count_check(spec, p)
+            direct, transformed = two_path_count_check(spec, p, moved)
             records.append(_rec(
                 "count", case, p, transformed, direct,
                 "point count agrees along two predicate paths"))

@@ -290,8 +290,10 @@ def _block_key(block: Sequence[int], p: int) -> tuple | None:
 
 
 def _trace_zero_rows(e: np.ndarray, p: int) -> np.ndarray:
-    """trace_zero_matrix of each row of e (8 entries), flattened in row
-    order and reduced mod p: shape (len(e), 9)."""
+    """trace_zero_matrix of each row of e (8 residues, widened to int64
+    first, as m33 = -(m11 + m22) is negative), flattened in row order and
+    reduced mod p: shape (len(e), 9)."""
+    e = e.astype(np.int64, copy=False)
     return np.stack([m for row in trace_zero_matrix(e.T) for m in row], axis=1) % p
 
 
@@ -516,15 +518,17 @@ def fiber_birationality_check(case: str, p: int):
     """Exhaustively confirm that the resolution is one-to-one over the locus
     the fiber dichotomies leave untouched: every row of the model's point
     set whose key blocks are all nonzero. The rows are on the model by
-    construction, so they go to the hit routine with no model check.
+    construction, so they go to the hit routine with no model check. They
+    become Python tuples one block of GRID_CHUNK_POINTS rows at a time.
     Returns (#checked, #violations)."""
     layout = _fiber_case(case)
     spec = build_case(layout.model)
     pts = point_set(ScanPlan(spec.ambient_dim, SmallPrime(p)), spec.generators)
     base = base_points(case, p)
     checked = violations = 0
-    for row in pts.tolist():
-        if all(any(row[s]) for s in layout.keys):
-            checked += 1
-            violations += len(_hits(case, base, row, p)) != 1
+    for lo in range(0, pts.shape[0], GRID_CHUNK_POINTS):
+        for row in pts[lo:lo + GRID_CHUNK_POINTS].tolist():
+            if all(any(row[s]) for s in layout.keys):
+                checked += 1
+                violations += len(_hits(case, base, row, p)) != 1
     return checked, violations

@@ -150,14 +150,19 @@ def estimate_dimension(spec: VarietySpec, primes) -> DimensionEstimate:
     return DimensionEstimate(counts, per_prime, estimated, consistent)
 
 
-def two_path_count_check(spec: VarietySpec, p: int) -> tuple:
+def two_path_count_check(spec: VarietySpec, p: int,
+                         moved: tuple | None = None) -> tuple:
     """Count the variety twice: from the pinned generators and from the
-    generators rewritten through the committed coordinate change. The counts
-    agree iff both predicate paths see the same point set cardinality. The
-    transformed path always scans: it never reads the point-set memo."""
+    generators rewritten through the committed coordinate change (moved, the
+    result of pinned_coordinate_change(spec), which does not depend on p;
+    computed here when None). The counts agree iff both predicate paths see
+    the same point set cardinality. The transformed path always scans: it
+    never reads the point-set memo."""
     plan = ScanPlan(spec.ambient_dim, SmallPrime(p))
     direct = len(point_set(plan, spec.generators))
-    transformed = scan_system(plan, list(pinned_coordinate_change(spec))).matched
+    if moved is None:
+        moved = pinned_coordinate_change(spec)
+    transformed = scan_system(plan, list(moved)).matched
     return direct, transformed
 
 
@@ -188,14 +193,15 @@ def _rank_mask(entries, shape: tuple, pts: np.ndarray, p: int) -> np.ndarray:
     """F_p rank at each row of pts of the polynomial matrix of the given
     (rows, cols) shape whose entries are listed in row order, evaluated and
     ranked one _RANK_BLOCK block of points at a time. A block is copied
-    column-major, so that each column the entries read is contiguous, and is
-    small enough that its values and bit planes stay in cache; the values
+    column-major and widened to int64 in the same copy, so that each column
+    the entries read is contiguous and needs no further copy, and is small
+    enough that its values and bit planes stay in cache; the values
     reach the batch rank as the (B, rows, cols) view of their batch-last
     array."""
     system = CompiledSystem(list(entries))
     out = np.zeros(pts.shape[0], dtype=np.int64)
     for s in range(0, pts.shape[0], _RANK_BLOCK):
-        block = np.asfortranarray(pts[s:s + _RANK_BLOCK])
+        block = np.asfortranarray(pts[s:s + _RANK_BLOCK], dtype=np.int64)
         vals = system.eval_block(block, p)                  # (rows*cols, B)
         mats = vals.reshape(*shape, block.shape[0]).transpose(2, 0, 1)
         out[s:s + block.shape[0]] = matrix_rank_mod_p_batch(mats, p)

@@ -46,6 +46,15 @@ memo (point_set), so each (generators, prime) pair is scanned once until
 clear_point_sets(). common_zeros reads the memo without adding to it: a
 system whose leading generators are held (a linear section of a held
 variety) is filtered from their rows instead of scanned.
+
+Point sets are narrow: the rows of a collect scan, of point_set and of
+common_zeros are in row_dtype(p), the narrowest unsigned dtype that holds
+p - 1 (uint8 up to p = 251, an eighth of int64). They are widened to int64
+only inside arithmetic, and never a whole set at once: _generator_values
+casts each column it reads, vanishing_mask walks its rows in blocks of
+GRID_CHUNK_POINTS, _matmul_mod casts its operands and _float32_zero casts
+to float32. Kernel operands that are not held sets (_digit_grid,
+points_block) stay int64.
 """
 from __future__ import annotations
 
@@ -137,6 +146,13 @@ def point_to_index(plan: ScanPlan, coords: Sequence[int]) -> int:
     return gstart + off
 
 
+def row_dtype(p: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every residue mod p: uint8 up
+    to p = 251, uint16 up to 65521, uint32 above. Scanned and held point
+    sets are stored in it."""
+    return np.min_scalar_type(p - 1)
+
+
 def points_block(n: int, p: int, start: int, stop: int) -> np.ndarray:
     """Normalized representatives with indices [start, stop), one per row."""
     out = np.zeros((stop - start, n + 1), dtype=np.int64)
@@ -179,14 +195,16 @@ def _generator_values(gen: tuple, pts: np.ndarray, rows: np.ndarray | None,
                       p: int) -> np.ndarray:
     """Values mod p of a compiled generator (used columns, terms) at the rows
     of pts indexed by rows (all rows when None), reading only the columns it
-    uses, at those rows. hi and acc_hi bound the entries of term and acc
-    (pts holds residues), and either is reduced mod p only where the next
-    product or sum could pass 2^63 - 1."""
+    uses, at those rows, each widened to int64 (no copy for int64 rows).
+    hi and acc_hi bound the entries of term and acc (pts holds residues), and
+    either is reduced mod p only where the next product or sum could pass
+    2^63 - 1."""
     used, terms = gen
     if rows is None:
         size, cols = pts.shape[0], [pts[:, v] for v in used]
     else:
         size, cols = rows.size, [pts[rows, v] for v in used]
+    cols = [col.astype(np.int64, copy=False) for col in cols]
     top = p - 1
     acc = np.zeros(size, dtype=np.int64)
     acc_hi = 0
@@ -228,14 +246,19 @@ class CompiledSystem:
         return out
 
     def vanishing_mask(self, pts: np.ndarray, p: int) -> np.ndarray:
-        """Rows of pts on which every generator vanishes mod p. Each
-        generator is evaluated only at the rows still held."""
+        """Rows of pts on which every generator vanishes mod p, walked in
+        blocks of GRID_CHUNK_POINTS rows, so that the int64 columns of one
+        block are the most ever widened at once. In a block each generator
+        is evaluated only at the rows still held."""
         mask = np.ones(pts.shape[0], dtype=bool)
-        for gen in self.compiled:
-            idx = np.flatnonzero(mask)
-            if not idx.size:
-                break
-            mask[idx[_generator_values(gen, pts, idx, p) != 0]] = False
+        for lo in range(0, pts.shape[0], GRID_CHUNK_POINTS):
+            block = pts[lo:lo + GRID_CHUNK_POINTS]
+            held = mask[lo:lo + GRID_CHUNK_POINTS]
+            for gen in self.compiled:
+                idx = np.flatnonzero(held)
+                if not idx.size:
+                    break
+                held[idx[_generator_values(gen, block, idx, p) != 0]] = False
         return mask
 
 
@@ -246,10 +269,12 @@ GRID_CHUNK_POINTS = 1 << 16
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) % p for int64 matrices with entries in [0, p), exact: an
-    entry of a @ b is at most (inner length)*(p-1)^2, so the inner axis is
-    cut into slices whose products stay below 2^63, reduced mod p between
-    slices."""
+    """(a @ b) % p for integer matrices with entries in [0, p), widened to
+    int64, exact: an entry of a @ b is at most (inner length)*(p-1)^2, so
+    the inner axis is cut into slices whose products stay below 2^63,
+    reduced mod p between slices."""
+    a = a.astype(np.int64, copy=False)
+    b = b.astype(np.int64, copy=False)
     step = max(1, _INT64_MAX // (p - 1) ** 2)
     if a.shape[1] <= step:
         return (a @ b) % p
@@ -350,7 +375,8 @@ def _grid_chunk(group: _GridGroup, n: int, p: int, r0: int, r1: int,
     """Scan outer rows [r0, r1) of a group: per generator, the values of its
     outer monomials at the rows that still hold a common zero, and one
     _zero_mod of them against its fused table. Returns (matched count, the
-    matched rows in index order with collect, else None)."""
+    matched rows in index order with collect, else None), the rows in
+    row_dtype(p)."""
     outer = _digit_grid(p, r0, r1, group.s)
     mask = np.ones((r1 - r0, group.width), dtype=bool)
     for monomials, table in group.gens:
@@ -365,7 +391,7 @@ def _grid_chunk(group: _GridGroup, n: int, p: int, r0: int, r1: int,
         return int(np.count_nonzero(mask)), None
     o, i = np.nonzero(mask)
     k, s = group.k, group.s
-    rows = np.zeros((o.size, n + 1), dtype=np.int64)
+    rows = np.zeros((o.size, n + 1), dtype=row_dtype(p))
     rows[:, k] = 1
     rows[:, k + 1:k + 1 + s] = outer[o]
     rows[:, k + 1 + s:] = group.inner_digits[i]
@@ -376,9 +402,10 @@ def scan_system(plan: ScanPlan, polys: Sequence[Polynomial], *,
                 collect: bool = False):
     """Scan for common zeros of a polynomial system with the grid kernel.
 
-    Returns a ScanResult, or (ScanResult, matched_points_array) with collect=True.
-    Chunks run in index order, so the rows are in index order. Raises
-    BudgetExceeded before any work when P^n(F_p) exceeds DEFAULT_POINT_BUDGET.
+    Returns a ScanResult, or (ScanResult, matched_points_array) with
+    collect=True, the rows in row_dtype(p). Chunks run in index order, so the
+    rows are in index order. Raises BudgetExceeded before any work when
+    P^n(F_p) exceeds DEFAULT_POINT_BUDGET.
     """
     _check_budget(plan)
     if not polys:
@@ -407,8 +434,8 @@ _POINT_SETS: dict = {}
 
 
 def point_set(plan: ScanPlan, polys: Sequence[Polynomial]) -> np.ndarray:
-    """Common zeros of polys in P^n(F_p) as read-only int64 rows, in index
-    order. The first call per (plan, generators) finds them with
+    """Common zeros of polys in P^n(F_p) as read-only row_dtype(p) rows, in
+    index order. The first call per (plan, generators) finds them with
     common_zeros and holds them; later calls return the held array until
     clear_point_sets()."""
     key = (plan, tuple(polys))
@@ -421,10 +448,11 @@ def point_set(plan: ScanPlan, polys: Sequence[Polynomial]) -> np.ndarray:
 
 
 def common_zeros(plan: ScanPlan, polys: Sequence[Polynomial]) -> np.ndarray:
-    """Common zeros of polys in P^n(F_p) as int64 rows in index order, read
-    through the memo without adding to it: the held rows of polys, else the
-    rows of the longest held leading part of polys (a cut spec's base) on
-    which the other generators vanish, else a collect=True scan."""
+    """Common zeros of polys in P^n(F_p) as row_dtype(p) rows in index
+    order, read through the memo without adding to it: the held rows of
+    polys, else the rows of the longest held leading part of polys (a cut
+    spec's base) on which the other generators vanish, else a collect=True
+    scan."""
     polys = tuple(polys)
     for j in range(len(polys), 0, -1):
         base = _POINT_SETS.get((plan, polys[:j]))

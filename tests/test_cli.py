@@ -286,6 +286,19 @@ def test_run_scans_each_point_set_once(monkeypatch):
     assert scans & expected == expected
 
 
+def test_count_rewrites_each_case_once(monkeypatch):
+    from keyvariety import cli
+
+    calls = []
+    for module in (cli, invariants):
+        real = module.pinned_coordinate_change
+        monkeypatch.setattr(module, "pinned_coordinate_change",
+                            lambda spec, real=real:
+                            calls.append(spec.case_id) or real(spec))
+    run(RunConfig(cases=("grass_2_5", "B5"), primes=(2, 3), checks=("count",)))
+    assert calls == ["grass_2_5", "B5"]
+
+
 def test_repeated_runs_identical_and_memo_emptied():
     config = RunConfig(cases=("grass_2_5", "B6"), primes=(2, 3),
                        checks=("count", "dimension"))

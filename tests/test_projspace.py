@@ -149,7 +149,7 @@ def test_point_set_scans_once_and_is_read_only(monkeypatch):
     plan = ScanPlan(2, SmallPrime(5))
     first = point_set(plan, [f])
     assert point_set(plan, (f,)) is first and len(calls) == 1
-    assert first.dtype == np.int64 and not first.flags.writeable
+    assert first.dtype == np.min_scalar_type(5 - 1) and not first.flags.writeable
     with pytest.raises(ValueError):
         first[0, 0] = 7
     res, pts = real(plan, [f], collect=True)
@@ -408,3 +408,97 @@ def test_section_report_reads_the_memo_and_adds_nothing(monkeypatch):
     (again,) = section_report(w, (3,))
     assert len(calls) == 1 and again == rep
     assert projspace._POINT_SETS == {}
+
+
+@pytest.mark.parametrize("p,dtype", [(251, np.uint8), (257, np.uint16),
+                                     (4099, np.uint16)])
+def test_narrow_rows_equal_int64_rows_at_dtype_edges(p, dtype, monkeypatch):
+    """Rows held in the narrowest dtype give every kernel the results of the
+    same rows as int64. p = 251 holds 250 in uint8, p = 257 needs uint16,
+    and at p = 4099 the products leave float32 for _matmul_mod. Each kernel
+    widens by an explicit cast, so this holds under the promotion rules of
+    numpy 1.x and 2.x alike."""
+    from keyvariety.algebra import matrix_rank_mod_p
+    from keyvariety.incidence import _trace_zero_rows
+    from keyvariety.invariants import _rank_mask
+
+    rng = np.random.default_rng(p)
+    wide = rng.integers(0, p, (40, 8), dtype=np.int64)
+    wide[0], wide[1] = 0, p - 1
+    # every other row on x0 = x1, x2*x3 = x4*x5, so that the mask holds both
+    wide[::2, 1] = wide[::2, 0]
+    wide[::2, 4:6] = wide[::2, 2:4]
+    narrow = wide.astype(projspace.row_dtype(p))
+    assert narrow.dtype == dtype and narrow.max() == p - 1
+    assert np.array_equal(narrow, wide)
+
+    ring = tuple(f"x{i}" for i in range(8))
+    polys = [parse_poly(t, ring) for t in
+             ("x0 - x1", "x2*x3 - x4*x5", f"{p - 1}*x6^3 - x7*x0^2 + 5")]
+    system = CompiledSystem(polys)
+    values = system.eval_block(narrow, p)
+    want = [[f.eval_mod(row, p) for row in wide.tolist()] for f in polys]
+    assert np.array_equal(values, system.eval_block(wide, p))
+    assert values.tolist() == want
+    monkeypatch.setattr(projspace, "GRID_CHUNK_POINTS", 7)
+    held = CompiledSystem(polys[:2]).vanishing_mask(narrow, p)
+    assert held[::2].all() and not held.all()
+    assert np.array_equal(held, CompiledSystem(polys[:2]).vanishing_mask(wide, p))
+
+    entries = [Polynomial.variable(ring, v) for v in ring]
+    ranks = _rank_mask(entries, (2, 4), narrow, p)
+    assert np.array_equal(ranks, _rank_mask(entries, (2, 4), wide, p))
+    assert ranks.tolist() == [matrix_rank_mod_p([row[:4], row[4:]], p)
+                              for row in wide.tolist()]
+
+    traced = _trace_zero_rows(narrow, p)
+    assert np.array_equal(traced, _trace_zero_rows(wide, p))
+    assert traced[:, 8].tolist() == [-(r[0] + r[4]) % p for r in wide.tolist()]
+
+    # the all-(p-1) row against the all-(p-1) column: p(p-1)^2 = 0 mod p
+    b = rng.integers(0, p, (p, 3), dtype=np.int64)
+    b[:, 0] = p - 1
+    a = rng.integers(0, p, (4, p), dtype=np.int64)
+    a[-1] = p - 1
+    zero = _zero_mod(a.astype(dtype), b.astype(dtype), p)
+    assert np.array_equal(zero, _zero_mod(a, b, p))
+    assert np.array_equal(zero, _matmul_mod(a, b, p) == 0) and zero[-1, 0]
+    assert np.array_equal(_matmul_mod(a.astype(dtype), b.astype(dtype), p),
+                          _matmul_mod(a, b, p))
+
+    f = parse_poly("x0^2 + x0*x1", ("x0", "x1"))
+    _, rows = scan_system(ScanPlan(1, SmallPrime(p)), [f], collect=True)
+    assert rows.dtype == dtype and rows.tolist() == [[1, p - 1], [0, 1]]
+
+
+def test_point_sets_stay_narrow_in_memory():
+    """The traced peak of the g4 point set at p = 3 (401,314 rows of 14
+    one-byte residues) stays below three times its bytes: int64 rows, or
+    holding both the chunk pieces and their join as int64, would not. A
+    linear cut of it filtered from the memo widens one block of
+    GRID_CHUNK_POINTS rows at a time: at most 2(n + 1) int64 vectors of a
+    block at once, besides the mask and the cut rows."""
+    import tracemalloc
+
+    spec = build_case("g4_sigma_bar")
+    plan = ScanPlan(spec.ambient_dim, SmallPrime(3))
+    ncols = spec.ambient_dim + 1
+    form = parse_poly(" + ".join(f"{i + 1}*{v}" for i, v in enumerate(spec.vars)),
+                      spec.vars)
+    clear_point_sets()
+    tracemalloc.start()
+    try:
+        pts = point_set(plan, spec.generators)
+        _, scan_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        rows = projspace.common_zeros(plan, spec.generators + (form,))
+        _, cut_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        clear_point_sets()
+    assert pts.shape == (401_314, ncols) and pts.dtype == np.uint8
+    assert scan_peak < 3 * pts.nbytes
+    assert 0 < len(rows) < len(pts)
+    assert cut_peak - held < (2 * ncols * GRID_CHUNK_POINTS * 8
+                              + pts.shape[0] + pts.nbytes)
