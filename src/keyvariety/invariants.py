@@ -171,20 +171,10 @@ def two_path_count_check(spec: VarietySpec, p: int,
 
 
 @dataclass(frozen=True)
-class PointSetSummary:
-    count: int
-    sample: tuple
-
-
-@dataclass(frozen=True)
 class SingularScanReport:
-    prime: int
-    total_on_variety: int
-    jacobian_singular: PointSetSummary
-    rank_locus: PointSetSummary | None
-    sets_equal: bool | None
-    symmetric_difference_count: int
-    symmetric_difference_sample: tuple
+    points: np.ndarray              # the held read-only rows of the variety
+    singular: np.ndarray            # Jacobian-singular rows
+    difference: np.ndarray | None   # rows where the two masks differ
     containment_plane: str | None = None
     containment_holds: bool | None = None
 
@@ -234,36 +224,24 @@ def _rank_locus_mask(spec: VarietySpec, locus: RankLocusSpec,
     return member
 
 
-def singular_scan(spec: VarietySpec, locus: RankLocusSpec | None, p: int,
-                  sample_cap: int = 16) -> SingularScanReport:
+def singular_scan(spec: VarietySpec, locus: RankLocusSpec | None,
+                  p: int) -> SingularScanReport:
     """Classify every rational point of the variety as smooth or singular by
-    the Jacobian criterion (rank < codimension) and compare with the declared
-    rank-locus description; with no description, report the containment of
-    the singular set in the distinguished plane instead.
+    the Jacobian criterion (rank < codimension). With a declared rank-locus
+    description, difference holds the rows where the two masks disagree;
+    with none, report the containment of the singular set in the
+    distinguished plane instead. All row arrays are in index order.
     """
     p = SmallPrime(p)
-    plan = ScanPlan(spec.ambient_dim, p)
-    pts = point_set(plan, spec.generators)
+    pts = point_set(ScanPlan(spec.ambient_dim, p), spec.generators)
     sing = _jacobian_singular_mask(spec, pts, p)
     sing_pts = pts[sing]
-    jac_summary = PointSetSummary(
-        int(sing.sum()),
-        tuple(tuple(r) for r in sing_pts[:sample_cap].tolist()))
-    if locus is None:
-        plane_name = next(iter(spec.planes)) if spec.planes else None
-        holds = None
-        if plane_name is not None:
-            holds = bool(_on_zero_block(
-                spec, spec.planes[plane_name].vanishing_vars, sing_pts).all())
-        return SingularScanReport(p, pts.shape[0], jac_summary, None, None, 0, (),
-                                  containment_plane=plane_name,
-                                  containment_holds=holds)
-    member = _rank_locus_mask(spec, locus, pts, p)
-    diff = sing ^ member
-    diff_count = int(diff.sum())
-    return SingularScanReport(
-        p, pts.shape[0], jac_summary,
-        PointSetSummary(int(member.sum()),
-                        tuple(tuple(r) for r in pts[member][:sample_cap].tolist())),
-        diff_count == 0, diff_count,
-        tuple(tuple(r) for r in pts[diff][:sample_cap].tolist()))
+    if locus is not None:
+        diff = sing ^ _rank_locus_mask(spec, locus, pts, p)
+        return SingularScanReport(pts, sing_pts, pts[diff])
+    plane_name = next(iter(spec.planes), None)
+    holds = None
+    if plane_name is not None:
+        holds = bool(_on_zero_block(
+            spec, spec.planes[plane_name].vanishing_vars, sing_pts).all())
+    return SingularScanReport(pts, sing_pts, None, plane_name, holds)

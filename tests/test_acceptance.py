@@ -58,11 +58,11 @@ def test_criterion_3_singular_loci():
         spec = build_case(case)
         for p in (2, 3):
             rep = singular_scan(spec, spec.rank_locus, p)
-            assert rep.sets_equal is True, (case, p)
-            assert rep.symmetric_difference_sample == (), (case, p)
+            assert len(rep.difference) == 0, (case, p)
     spec = build_case("g6c_sigma_bar")
     for p in (2, 3):
         rep = singular_scan(spec, None, p)
+        assert rep.difference is None
         assert rep.containment_plane == "Pibar"
         assert rep.containment_holds is True, p
     _report(3, "singular loci equal their rank descriptions; "

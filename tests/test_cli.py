@@ -308,3 +308,38 @@ def test_repeated_runs_identical_and_memo_emptied():
     assert projspace._POINT_SETS == {}
     assert (json.dumps(first, sort_keys=True, indent=2)
             == json.dumps(second, sort_keys=True, indent=2))
+
+
+def test_failing_singular_record_carries_first_differences(monkeypatch):
+    # with no rank-locus branch declared, every singular point differs
+    import dataclasses
+
+    from keyvariety import cli
+    from keyvariety.algebra import PointAffineRep, jacobian_rank
+    from keyvariety.catalog import RankLocusSpec, build_case
+
+    monkeypatch.setattr(cli, "build_case", lambda case: dataclasses.replace(
+        build_case(case), rank_locus=RankLocusSpec(case, "no branches", ())))
+    report = run(RunConfig(cases=("g6q_sigma_bar",), primes=(2,),
+                           checks=("singular-locus",)))
+    [record] = report["records"]
+    assert record["verdict"] == "fail"
+    observed = record["observed"]
+    assert observed["sets_equal"] is False
+    assert observed["symmetric_difference"] == observed["singular_points"] == 151
+    rows = observed["first_differences"]
+    assert len(rows) == 3 and len(set(map(tuple, rows))) == 3
+    spec = build_case("g6q_sigma_bar")
+    codim = spec.ambient_dim - spec.expected_dim
+    for row in rows:
+        assert len(row) == len(spec.vars)
+        assert jacobian_rank(list(spec.generators), PointAffineRep(tuple(row)), 2) < codim
+
+
+def test_passing_singular_record_has_no_differences():
+    report = run(RunConfig(cases=("g6q_sigma_bar",), primes=(2,),
+                           checks=("singular-locus",)))
+    [record] = report["records"]
+    assert record["verdict"] == "pass"
+    assert record["observed"] == {"sets_equal": True, "symmetric_difference": 0,
+                                  "singular_points": 151}

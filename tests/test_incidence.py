@@ -465,34 +465,6 @@ def test_fiber_over_unsupported_case_message():
 # the decomposability equivalence
 
 
-def _wedge_basis_subsets(dim_vp):
-    npairs = dim_vp * (dim_vp - 1) // 2
-    unit = [tuple(1 if k == i else 0 for k in range(npairs)) for i in range(npairs)]
-    for r in range(npairs + 1):
-        for subset in itertools.combinations(range(npairs), r):
-            yield [unit[i] for i in subset]
-
-
-def test_linalg_equiv_exhaustive_f2_nonzero_y():
-    """For every coordinate subspace U of wedge^2 F_2^4 and every x, y with
-    y != 0, membership in the Grassmannian cone equals the existence of a
-    containing 2-subspace."""
-    checked = 0
-    for U in _wedge_basis_subsets(4):
-        for x in itertools.product(range(2), repeat=4):
-            for ycoef in itertools.product(range(2), repeat=len(U)):
-                y = [0] * 6
-                for c, row in zip(ycoef, U):
-                    for k in range(6):
-                        y[k] = (y[k] + c * row[k]) % 2
-                if not any(y):
-                    continue
-                side1, side2 = linalg_equiv_check(x, y, U, 2)
-                assert side1 == side2, (x, y, U)
-                checked += 1
-    assert checked > 3000
-
-
 def test_linalg_equiv_y_zero_counterexample():
     # x = e4, y = 0, U spanned by e2 ^ e3: the cone membership holds but no
     # 2-subspace through x has its bivector line inside U

@@ -97,21 +97,34 @@ def test_two_path_agreement_g6c():
 def test_singular_scan_equality_p2(case, expected_sing):
     spec = build_case(case)
     rep = singular_scan(spec, spec.rank_locus, 2)
-    assert rep.sets_equal is True
-    assert rep.symmetric_difference_sample == ()
-    assert rep.jacobian_singular.count == rep.rank_locus.count == expected_sing
+    assert rep.difference.shape == (0, len(spec.vars))
+    assert len(rep.singular) == expected_sing
+    member = invariants._rank_locus_mask(spec, spec.rank_locus, rep.points, 2)
+    assert np.array_equal(rep.points[member], rep.singular)
+
+
+def _row_positions(rows, points):
+    index = {row: i for i, row in enumerate(map(tuple, points.tolist()))}
+    return [index[row] for row in map(tuple, rows.tolist())]
 
 
 def test_singular_scan_reports_true_difference_count():
     # with an empty rank-locus description the difference is the whole
-    # singular set, which is far larger than the capped sample
+    # singular set, every row of it, in index order
+    from keyvariety.algebra import PointAffineRep, jacobian_rank
+
     spec = build_case("g6q_sigma_bar")
     empty = RankLocusSpec(spec.case_id, "no branches", ())
-    rep = singular_scan(spec, empty, 2, sample_cap=1)
-    assert rep.sets_equal is False
-    assert rep.rank_locus.count == 0
-    assert len(rep.symmetric_difference_sample) == 1
-    assert rep.symmetric_difference_count == rep.jacobian_singular.count == 151
+    rep = singular_scan(spec, empty, 2)
+    assert len(rep.points) == FROZEN_COUNTS[("g6q_sigma_bar", 2)]
+    assert not rep.points.flags.writeable
+    assert len(rep.difference) == len(rep.singular) == 151
+    assert np.array_equal(rep.difference, rep.singular)
+    positions = _row_positions(rep.difference, rep.points)
+    assert positions == sorted(set(positions))
+    codim = spec.ambient_dim - spec.expected_dim
+    for row in rep.difference.tolist():
+        assert jacobian_rank(list(spec.generators), PointAffineRep(tuple(row)), 2) < codim
 
 
 def test_jacobian_mask_independent_of_block_size(monkeypatch):
@@ -215,20 +228,22 @@ def test_g8_singular_set_is_projected_veronese():
     from keyvariety.incidence import projected_veronese_points
     spec = build_case("g8_sigma_bar")
     for p in (2, 3):
-        rep = singular_scan(spec, None, p, sample_cap=4 * p * p)
+        rep = singular_scan(spec, None, p)
         veronese, _ = projected_veronese_points(p)
         embedded = {tuple(v) + (0,) * 7 for v in veronese}
-        assert set(rep.jacobian_singular.sample) == embedded
-        assert rep.jacobian_singular.count == p * p + p + 1
+        assert set(map(tuple, rep.singular.tolist())) == embedded
+        assert len(rep.singular) == p * p + p + 1
 
 
 def test_singular_scan_g6c_containment_p2():
     spec = build_case("g6c_sigma_bar")
     rep = singular_scan(spec, None, 2)
-    assert rep.sets_equal is None and rep.rank_locus is None
+    assert rep.difference is None
     assert rep.containment_plane == "Pibar"
     assert rep.containment_holds is True
-    assert rep.jacobian_singular.count == 87
+    assert len(rep.singular) == 87
+    positions = _row_positions(rep.singular, rep.points)
+    assert positions == sorted(set(positions))
 
 
 def test_g6q_dual_vertex_plane_is_singular():

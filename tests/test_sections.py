@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from keyvariety.algebra import parse_poly
+from keyvariety import sections
+from keyvariety.algebra import fraction_matrix_rank, matrix_rank_mod_p, parse_poly
 from keyvariety.catalog import build_case
 from keyvariety.sections import (SectionSpec, cut, parse_section_file,
                                  random_section, section_report)
@@ -68,6 +71,48 @@ def test_random_section_deterministic():
     assert s1.linear_forms == s2.linear_forms and d1 == d2
     s3, _ = random_section(spec, 4, seed=8, primes=(2, 3))
     assert s3.linear_forms != s1.linear_forms
+
+
+def _three_part_rule_section(spec, codim, seed, primes, support):
+    """Coefficient rows and draw count of a seeded section drawn under the
+    rule that rejects a draw with a zero form, forms dependent over Q, or
+    forms dependent modulo some scan prime."""
+    rng = random.Random(seed)
+    box = max(primes)
+    draws = 0
+    while True:
+        draws += 1
+        rows = [[0] * len(spec.vars) for _ in range(codim)]
+        for row in rows:
+            for v in support:
+                row[spec.var_index(v)] = rng.randint(-box, box)
+        if any(not any(row) for row in rows):
+            continue
+        if fraction_matrix_rank(rows) < codim:
+            continue
+        if any(matrix_rank_mod_p(rows, p) < codim for p in primes):
+            continue
+        return rows, draws
+
+
+@pytest.mark.parametrize("planes", [(), ("Pibar",)])
+@pytest.mark.parametrize("primes", [(3,), (2, 3)])
+def test_random_section_matches_three_part_rule(primes, planes):
+    # the mod-p rank test alone accepts and rejects the same draws
+    spec = build_case("g6q_sigma_bar")
+    support = [v for v in spec.vars
+               if not planes or v in spec.planes["Pibar"].vanishing_vars]
+    redrawn = 0
+    for seed in range(100):
+        section, draws = random_section(spec, 2, seed, primes,
+                                        contains_planes=planes)
+        rows, expected_draws = _three_part_rule_section(
+            spec, 2, seed, primes, support)
+        assert (sections._form_rows(section.linear_forms), draws) == \
+            (rows, expected_draws), seed
+        redrawn += draws > 1
+    if planes and 2 in primes:
+        assert redrawn > 0
 
 
 def test_random_section_respects_plane():
