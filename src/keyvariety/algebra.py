@@ -6,6 +6,7 @@ evaluation time, so one symbolic catalog serves every scan prime.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +45,17 @@ class SmallPrime(int):
 
 _VAR_RE = re.compile(r"[a-z][a-z0-9]*")
 _TOKEN_RE = re.compile(r"\s*([a-z][a-z0-9]*|\d+|\^|\*|\+|-|−)")
+
+
+def _product(terms: Mapping[Monomial, int], other) -> dict[Monomial, int]:
+    """Terms of the product of terms (a dict) and other ((exponents,
+    coefficient) pairs), zero coefficients kept."""
+    out: dict[Monomial, int] = {}
+    for e1, c1 in terms.items():
+        for e2, c2 in other:
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
 
 
 class Polynomial:
@@ -116,12 +128,7 @@ class Polynomial:
         if isinstance(other, int):
             return Polynomial(self.ring_vars, {e: c * other for e, c in self.terms.items()})
         self._check_ring(other)
-        out: dict[Monomial, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return Polynomial(self.ring_vars, out)
+        return Polynomial(self.ring_vars, _product(self.terms, other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -189,19 +196,28 @@ class Polynomial:
             break
         if target is None:
             return self
-        out = Polynomial.zero(target)
+        # every expanded term goes into one dict, and one Polynomial is built
+        # at the end; the image terms of each variable are read once
+        factors: dict = {}
+        out: dict[Monomial, int] = {}
         for e, c in self.terms.items():
-            term = Polynomial.constant(target, c)
+            term = {(0,) * len(target): c}
             for name, k in zip(self.ring_vars, e):
                 if not k:
                     continue
-                img = images.get(name)
+                img = factors.get(name)
                 if img is None:
-                    img = Polynomial.variable(target, name)
+                    poly = images.get(name)
+                    if poly is None:
+                        poly = Polynomial.variable(target, name)
+                    elif poly.ring_vars != target:
+                        raise ValueError("mixed polynomial rings")
+                    img = factors[name] = tuple(poly.terms.items())
                 for _ in range(k):
-                    term = term * img
-            out = out + term
-        return out
+                    term = _product(term, img)
+            for m, tc in term.items():
+                out[m] = out.get(m, 0) + tc
+        return Polynomial(target, out)
 
     # -- text form ------------------------------------------------------
     def __str__(self) -> str:

@@ -6,15 +6,19 @@ the free coordinates after position k run in base-p lexicographic order, the
 coordinate right after the leading 1 being the most significant digit. This
 gives O(1) index -> point and a trivially partitionable index range.
 
-One routine evaluates polynomials on rows of residues: _generator_values,
-the term loop of a generator compiled by _compile (the columns it uses, then
-per term its coefficient and the exponents of those columns). Each term is a
-raw int64 product of its coefficient and columns, added raw into the sum, and
-a Python-int bound on the entries of the product and of the sum decides when
-to reduce mod p, only where the next product or addition could pass
-2^63 - 1; one % p ends the sum. At p = 2 and 3 nothing is reduced before that
-for the catalog's degrees, and at the largest SmallPrime it reduces about once
-per factor, so every value is exact for every SmallPrime.
+One routine evaluates polynomials on rows of residues: the term loop
+_term_sum, which reads the values of each monomial from a monomial builder
+(_Monomials) over a block of rows. The builder holds each monomial it has
+built for the life of the block and builds a new one with one multiply, from
+the monomial with its last nonzero exponent lowered by 1 and the column of
+that variable; the constant monomial is a row of ones and a degree-1 one is
+its column, widened to int64 once. Each term of the loop is a raw int64
+product of its coefficient and monomial, added raw into the sum. Python-int
+bounds on the entries of every held monomial, term and sum decide when to
+reduce mod p, only where the next product or addition could pass 2^63 - 1;
+one % p ends the sum. At p = 2 and 3 nothing is reduced before that for the
+catalog's degrees, and at the largest SmallPrime it reduces about once per
+factor, so every value is exact for every SmallPrime.
 
 One routine tests products: _zero_mod(a, b, p) is (a @ b) % p == 0 for
 entries in [0, p). An entry of a @ b is at most L(p-1)^2 for inner length L.
@@ -33,11 +37,16 @@ digits (more outer ones where the inner grid would exceed GRID_CHUNK_POINTS
 points), its indices are outer-major. With x_0..x_{k-1} = 0 and x_k = 1 a
 generator is sum_j M_j(o) P_j(i) over its distinct outer monomials M_j. Its
 fused table F, built once per group, holds P_j on the inner digit grid in row
-j. A block of outer rows holds a common zero where M_O[rows] @ F vanishes mod
-p, M_O being the values of the M_j: one _zero_mod per generator and block,
-both operands from the term loop. Point rows are built only for matched
-entries, which np.nonzero returns in index order. CompiledSystem evaluates
-generators on explicit rows of points, which points_block builds by index.
+j, a term-loop sum over one builder on the inner digits that all generators
+and parts of the group share. A block of outer rows holds a common zero where
+M_O[rows] @ F vanishes mod p: one _zero_mod per generator and block, M_O the
+values of the M_j reduced to [0, p) from one builder on the block's outer
+digits that all generators share, taken at the rows still live. Point rows
+are built only for matched entries, which np.nonzero returns in index order.
+CompiledSystem evaluates generators on explicit rows of points, which
+points_block builds by index: eval_block with one builder for all
+generators of a block, vanishing_mask with one per generator on the rows
+still held.
 
 Chunks (blocks of outer rows of about GRID_CHUNK_POINTS points) run one after
 another in index order, which bounds the memory of one step. Every scan is
@@ -50,7 +59,7 @@ variety) is filtered from their rows instead of scanned.
 Point sets are narrow: the rows of a collect scan, of point_set and of
 common_zeros are in row_dtype(p), the narrowest unsigned dtype that holds
 p - 1 (uint8 up to p = 251, an eighth of int64). They are widened to int64
-only inside arithmetic, and never a whole set at once: _generator_values
+only inside arithmetic, and never a whole set at once: the monomial builder
 casts each column it reads, vanishing_mask walks its rows in blocks of
 GRID_CHUNK_POINTS, _matmul_mod casts its operands and _float32_zero casts
 to float32. Kernel operands that are not held sets (_digit_grid,
@@ -183,66 +192,106 @@ def _digit_grid(p: int, start: int, stop: int, width: int) -> np.ndarray:
 # fast path: vectorized evaluation of polynomial systems
 
 
-def _compile(terms: dict) -> tuple:
-    """A polynomial given as {exponent tuple: coefficient} in the form that
-    _generator_values evaluates: (the columns it uses, per term the
-    coefficient and the exponents of those columns)."""
-    used = sorted({v for e in terms for v, d in enumerate(e) if d})
-    return used, [(c, [e[v] for v in used]) for e, c in terms.items()]
-
-
-def _generator_values(gen: tuple, pts: np.ndarray, rows: np.ndarray | None,
-                      p: int) -> np.ndarray:
-    """Values mod p of a compiled generator (used columns, terms) at the rows
-    of pts indexed by rows (all rows when None), reading only the columns it
-    uses, at those rows, each widened to int64 (no copy for int64 rows).
-    hi and acc_hi bound the entries of term and acc (pts holds residues), and
-    either is reduced mod p only where the next product or sum could pass
+class _Monomials:
+    """Values of monomials on the rows of pts indexed by rows (all rows when
+    None), held for one block: each exponent tuple over the columns of pts
+    maps to (values, hi), hi bounding the entries. The constant monomial is
+    a row of ones and a degree-1 monomial is its column, widened to int64
+    once (no copy for int64 rows); any other is built with one multiply from
+    the monomial with its last nonzero exponent lowered by 1, which is
+    reduced mod p first (and held reduced) only where the product could pass
     2^63 - 1."""
-    used, terms = gen
-    if rows is None:
-        size, cols = pts.shape[0], [pts[:, v] for v in used]
-    else:
-        size, cols = rows.size, [pts[rows, v] for v in used]
-    cols = [col.astype(np.int64, copy=False) for col in cols]
+
+    def __init__(self, pts: np.ndarray, rows: np.ndarray | None, p: int):
+        self.pts, self.rows, self.p = pts, rows, p
+        self.size = pts.shape[0] if rows is None else rows.size
+        self._held: dict = {}
+
+    def __getitem__(self, e: tuple) -> tuple:
+        held = self._held.get(e)
+        if held is None:
+            held = self._held[e] = self._build(e)
+        return held
+
+    def reduced(self, e: tuple) -> np.ndarray:
+        """The values of e reduced to [0, p), held reduced from then on."""
+        values, hi = self[e]
+        if hi >= self.p:
+            values, hi = self._held[e] = values % self.p, self.p - 1
+        return values
+
+    def _build(self, e: tuple) -> tuple:
+        top = self.p - 1
+        v = len(e) - 1
+        while v >= 0 and not e[v]:
+            v -= 1
+        if v < 0:
+            return np.ones(self.size, dtype=np.int64), 1
+        unit = (0,) * v + (1,) + (0,) * (len(e) - v - 1)
+        if e == unit:
+            col = self.pts[:, v] if self.rows is None else self.pts[self.rows, v]
+            return col.astype(np.int64, copy=False), top
+        lower = e[:v] + (e[v] - 1,) + e[v + 1:]
+        values, hi = self[lower]
+        if hi * top > _INT64_MAX:
+            values, hi = self.reduced(lower), top
+        return values * self[unit][0], hi * top
+
+
+def _term_sum(terms, monomials: _Monomials, p: int) -> np.ndarray:
+    """The term loop: sum c * M_e mod p over the (e, c) pairs of terms, M_e
+    read from monomials. Each term is a raw int64 product of its coefficient
+    and monomial, added raw into the sum; hi and acc_hi bound the entries of
+    term and acc, and the monomial or acc is reduced mod p only where the
+    next product or sum could pass 2^63 - 1."""
     top = p - 1
-    acc = np.zeros(size, dtype=np.int64)
+    acc = np.zeros(monomials.size, dtype=np.int64)
     acc_hi = 0
-    for c, expo in terms:
-        term = hi = c % p
-        for col, e in zip(cols, expo):
-            for _ in range(e):
-                if hi * top > _INT64_MAX:
-                    term %= p
-                    hi = top
-                term = term * col
-                hi *= top
+    for e, c in terms:
+        c %= p
+        if not c:
+            continue
+        values, hi = monomials[e]
+        if hi * c > _INT64_MAX:
+            values, hi = monomials.reduced(e), top
+        term = values if c == 1 else values * c
+        hi *= c
         if acc_hi + hi > _INT64_MAX:
             acc %= p
             acc_hi = top
             if acc_hi + hi > _INT64_MAX:
-                term %= p
+                term = term % p
                 hi = top
         acc += term
         acc_hi += hi
     return acc % p
 
 
+def _generator_values(gen: tuple, pts: np.ndarray, rows: np.ndarray | None,
+                      p: int) -> np.ndarray:
+    """Values mod p of a compiled generator (its (exponents, coefficient)
+    pairs) at the rows of pts indexed by rows (all rows when None), by the
+    term loop over monomials of those rows."""
+    return _term_sum(gen, _Monomials(pts, rows, p), p)
+
+
 class CompiledSystem:
-    """Generators compiled by _compile, evaluated by the term loop
-    (_generator_values) on explicit rows of points whose entries are residues
-    in [0, p): compiled holds one entry per generator."""
+    """Generators as (exponents, coefficient) pairs, evaluated by the term
+    loop on explicit rows of points whose entries are residues in [0, p):
+    compiled holds one entry per generator."""
 
     def __init__(self, polys: Sequence[Polynomial]):
         if not polys:
             raise ValueError("empty system")
-        self.compiled = [_compile(f.terms) for f in polys]
+        self.compiled = [tuple(f.terms.items()) for f in polys]
 
     def eval_block(self, pts: np.ndarray, p: int) -> np.ndarray:
-        """Values of all generators on a block of points: shape (ngens, npts)."""
+        """Values of all generators on a block of points: shape (ngens, npts),
+        their monomials built once for the block."""
+        monomials = _Monomials(pts, None, p)
         out = np.empty((len(self.compiled), pts.shape[0]), dtype=np.int64)
         for g, gen in enumerate(self.compiled):
-            out[g] = _generator_values(gen, pts, None, p)
+            out[g] = _term_sum(gen, monomials, p)
         return out
 
     def vanishing_mask(self, pts: np.ndarray, p: int) -> np.ndarray:
@@ -327,15 +376,18 @@ def _zero_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _GridGroup:
     """Index group k (leading 1 at k) split into p^s outer rows of `width`
-    inner points. gens holds, per generator that does not vanish on the whole
-    group, its outer monomials M_j (compiled, coefficient 1) and its fused
-    table F, whose row j is P_j on the inner digits: the generator's value at
-    outer row o and inner point i is sum_j M_j(o) F[j, i] mod p. F is float32
-    where _fits_float32 holds for its row count, else int64."""
+    inner points. outer holds the exponents on the outer digits of every
+    distinct outer monomial of the group. gens holds, per generator that does
+    not vanish on the whole group, the positions in outer of its outer
+    monomials M_j and its fused table F, whose row j is P_j on the inner
+    digits: the generator's value at outer row o and inner point i is
+    sum_j M_j(o) F[j, i] mod p. F is float32 where _fits_float32 holds for
+    its row count, else int64."""
     k: int
     s: int
     width: int
     inner_digits: np.ndarray  # (width, m - s)
+    outer: tuple
     gens: tuple
 
 
@@ -347,46 +399,50 @@ def _grid_group(polys: Sequence[Polynomial], n: int, k: int, p: int) -> _GridGro
     outer monomials in the product over all p^m points; the widest inner grid
     puts nearly every monomial there and made the scans of the catalog's
     systems about ten times slower. Terms that merge under x_k = 1 have their
-    coefficients summed before the term loop evaluates the tables."""
+    coefficients summed before the term loop evaluates the tables, all of
+    them over one monomial builder on the inner digit grid."""
     m = n - k
     s = max((m + 1) // 2,
             next(s for s in range(m + 1) if p ** (m - s) <= GRID_CHUNK_POINTS))
     width = p ** (m - s)
     inner_digits = _digit_grid(p, 0, width, m - s)
+    inner = _Monomials(inner_digits, None, p)
+    outer: dict = {}
     gens = []
     for f in polys:
         parts: dict = {}
         for e, c in f.terms.items():
             if c % p and not any(e[:k]):
-                inner = parts.setdefault(e[k + 1:k + 1 + s], {})
-                inner[e[k + 1 + s:]] = inner.get(e[k + 1 + s:], 0) + c
+                part = parts.setdefault(e[k + 1:k + 1 + s], {})
+                part[e[k + 1 + s:]] = part.get(e[k + 1 + s:], 0) + c
         if not parts:
             continue
-        table = np.stack([_generator_values(_compile(part), inner_digits, None, p)
+        table = np.stack([_term_sum(part.items(), inner, p)
                           for part in parts.values()])
         if _fits_float32(len(parts), p):
             table = table.astype(np.float32)
-        gens.append(([_compile({o: 1}) for o in parts], table))
-    return _GridGroup(k, s, width, inner_digits, tuple(gens))
+        cols = np.array([outer.setdefault(o, len(outer)) for o in parts])
+        gens.append((cols, table))
+    return _GridGroup(k, s, width, inner_digits, tuple(outer), tuple(gens))
 
 
 def _grid_chunk(group: _GridGroup, n: int, p: int, r0: int, r1: int,
                 collect: bool):
-    """Scan outer rows [r0, r1) of a group: per generator, the values of its
-    outer monomials at the rows that still hold a common zero, and one
-    _zero_mod of them against its fused table. Returns (matched count, the
-    matched rows in index order with collect, else None), the rows in
-    row_dtype(p)."""
+    """Scan outer rows [r0, r1) of a group: the residues of every outer
+    monomial of the group at these rows, from one monomial builder on their
+    outer digits, then per generator the columns of its outer monomials at
+    the rows that still hold a common zero, and one _zero_mod of them against
+    its fused table. Returns (matched count, the matched rows in index order
+    with collect, else None), the rows in row_dtype(p)."""
     outer = _digit_grid(p, r0, r1, group.s)
+    monomials = _Monomials(outer, None, p)
+    values = np.array([monomials.reduced(e) for e in group.outer]).T
     mask = np.ones((r1 - r0, group.width), dtype=bool)
-    for monomials, table in group.gens:
+    for cols, table in group.gens:
         live = np.flatnonzero(mask.any(axis=1))
         if live.size == 0:
             break
-        digits = outer[live]
-        a = np.stack([_generator_values(mono, digits, None, p)
-                      for mono in monomials], axis=1)
-        mask[live] &= _zero_mod(a, table, p)
+        mask[live] &= _zero_mod(values[live][:, cols], table, p)
     if not collect:
         return int(np.count_nonzero(mask)), None
     o, i = np.nonzero(mask)
@@ -410,7 +466,7 @@ def scan_system(plan: ScanPlan, polys: Sequence[Polynomial], *,
     _check_budget(plan)
     if not polys:
         raise ValueError("empty system")
-    if len(polys[0].ring_vars) != plan.ambient_dim + 1:
+    if any(len(f.ring_vars) != plan.ambient_dim + 1 for f in polys):
         raise ValueError("system arity does not match the scan plan")
     n, p = plan.ambient_dim, int(plan.prime)
     matched = 0

@@ -97,6 +97,44 @@ def test_generic_hyperplane_not_contained():
     assert not all(g.substitute(images).is_zero() for g in spec.generators)
 
 
+def _expand(f, images):
+    """f with images substituted by repeated Polynomial * and +."""
+    target = next(iter(images.values())).ring_vars
+    out = Polynomial.zero(target)
+    for e, c in f.terms.items():
+        term = Polynomial.constant(target, c)
+        for name, k in zip(f.ring_vars, e):
+            img = images[name] if name in images else Polynomial.variable(target, name)
+            for _ in range(k):
+                term = term * img
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_substitute_equals_repeated_expansion(case):
+    spec = build_case(case)
+    ring = spec.vars
+    x = [Polynomial.variable(ring, v) for v in ring]
+    moves = {v: x[i] + x[i + 1] for i, v in enumerate(ring[:-1])}
+    # a quadratic image with a constant, and one that cancels terms
+    mixed = {ring[0]: x[1] * x[-1] - Polynomial.constant(ring, 2),
+             ring[1]: x[1] - x[2], ring[2]: x[1] + x[2] * 3}
+    zeros = {v: Polynomial.zero(ring) for v in ring[::2]}
+    for images in (moves, mixed, zeros):
+        for g in spec.generators:
+            assert g.substitute(images) == _expand(g, images)
+    assert pinned_coordinate_change(spec) == tuple(
+        _expand(g, moves) for g in spec.generators)
+
+
+def test_substitute_rejects_mixed_rings():
+    f = parse_poly("x*y", ("x", "y"))
+    with pytest.raises(ValueError):
+        f.substitute({"x": parse_poly("a", ("a", "b")),
+                      "y": parse_poly("x", ("x", "y"))})
+
+
 def test_unknown_plane_name():
     with pytest.raises(KeyError):
         plane_containment_check(build_case("g4_sigma_bar"), "nope")

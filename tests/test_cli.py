@@ -161,6 +161,25 @@ def test_cli_count_over_budget_exits_2(capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_cli_count_of_mixed_ring_system_exits_2(capsys, monkeypatch):
+    import dataclasses
+
+    from keyvariety import cli
+    from keyvariety.algebra import parse_poly
+    from keyvariety.catalog import build_case
+
+    spec = build_case("B5")
+    mixed = spec.generators + (parse_poly("a - b", ("a", "b")),)
+    monkeypatch.setattr(cli, "build_case", lambda case: dataclasses.replace(
+        spec, generators=mixed))
+    assert main(["count", "--case", "B5", "--prime", "3"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0] == "error: system arity does not match the scan plan"
+    assert projspace._POINT_SETS == {}
+
+
 def test_cli_fiber_command(capsys):
     point = "0:0:0:0:1:0:0:0:0:1:0:0:0:0:0:0"
     assert main(["fiber", "--case", "g5", "--prime", "2",

@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -127,6 +130,19 @@ def test_scan_system_collect():
     assert res == ScanResult(4) == scan_system(plan, [f])
     # the line {x=0} in P^2(F_3), in index order
     assert pts.tolist() == [[0, 1, 0], [0, 1, 1], [0, 1, 2], [0, 0, 1]]
+
+
+def test_scan_rejects_generators_of_another_ring():
+    # a 2-variable generator beside a quadric of P^2: a count of nothing if
+    # only the first generator's ring were checked
+    quadric = parse_poly("x0*x1 - x2^2", ("x0", "x1", "x2"))
+    line = parse_poly("a - b", ("a", "b"))
+    plan = ScanPlan(2, SmallPrime(3))
+    assert scan_system(plan, [quadric]).matched == 4
+    for polys in ([quadric, line], [line, quadric]):
+        for collect in (False, True):
+            with pytest.raises(ValueError, match="arity"):
+                scan_system(plan, polys, collect=collect)
 
 
 def test_gaussian_binomial_counts():
@@ -370,6 +386,82 @@ def test_compiled_system_matches_eval_mod(case):
         assert np.array_equal(_generator_values(gen, pts, None, p), values)
         assert np.array_equal(_generator_values(gen, pts, idx, p), values[idx])
     assert np.array_equal(system.vanishing_mask(pts, p), (want == 0).all(axis=0))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4099, 65537, 2**31 - 1])
+def test_monomial_builder_matches_eval_mod(p):
+    """Every monomial of degree <= 6 in three variables equals eval_mod at
+    random residue rows and the all-(p-1) row, over the whole SmallPrime
+    range: the raw values lie in [0, hi] with hi below 2^63, and reduced()
+    gives the residues. Monomials are asked for in ascending and in
+    descending degree (a high one first builds the lower ones it needs), on
+    all int64 rows and on indexed rows of the narrow dtype. At p = 4099,
+    65537 and 2^31 - 1 the bound forces reductions from degree 6, 4 and 3."""
+    rng = np.random.default_rng(p)
+    ring = ("x0", "x1", "x2")
+    wide = rng.integers(0, p, (12, 3), dtype=np.int64)
+    wide[-1] = p - 1
+    idx = np.array([11, 0, 3, 3], dtype=np.int64)
+    exps = sorted((e for e in itertools.product(range(7), repeat=3) if sum(e) <= 6),
+                  key=sum)
+    for order in (exps, exps[::-1]):
+        for pts, rows in ((wide, None), (wide.astype(projspace.row_dtype(p)), idx)):
+            want_rows = (wide if rows is None else wide[rows]).tolist()
+            want = {e: [Polynomial(ring, {e: 1}).eval_mod(r, p) for r in want_rows]
+                    for e in order}
+            monomials = projspace._Monomials(pts, rows, p)
+            for e in order:
+                values, hi = monomials[e]
+                assert values.dtype == np.int64 and hi <= projspace._INT64_MAX
+                assert 0 <= values.min() and values.max() <= hi
+                assert (values % p).tolist() == want[e]
+            for e in order:
+                assert monomials.reduced(e).tolist() == want[e]
+
+
+def test_grid_kernel_builds_each_monomial_once_per_group_and_chunk(monkeypatch):
+    """A scan of the Plucker quadrics of G(2, 5) at p = 3 in small chunks
+    counts every build of the monomial builder (a row of ones, a widened
+    column or one multiply) against the group table or the chunk it runs
+    in: the inner monomials are built at most once per group, for all
+    generators and parts, and the outer ones at most once per chunk, for
+    all generators."""
+    builds = Counter()
+    where = []
+    real_build = projspace._Monomials._build
+    real_group, real_chunk = projspace._grid_group, projspace._grid_chunk
+
+    def build(self, e):
+        builds[where[-1], e] += 1
+        return real_build(self, e)
+
+    def group(polys, n, k, p):
+        where.append(("group", k))
+        try:
+            return real_group(polys, n, k, p)
+        finally:
+            where.pop()
+
+    def chunk(group, n, p, r0, r1, collect):
+        where.append(("chunk", group.k, r0))
+        try:
+            return real_chunk(group, n, p, r0, r1, collect)
+        finally:
+            where.pop()
+
+    monkeypatch.setattr(projspace._Monomials, "_build", build)
+    monkeypatch.setattr(projspace, "_grid_group", group)
+    monkeypatch.setattr(projspace, "_grid_chunk", chunk)
+    # group 0 splits into 243 chunks of one outer row of 81 inner points,
+    # the inner digits p25, p34, p35, p45 holding the monomial p25*p34
+    monkeypatch.setattr(projspace, "GRID_CHUNK_POINTS", 81)
+    gens = plucker_ideal(5)
+    assert scan_system(ScanPlan(9, SmallPrime(3)), gens).matched == 1210
+    assert max(builds.values()) == 1
+    multiplies = Counter(ctx[0] for ctx, e in builds if sum(e) > 1)
+    chunks = {ctx for ctx, _ in builds if ctx[0] == "chunk"}
+    assert multiplies["group"] > 0 and multiplies["chunk"] > 0
+    assert len({ctx[1] for ctx in chunks}) < len(chunks)
 
 
 def test_cut_rows_from_memo_filter_equal_direct_scan(monkeypatch):
