@@ -440,21 +440,30 @@ _ONE = np.uint64(1)
 
 
 def _bit_planes(T: np.ndarray, p: int) -> list:
-    """Pack a batch-last (r, c, B) int64 view, c <= 64, into uint64 bit planes
-    of shape (r, B): bit j of a plane holds column j. p = 2 gives one plane
-    (the entry is odd: x & 1 is x mod 2 for every int64), p = 3 two (the
-    entry is 1, the entry is 2). At p = 3 each column is reduced mod p on
-    its own, unless every entry is a residue already: the check costs about
-    as much as reducing two columns."""
+    """Pack a batch-last (r, c, B) integer view, c <= 64, into uint64 bit
+    planes of shape (r, B): bit j of a plane holds column j. p = 2 gives one
+    plane (the entry is odd: x & 1 is x mod 2 for every integer in two's
+    complement), p = 3 two (the entry is 1, the entry is 2). At p = 3 each
+    column is reduced mod p on its own, unless every entry is a residue
+    already: the check costs about as much as reducing two columns. Each
+    column is cast into one uint64 buffer before any & or <<, which a narrow
+    column would otherwise keep in its own dtype under numpy 1.x, and is
+    shifted there in place, so that packing allocates nothing per column."""
     r, c, B = T.shape
     planes = [np.zeros((r, B), dtype=np.uint64) for _ in range(p - 1)]
     reduce = p == 3 and T.size and (T.min() < 0 or T.max() > 2)
+    low = np.empty((r, B), dtype=np.uint64)
+    high = np.empty_like(low) if p == 3 else None
     for j in range(c):
-        col = (T[:, j, :] % p if reduce else T[:, j, :]).view(np.uint64)
+        np.copyto(low, T[:, j, :] % p if reduce else T[:, j, :], casting="unsafe")
         shift = np.uint64(j)
-        planes[0] |= (col & _ONE) << shift
         if p == 3:
-            planes[1] |= (col >> _ONE) << shift
+            np.right_shift(low, _ONE, out=high)
+            high <<= shift
+            planes[1] |= high
+        low &= _ONE
+        low <<= shift
+        planes[0] |= low
     return planes
 
 
@@ -503,20 +512,21 @@ def matrix_rank_mod_p_batch(mats: np.ndarray, p: int) -> np.ndarray:
     column of row i as its pivot and clears that column from the rows below;
     the rank is the number of rows that are nonzero when reached. At p = 2
     and 3, with the longer side at most 64, the rows are uint64 bit planes
-    packed from the batch-last view, so a (B, r, c) view whose batch axis is
-    the last in memory is read without a copy (_rank_bitsliced). Otherwise
-    the pivot is inverted by Fermat's little theorem (v^(p-2)) in int64:
-    residues stay below p and products below p^2 < 2^62, so every prime
-    SmallPrime accepts (p < 2^31) is exact, and no memory of size p is
-    allocated. The result matches matrix_rank_mod_p row by row.
+    packed from the batch-last view in its own integer dtype, so a (B, r, c)
+    view whose batch axis is the last in memory is read without a copy
+    (_rank_bitsliced). Otherwise the entries are widened to int64 and the
+    pivot is inverted by Fermat's little theorem (v^(p-2)): residues stay
+    below p and products below p^2 < 2^62, so every prime SmallPrime accepts
+    (p < 2^31) is exact, and no memory of size p is allocated. The result,
+    int64, matches matrix_rank_mod_p row by row.
     """
-    A = np.asarray(mats, dtype=np.int64)
+    A = np.asarray(mats)
     T = A.transpose(1, 2, 0)
     if T.shape[0] > T.shape[1]:
         T = T.transpose(1, 0, 2)
     if p in (2, 3) and T.shape[0] >= 1 and T.shape[1] <= 64:
         return _rank_bitsliced(T, p)
-    A = A % p
+    A = A.astype(np.int64, copy=False) % p
     if A.shape[1] > A.shape[2]:
         A = np.ascontiguousarray(A.transpose(0, 2, 1))
     B, r, c = A.shape

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -504,6 +505,19 @@ def emit_report(report: dict, path: str) -> None:
         fh.write(text)
 
 
+def _check_report_path(path: str) -> None:
+    """Raise OSError when a report could not be written to path: it names a
+    directory, or its directory is missing or not writable. Creates no
+    file, so that a run can fail before its first check."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise OSError(f"report path {path} is a directory")
+    if not os.path.isdir(folder):
+        raise OSError(f"report directory {folder} does not exist")
+    if not os.access(folder, os.W_OK):
+        raise OSError(f"report directory {folder} is not writable")
+
+
 def exit_code(report: dict) -> int:
     return 0 if all(r["verdict"] in ("pass", "info")
                     for r in report["records"]) else 1
@@ -552,8 +566,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             config = parse_config(args.config)
-            report = run(config)
             out = args.out or config.output_path
+            if out:
+                _check_report_path(out)
+            report = run(config)
             if out:
                 emit_report(report, out)
             else:

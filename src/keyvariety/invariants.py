@@ -182,14 +182,15 @@ class SingularScanReport:
 def _rank_mask(entries, shape: tuple, pts: np.ndarray, p: int) -> np.ndarray:
     """F_p rank at each row of pts of the polynomial matrix of the given
     (rows, cols) shape whose entries are listed in row order, evaluated and
-    ranked one _RANK_BLOCK block of points at a time. A block is copied
-    column-major and widened to int64 in the same copy, so that each column
-    the entries read is contiguous and needs no further copy, and is small
-    enough that its values and bit planes stay in cache; the values
-    reach the batch rank as the (B, rows, cols) view of their batch-last
-    array."""
+    ranked one _RANK_BLOCK block of points at a time, the ranks held in the
+    narrowest dtype that holds min(shape). A block is copied column-major
+    and widened to int64 in the same copy, so that each column the entries
+    read is contiguous and needs no further copy, and is small enough that
+    its values and bit planes stay in cache; the row_dtype(p) values of
+    eval_block reach the batch rank as the (B, rows, cols) view of their
+    batch-last array, so no int64 value slab is made."""
     system = CompiledSystem(list(entries))
-    out = np.zeros(pts.shape[0], dtype=np.int64)
+    out = np.zeros(pts.shape[0], dtype=np.min_scalar_type(min(shape)))
     for s in range(0, pts.shape[0], _RANK_BLOCK):
         block = np.asfortranarray(pts[s:s + _RANK_BLOCK], dtype=np.int64)
         vals = system.eval_block(block, p)                  # (rows*cols, B)

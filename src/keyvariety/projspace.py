@@ -41,8 +41,8 @@ j, a term-loop sum over one builder on the inner digits that all generators
 and parts of the group share. A block of outer rows holds a common zero where
 M_O[rows] @ F vanishes mod p: one _zero_mod per generator and block, M_O the
 values of the M_j reduced to [0, p) from one builder on the block's outer
-digits that all generators share, taken at the rows still live. Point rows
-are built only for matched entries, which np.nonzero returns in index order.
+digits that all generators share, taken at the rows still live. Matched
+entries are kept as offsets, which np.flatnonzero returns in index order.
 CompiledSystem evaluates generators on explicit rows of points, which
 points_block builds by index: eval_block with one builder for all
 generators of a block, vanishing_mask with one per generator on the rows
@@ -62,8 +62,13 @@ p - 1 (uint8 up to p = 251, an eighth of int64). They are widened to int64
 only inside arithmetic, and never a whole set at once: the monomial builder
 casts each column it reads, vanishing_mask walks its rows in blocks of
 GRID_CHUNK_POINTS, _matmul_mod casts its operands and _float32_zero casts
-to float32. Kernel operands that are not held sets (_digit_grid,
-points_block) stay int64.
+to float32. A collect scan holds each chunk's matches as offsets in the
+narrowest dtype that holds a chunk, with its group's inner digits, and
+writes every row once at the end into one row_dtype(p) array of the final
+count. A group's inner digits and the values of eval_block are in
+row_dtype(p) as well, so the value slabs of the rank loci stay narrow up to
+the rank. Kernel operands that are not held (the outer digit grid of a
+chunk, points_block) stay int64.
 """
 from __future__ import annotations
 
@@ -286,12 +291,14 @@ class CompiledSystem:
         self.compiled = [tuple(f.terms.items()) for f in polys]
 
     def eval_block(self, pts: np.ndarray, p: int) -> np.ndarray:
-        """Values of all generators on a block of points: shape (ngens, npts),
-        their monomials built once for the block."""
+        """Values of all generators on a block of points as residues in
+        row_dtype(p): shape (ngens, npts), their monomials built once for the
+        block. A generator with no terms (an identically zero partial) gets
+        a zero row without running the term loop."""
         monomials = _Monomials(pts, None, p)
-        out = np.empty((len(self.compiled), pts.shape[0]), dtype=np.int64)
+        out = np.empty((len(self.compiled), pts.shape[0]), dtype=row_dtype(p))
         for g, gen in enumerate(self.compiled):
-            out[g] = _term_sum(gen, monomials, p)
+            out[g] = _term_sum(gen, monomials, p) if gen else 0
         return out
 
     def vanishing_mask(self, pts: np.ndarray, p: int) -> np.ndarray:
@@ -386,7 +393,7 @@ class _GridGroup:
     k: int
     s: int
     width: int
-    inner_digits: np.ndarray  # (width, m - s)
+    inner_digits: np.ndarray  # (width, m - s), in row_dtype(p)
     outer: tuple
     gens: tuple
 
@@ -405,7 +412,7 @@ def _grid_group(polys: Sequence[Polynomial], n: int, k: int, p: int) -> _GridGro
     s = max((m + 1) // 2,
             next(s for s in range(m + 1) if p ** (m - s) <= GRID_CHUNK_POINTS))
     width = p ** (m - s)
-    inner_digits = _digit_grid(p, 0, width, m - s)
+    inner_digits = _digit_grid(p, 0, width, m - s).astype(row_dtype(p))
     inner = _Monomials(inner_digits, None, p)
     outer: dict = {}
     gens = []
@@ -426,14 +433,14 @@ def _grid_group(polys: Sequence[Polynomial], n: int, k: int, p: int) -> _GridGro
     return _GridGroup(k, s, width, inner_digits, tuple(outer), tuple(gens))
 
 
-def _grid_chunk(group: _GridGroup, n: int, p: int, r0: int, r1: int,
-                collect: bool):
+def _grid_chunk(group: _GridGroup, p: int, r0: int, r1: int, collect: bool):
     """Scan outer rows [r0, r1) of a group: the residues of every outer
     monomial of the group at these rows, from one monomial builder on their
     outer digits, then per generator the columns of its outer monomials at
     the rows that still hold a common zero, and one _zero_mod of them against
-    its fused table. Returns (matched count, the matched rows in index order
-    with collect, else None), the rows in row_dtype(p)."""
+    its fused table. Returns (matched count, with collect the offsets of the
+    matched points from the chunk's first point in index order, in the
+    narrowest dtype that holds the chunk, else None)."""
     outer = _digit_grid(p, r0, r1, group.s)
     monomials = _Monomials(outer, None, p)
     values = np.array([monomials.reduced(e) for e in group.outer]).T
@@ -445,13 +452,31 @@ def _grid_chunk(group: _GridGroup, n: int, p: int, r0: int, r1: int,
         mask[live] &= _zero_mod(values[live][:, cols], table, p)
     if not collect:
         return int(np.count_nonzero(mask)), None
-    o, i = np.nonzero(mask)
-    k, s = group.k, group.s
-    rows = np.zeros((o.size, n + 1), dtype=row_dtype(p))
-    rows[:, k] = 1
-    rows[:, k + 1:k + 1 + s] = outer[o]
-    rows[:, k + 1 + s:] = group.inner_digits[i]
-    return int(o.size), rows
+    hits = np.flatnonzero(mask)
+    return int(hits.size), hits.astype(np.min_scalar_type(mask.size - 1))
+
+
+def _collected_rows(pieces: list, n: int, p: int, count: int) -> np.ndarray:
+    """The count matched rows of a collect scan, each written once into one
+    row_dtype(p) array. pieces holds, per chunk with a match, its group's
+    (k, s, width, inner digits), its first outer row r0 and its offsets h:
+    a row has its leading 1 at k, the inner digits of h % width and the s
+    base-p digits of outer row r0 + h // width, the least significant last.
+    One int64 copy of a chunk's offsets is divided in place."""
+    rows = np.zeros((count, n + 1), dtype=row_dtype(p))
+    pos = 0
+    for (k, s, width, inner), r0, hits in pieces:
+        block = rows[pos:pos + hits.size]
+        pos += hits.size
+        h = hits.astype(np.int64)
+        block[:, k] = 1
+        block[:, k + 1 + s:] = inner[h % width]
+        h //= width
+        h += r0
+        for j in range(k + s, k, -1):
+            block[:, j] = h % p
+            h //= p
+    return rows
 
 
 def scan_system(plan: ScanPlan, polys: Sequence[Polynomial], *,
@@ -475,14 +500,18 @@ def scan_system(plan: ScanPlan, polys: Sequence[Polynomial], *,
         group = _grid_group(polys, n, k, p)
         step = max(1, GRID_CHUNK_POINTS // group.width)
         nrows = p ** group.s
+        spot = None
         for r0 in range(0, nrows, step):
-            nmatch, rows = _grid_chunk(group, n, p, r0, min(r0 + step, nrows),
+            nmatch, hits = _grid_chunk(group, p, r0, min(r0 + step, nrows),
                                        collect)
             matched += nmatch
-            pieces.append(rows)
+            if collect and nmatch:
+                if spot is None:
+                    spot = (k, group.s, group.width, group.inner_digits)
+                pieces.append((spot, r0, hits))
     result = ScanResult(matched)
     if collect:
-        return result, np.concatenate(pieces, axis=0)
+        return result, _collected_rows(pieces, n, p, matched)
     return result
 
 

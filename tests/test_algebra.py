@@ -311,6 +311,50 @@ def test_batch_rank_bit_planes_match_single(seed, shape, p, batch, entries,
     assert out.tolist() == [matrix_rank_mod_p(m.tolist(), p) for m in mats]
 
 
+def _narrow_batch_last(seed, p, shape, batch, dtype):
+    """Random (batch, r, c) residue matrices of varied density, the last row
+    a combination of the first two and a random set of rows zeroed, each
+    entry then lifted by a random multiple of p up to the dtype's maximum:
+    the lifted int64 matrices and the (B, r, c) view of their batch-last copy
+    in dtype, the layout eval_block hands the rank in _rank_mask."""
+    rng = np.random.default_rng(seed)
+    r, c = shape
+    top = int(np.iinfo(dtype).max)
+    mats = rng.integers(0, p, size=(batch, r, c))
+    mats *= rng.random((batch, r, c)) < rng.random((batch, 1, 1))
+    mats[:, -1] = (mats[:, 0] * rng.integers(0, p) + mats[:, 1] * rng.integers(0, p)) % p
+    mats *= rng.random((batch, r, 1)) < 0.8
+    mats += p * rng.integers(0, (top - mats) // p + 1)
+    vals = np.ascontiguousarray(mats.reshape(batch, r * c).T).astype(dtype)
+    view = vals.reshape(r, c, batch).transpose(2, 0, 1)
+    assert view.strides[0] == view.itemsize and np.array_equal(view, mats)
+    assert view.max() >= p
+    return mats, view
+
+
+# at least 9 columns: a bit shifted past 7 is lost in a uint8 plane, which a
+# narrow column & a uint64 scalar stays under numpy 1.x
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+@pytest.mark.parametrize("shape", [(3, 9), (7, 12), (14, 6), (4, 64)])
+def test_batch_rank_bit_planes_read_narrow_views(p, dtype, shape):
+    mats, view = _narrow_batch_last(shape[1], p, shape, 40, dtype)
+    out = matrix_rank_mod_p_batch(view, p)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, matrix_rank_mod_p_batch(mats, p))
+    assert out.tolist() == [matrix_rank_mod_p(m.tolist(), p) for m in mats]
+    assert len(set(out.tolist())) > 1
+
+
+@pytest.mark.parametrize("p,dtype", [(5, np.uint8), (257, np.uint16)])
+def test_batch_rank_fermat_path_reads_narrow_views(p, dtype):
+    mats, view = _narrow_batch_last(0, p, (4, 9), 40, dtype)
+    out = matrix_rank_mod_p_batch(view, p)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, matrix_rank_mod_p_batch(mats, p))
+    assert out.tolist() == [matrix_rank_mod_p(m.tolist(), p) for m in mats]
+
+
 def test_batch_rank_takes_bit_planes_only_at_p2_p3_up_to_64(monkeypatch):
     from keyvariety import algebra
 

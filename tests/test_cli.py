@@ -250,6 +250,26 @@ def test_cli_section_removes_duplicate_primes(tmp_path, capsys):
     assert len(lines) == 1 and json.loads(lines[0])["prime"] == 2
 
 
+@pytest.mark.parametrize("where", ["missing/r.json", "."])
+def test_run_with_unwritable_report_exits_2_before_any_check(where, tmp_path,
+                                                             capsys, monkeypatch):
+    """A report in a missing directory, or a report path that is a
+    directory, ends the run with exit 2 and one stderr line before the
+    first check, and no file is created."""
+    chunks = []
+    real = projspace._grid_chunk
+    monkeypatch.setattr(projspace, "_grid_chunk",
+                        lambda *a: chunks.append(a[1:]) or real(*a))
+    cfg = _write(tmp_path, "cases=Q3_g6q\nprimes=2\nchecks=count\n")
+    out = tmp_path / where
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert chunks == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_run_over_budget_exits_2_before_any_scan(tmp_path, capsys, monkeypatch):
     chunks = []
     real = projspace._grid_chunk

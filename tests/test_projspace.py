@@ -222,9 +222,9 @@ def test_small_grid_chunks_split_groups(monkeypatch):
     chunks = []
     real = projspace._grid_chunk
     monkeypatch.setattr(projspace, "_grid_chunk",
-                        lambda group, n, p, r0, r1, collect:
+                        lambda group, p, r0, r1, collect:
                         chunks.append((group.k, r0, r1)) or
-                        real(group, n, p, r0, r1, collect))
+                        real(group, p, r0, r1, collect))
     monkeypatch.setattr(projspace, "GRID_CHUNK_POINTS", 8)
     ring = tuple(f"x{i}" for i in range(5))
     scan_system(ScanPlan(4, SmallPrime(3)), [parse_poly("x0*x1 - x4^2", ring)])
@@ -442,10 +442,10 @@ def test_grid_kernel_builds_each_monomial_once_per_group_and_chunk(monkeypatch):
         finally:
             where.pop()
 
-    def chunk(group, n, p, r0, r1, collect):
+    def chunk(group, p, r0, r1, collect):
         where.append(("chunk", group.k, r0))
         try:
-            return real_chunk(group, n, p, r0, r1, collect)
+            return real_chunk(group, p, r0, r1, collect)
         finally:
             where.pop()
 
@@ -563,11 +563,77 @@ def test_narrow_rows_equal_int64_rows_at_dtype_edges(p, dtype, monkeypatch):
     assert rows.dtype == dtype and rows.tolist() == [[1, p - 1], [0, 1]]
 
 
+@pytest.mark.parametrize("p,dtype", [(2, np.uint8), (251, np.uint8),
+                                     (257, np.uint16), (65537, np.uint32)])
+def test_eval_block_gives_narrow_residues(p, dtype, monkeypatch):
+    """eval_block returns residues in row_dtype(p), equal to eval_mod per
+    generator, and a generator with no terms gives a zero row without a run
+    of the term loop."""
+    ring = tuple(f"x{i}" for i in range(4))
+    polys = [parse_poly("x0*x1 - x2^2", ring), Polynomial.zero(ring),
+             parse_poly(f"{p - 1}*x3^3 + x0 + 7", ring), Polynomial.zero(ring)]
+    rng = np.random.default_rng(p)
+    wide = rng.integers(0, p, (30, 4), dtype=np.int64)
+    wide[0] = p - 1
+    loops = []
+    real = projspace._term_sum
+    monkeypatch.setattr(projspace, "_term_sum",
+                        lambda terms, *a: loops.append(terms) or real(terms, *a))
+    for pts in (wide, wide.astype(dtype)):
+        values = CompiledSystem(polys).eval_block(pts, p)
+        assert values.dtype == dtype == projspace.row_dtype(p)
+        assert values.tolist() == [[f.eval_mod(row, p) for row in wide.tolist()]
+                                   for f in polys]
+        assert not values[1].any() and not values[3].any()
+    assert len(loops) == 4 and all(loops)
+
+
+@pytest.mark.parametrize("p,n", [(2, 7), (3, 5), (5, 4)])
+def test_collect_rows_equal_brute_force_mask(p, n, monkeypatch):
+    """The rows a collect scan writes from its chunk offsets equal the
+    points of points_block that vanishing_mask keeps, in index order, with
+    chunks small enough that groups split into many of them; x0*x3 vanishes
+    on every group past the first, so whole chunks match."""
+    ring = tuple(f"x{i}" for i in range(n + 1))
+    polys = [parse_poly(t, ring) for t in (f"x0*x1 - x2^2 + x{n}^2", "x0*x3")]
+    plan = ScanPlan(n, SmallPrime(p))
+    everything = points_block(n, p, 0, plan.total)
+    want = everything[CompiledSystem(polys).vanishing_mask(everything, p)]
+    for chunk_points in (8, 27, 64):
+        monkeypatch.setattr(projspace, "GRID_CHUNK_POINTS", chunk_points)
+        res, rows = scan_system(plan, polys, collect=True)
+        assert rows.dtype == projspace.row_dtype(p)
+        assert res.matched == len(want) and np.array_equal(rows, want)
+
+
+def test_jacobian_value_slabs_stay_narrow_in_memory():
+    """The traced peak of the Jacobian mask of g6q at p = 3 (39,001 points,
+    84 partials of which 45 are zero) stays below 6 MiB: one (84, 8192)
+    int64 value slab is 5.25 MiB, and an int64 copy of it in the rank
+    would hold two."""
+    import tracemalloc
+
+    from keyvariety.invariants import _jacobian_singular_mask
+
+    spec = build_case("g6q_sigma_bar")
+    pts = point_set(ScanPlan(spec.ambient_dim, SmallPrime(3)), spec.generators)
+    tracemalloc.start()
+    try:
+        sing = _jacobian_singular_mask(spec, pts, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        clear_point_sets()
+    assert len(pts) == 39_001 and 0 < sing.sum() < len(pts)
+    assert peak < 6 * 2**20
+
+
 def test_point_sets_stay_narrow_in_memory():
     """The traced peak of the g4 point set at p = 3 (401,314 rows of 14
-    one-byte residues) stays below three times its bytes: int64 rows, or
-    holding both the chunk pieces and their join as int64, would not. A
-    linear cut of it filtered from the memo widens one block of
+    one-byte residues) stays below one and a half times its bytes: the scan
+    holds each chunk's matches as narrow offsets and writes every row once,
+    where holding both the chunk pieces and their join would take twice the
+    rows. A linear cut of it filtered from the memo widens one block of
     GRID_CHUNK_POINTS rows at a time: at most 2(n + 1) int64 vectors of a
     block at once, besides the mask and the cut rows."""
     import tracemalloc
@@ -590,7 +656,7 @@ def test_point_sets_stay_narrow_in_memory():
         tracemalloc.stop()
         clear_point_sets()
     assert pts.shape == (401_314, ncols) and pts.dtype == np.uint8
-    assert scan_peak < 3 * pts.nbytes
+    assert scan_peak < 1.5 * pts.nbytes
     assert 0 < len(rows) < len(pts)
     assert cut_peak - held < (2 * ncols * GRID_CHUNK_POINTS * 8
                               + pts.shape[0] + pts.nbytes)
