@@ -43,7 +43,6 @@ class SmallPrime(int):
         return super().__new__(cls, p)
 
 
-_VAR_RE = re.compile(r"[a-z][a-z0-9]*")
 _TOKEN_RE = re.compile(r"\s*([a-z][a-z0-9]*|\d+|\^|\*|\+|-|−)")
 
 
@@ -270,58 +269,46 @@ def parse_poly(text: str, ring_vars: Sequence[str]) -> Polynomial:
     if not tokens:
         raise ParseError("empty expression")
 
-    i = 0
-
-    def peek() -> str | None:
-        return tokens[i] if i < len(tokens) else None
-
-    def take() -> str:
-        nonlocal i
-        tok = tokens[i]
+    # one pass: each term's factors go into one exponent vector and one
+    # coefficient, and the terms into one dict
+    terms: dict[Monomial, int] = {}
+    n = len(tokens)
+    i = 1 if tokens[0] in ("+", "-") else 0
+    sign = -1 if tokens[0] == "-" else 1
+    while True:
+        coeff = sign
+        expo = [0] * len(ring_vars)
+        while True:
+            if i == n:
+                raise ParseError("unexpected end of expression")
+            tok = tokens[i]
+            i += 1
+            if tok.isdigit():
+                coeff *= int(tok)
+            elif tok[0].isalpha():
+                if tok not in ring_vars:
+                    raise ParseError(f"unknown variable {tok!r}")
+                k = 1
+                if i < n and tokens[i] == "^":
+                    if i + 1 == n or not tokens[i + 1].isdigit():
+                        raise ParseError("exponent must be a nonnegative integer")
+                    k = int(tokens[i + 1])
+                    i += 2
+                expo[ring_vars.index(tok)] += k
+            else:
+                raise ParseError(f"unexpected token {tok!r}")
+            if i == n or tokens[i] != "*":
+                break
+            i += 1
+        key = tuple(expo)
+        terms[key] = terms.get(key, 0) + coeff
+        if i == n:
+            return Polynomial(ring_vars, terms)
+        op = tokens[i]
         i += 1
-        return tok
-
-    def factor() -> Polynomial:
-        tok = peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression")
-        if tok.isdigit():
-            take()
-            return Polynomial.constant(ring_vars, int(tok))
-        if _VAR_RE.fullmatch(tok):
-            take()
-            base = Polynomial.variable(ring_vars, tok)
-            if peek() == "^":
-                take()
-                exp = peek()
-                if exp is None or not exp.isdigit():
-                    raise ParseError("exponent must be a nonnegative integer")
-                take()
-                out = Polynomial.constant(ring_vars, 1)
-                for _ in range(int(exp)):
-                    out = out * base
-                return out
-            return base
-        raise ParseError(f"unexpected token {tok!r}")
-
-    def term() -> Polynomial:
-        out = factor()
-        while peek() == "*":
-            take()
-            out = out * factor()
-        return out
-
-    sign = 1
-    if peek() in ("+", "-"):
-        sign = -1 if take() == "-" else 1
-    result = term() * sign
-    while peek() is not None:
-        op = take()
         if op not in ("+", "-"):
             raise ParseError(f"expected + or -, got {op!r}")
-        nxt = term()
-        result = result + (nxt * (-1 if op == "-" else 1))
-    return result
+        sign = -1 if op == "-" else 1
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ CASE_ALIASES = {
     "g4": "g4_sigma_bar", "g5": "g5_sigma_bar", "g6q": "g6q_sigma_bar",
     "g6c": "g6c_sigma_bar", "g8": "g8_sigma_bar",
 }
+# and the inverse: the short name of each full id that has one
+CASE_SHORT = {full: short for short, full in CASE_ALIASES.items()}
 
 
 @dataclass(frozen=True)

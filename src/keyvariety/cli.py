@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .algebra import PointAffineRep, SmallPrime
-from .catalog import (ALL_CASES, CASE_ALIASES, MAIN_CASES, build_case,
-                      pinned_coordinate_change, plane_containment_check)
+from .catalog import (ALL_CASES, CASE_ALIASES, CASE_SHORT, MAIN_CASES,
+                      build_case, pinned_coordinate_change,
+                      plane_containment_check)
 from .incidence import (FIBER_CASES, base_points, clear_base_points,
                         fiber_birationality_check, fiber_over,
                         g4_intersection_plane_fiber_check,
@@ -310,14 +311,15 @@ def check_fibers(config: RunConfig) -> list:
     if "g6q_sigma_bar" in cases:
         t = PointAffineRep((0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0))
         oracle = g6q_vertex_fiber_oracle(t, 2)
-        rep = fiber_over("g6q", t, 2, confirmed_surface_count=oracle)
+        rep = fiber_over("g6q", t, 2)
+        shape = "surface" if rep.fiber_count == oracle else rep.classified_shape
         records.append(_rec(
             "fibers", "g6q_sigma_bar", 2,
             {"count": oracle, "shape": "surface"},
-            {"count": rep.fiber_count, "shape": rep.classified_shape},
+            {"count": rep.fiber_count, "shape": shape},
             "vertex-plane fiber is the quadric-surface section of the base"))
     for case in sorted(cases & set(MAIN_CASES)):
-        short = case.replace("_sigma_bar", "")
+        short = CASE_SHORT[case]
         if short not in FIBER_CASES:
             continue
         checked, violations = fiber_birationality_check(short, 2)
@@ -587,7 +589,7 @@ def main(argv=None) -> int:
             print(json.dumps({"case": case, "prime": args.prime, "count": n}))
             return 0
         if args.command == "fiber":
-            short = args.case.replace("_sigma_bar", "")
+            short = CASE_SHORT.get(args.case, args.case)
             pt = PointAffineRep.parse(args.point)
             rep = fiber_over(short, pt, SmallPrime(args.prime))
             print(json.dumps({

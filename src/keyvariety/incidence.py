@@ -30,15 +30,12 @@ from .projspace import (DEFAULT_POINT_BUDGET, GRID_CHUNK_POINTS,
 
 @dataclass(frozen=True)
 class FiberReport:
-    target_point: PointAffineRep
     fiber_points: tuple
     fiber_count: int
     classified_shape: str
 
 
-def _classify(count: int, p: int, confirmed_surface_count: int | None) -> str:
-    if confirmed_surface_count is not None and count == confirmed_surface_count:
-        return "surface"
+def _classify(count: int, p: int) -> str:
     if count == 0:
         return "empty"
     if count == 1:
@@ -316,8 +313,7 @@ def _hits(case: str, base: BasePoints, coords: Sequence[int], p: int) -> list:
     return hits
 
 
-def fiber_over(case: str, t: PointAffineRep, p: int,
-               confirmed_surface_count: int | None = None) -> FiberReport:
+def fiber_over(case: str, t: PointAffineRep, p: int) -> FiberReport:
     """All base points whose fiber subspace contains t, in base order (the
     base point's key block, or the (w, u) pair for g4). Requires t on the
     corresponding model, with entries in [0, p); both are checked before
@@ -334,8 +330,7 @@ def fiber_over(case: str, t: PointAffineRep, p: int,
     if base is None:
         base = base_points(case, p)
     hits = tuple(_hits(case, base, coords, p))
-    return FiberReport(t, hits, len(hits),
-                       _classify(len(hits), p, confirmed_surface_count))
+    return FiberReport(hits, len(hits), _classify(len(hits), p))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Exact divisor-class arithmetic over declared symbol bases and relation
 sets, plus the per-case framework constants and normal-bundle bookkeeping.
 
-Divisor symbols are opaque: no intersection products are formed beyond the
-scalar curve pairings recorded in the primitivity facts. Rewriting uses the
-relations in their declared order, each contributing one pivot symbol.
+Each relation of a lattice is declared as a labelled identity in the grammar
+of the ledger's identities ("mKY + Ep == 4*fH" means mKY + Ep - 4 fH = 0) and
+read by the same parse_identity. Divisor symbols are opaque: no intersection
+products are formed beyond the scalar curve pairings recorded in the
+primitivity facts. Rewriting uses the relations in their declared order, each
+contributing one pivot symbol.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .catalog import build_case
+from .catalog import CASE_SHORT, build_case
 
 
 @dataclass(frozen=True)
@@ -141,12 +144,11 @@ BUNDLE_CONSTANTS = {
     "g6c": dict(dim_A=4, f_A=3, d=1, l=1, N=4),
 }
 
-_SHORT = {"g4_sigma_bar": "g4", "g5_sigma_bar": "g5", "g6q_sigma_bar": "g6q",
-          "g6c_sigma_bar": "g6c", "g8_sigma_bar": "g8"}
-
-
-def _frac(x) -> Fraction:
-    return Fraction(x)
+def _lattice(name: str, basis: tuple, relations: tuple) -> ClassLattice:
+    """A lattice whose relations are labelled identities in the ledger's
+    grammar, each meaning lhs - rhs == 0."""
+    return ClassLattice(name, basis, tuple(
+        Relation(label, parse_identity(text, basis)) for label, text in relations))
 
 
 @lru_cache(maxsize=None)
@@ -154,82 +156,49 @@ def lattice_by_name(name: str) -> ClassLattice:
     case, kind = name.split(".", 1)
     if kind == "link":
         z = LINK_Z[case]
-        basis = ("mKY", "Etld", "Ep", "fH")
-        rels = (
-            Relation("blowup-along-curve",
-                     {"mKY": _frac(1), "fH": _frac(-(z + 1)), "Ep": _frac(1)}),
-            Relation("exceptional-class-table",
-                     {"Ep": _frac(1), "mKY": _frac(-z), "Etld": _frac(z + 1)}),
-        )
-        return ClassLattice(name, basis, rels)
+        return _lattice(name, ("mKY", "Etld", "Ep", "fH"), (
+            ("blowup-along-curve", f"mKY + Ep == {z + 1}*fH"),
+            ("exceptional-class-table", f"Ep + {z + 1}*Etld == {z}*mKY"),
+        ))
     if kind == "bundle":
         c = BUNDLE_CONSTANTS[case]
-        N, fA, d = c["N"], c["f_A"], c["d"]
-        basis = ("mKSig", "H", "LA", "Fa", "LB", "E", "F")
-        rels = (
-            Relation("bundle-anticanonical",
-                     {"mKSig": _frac(1), "H": _frac(-(N + 1)),
-                      "LA": _frac(-(fA - 1)), "Fa": _frac(1), "LB": _frac(1)}),
-            Relation("blowdown-hyperplane",
-                     {"LB": _frac(1), "LA": _frac(-d), "Fa": _frac(1)}),
-            Relation("subbundle-divisor",
-                     {"E": _frac(1), "H": _frac(-1), "LA": _frac(1)}),
-            Relation("exceptional-pullback",
-                     {"F": _frac(1), "Fa": _frac(-1)}),
-        )
-        return ClassLattice(name, basis, rels)
+        return _lattice(name, ("mKSig", "H", "LA", "Fa", "LB", "E", "F"), (
+            ("bundle-anticanonical",
+             f"mKSig + Fa + LB == {c['N'] + 1}*H + {c['f_A'] - 1}*LA"),
+            ("blowdown-hyperplane", f"LB + Fa == {c['d']}*LA"),
+            ("subbundle-divisor", "E + LA == H"),
+            ("exceptional-pullback", "F == Fa"),
+        ))
     if kind == "key":
         if case in BUNDLE_CONSTANTS:
             c = BUNDLE_CONSTANTS[case]
             disc = c["dim_A"] - 3
-            basis = ("mK", "H", "E", "F", "M")
-            rels = (
-                Relation("anticanonical-on-flipped-model",
-                         {"mK": _frac(1), "H": _frac(-(c["N"] + 1 + disc)),
-                          "E": _frac(disc)}),
-                Relation("half-point-polarization",
-                         {"H": _frac(1), "M": _frac(-1), "F": Fraction(1, 2)}),
-            )
-            return ClassLattice(name, basis, rels)
-        if case == "g8":
-            basis = ("mK", "H", "Pt", "M")
-            rels = (
-                Relation("anticanonical-on-flopped-model",
-                         {"mK": _frac(1), "H": _frac(-3)}),
-                Relation("half-point-polarization",
-                         {"H": _frac(1), "M": _frac(-1), "Pt": Fraction(1, 2)}),
-            )
-            return ClassLattice(name, basis, rels)
-        if case == "g5":
-            basis = ("mK", "H", "E", "Pt", "M")
-            rels = (
-                Relation("anticanonical-after-center-blowup",
-                         {"mK": _frac(1), "H": _frac(-10), "E": _frac(4)}),
-                Relation("half-point-polarization",
-                         {"H": _frac(1), "M": _frac(-1), "Pt": Fraction(1, 2)}),
-            )
-            return ClassLattice(name, basis, rels)
+            basis, half = ("mK", "H", "E", "F", "M"), "F"
+            anticanonical = ("anticanonical-on-flipped-model",
+                             f"mK + {disc}*E == {c['N'] + 1 + disc}*H")
+        elif case == "g8":
+            basis, half = ("mK", "H", "Pt", "M"), "Pt"
+            anticanonical = ("anticanonical-on-flopped-model", "mK == 3*H")
+        elif case == "g5":
+            basis, half = ("mK", "H", "E", "Pt", "M"), "Pt"
+            anticanonical = ("anticanonical-after-center-blowup", "mK + 4*E == 10*H")
+        else:
+            raise KeyError(f"unknown lattice {name!r}")
+        return _lattice(name, basis, (
+            anticanonical,
+            ("half-point-polarization", f"H + 1/2*{half} == M"),
+        ))
     if kind == "sarkisov" and case == "g4":
-        basis = ("mKZp", "H", "piaL", "pibL", "E1p", "E2p", "ECp",
-                 "E1pp", "E2pp", "LB6")
-        rels = (
-            Relation("anticanonical-is-polarization",
-                     {"mKZp": _frac(1), "piaL": _frac(-1)}),
-            Relation("hyperplane-restriction",
-                     {"H": _frac(1), "piaL": _frac(-1)}),
-            Relation("blowdown-hyperplane-restricted",
-                     {"piaL": _frac(2), "E1p": _frac(-1), "E2p": _frac(-1),
-                      "pibL": _frac(-1)}),
-            Relation("blowup-of-base-along-curve",
-                     {"mKZp": _frac(1), "pibL": _frac(-2), "ECp": _frac(1)}),
-            Relation("strict-transform-1",
-                     {"E1p": _frac(1), "E1pp": _frac(-1), "ECp": _frac(1)}),
-            Relation("strict-transform-2",
-                     {"E2p": _frac(1), "E2pp": _frac(-1), "ECp": _frac(1)}),
-            Relation("hyperplane-pullback",
-                     {"pibL": _frac(1), "LB6": _frac(-1)}),
-        )
-        return ClassLattice(name, basis, rels)
+        return _lattice(name, ("mKZp", "H", "piaL", "pibL", "E1p", "E2p", "ECp",
+                               "E1pp", "E2pp", "LB6"), (
+            ("anticanonical-is-polarization", "mKZp == piaL"),
+            ("hyperplane-restriction", "H == piaL"),
+            ("blowdown-hyperplane-restricted", "2*piaL == E1p + E2p + pibL"),
+            ("blowup-of-base-along-curve", "mKZp + ECp == 2*pibL"),
+            ("strict-transform-1", "E1p + ECp == E1pp"),
+            ("strict-transform-2", "E2p + ECp == E2pp"),
+            ("hyperplane-pullback", "pibL == LB6"),
+        ))
     raise KeyError(f"unknown lattice {name!r}")
 
 
@@ -255,7 +224,7 @@ _MODEL_DIM_INDEX = {"g8": (5, 3), "g5": (12, 10)}
 
 def case_table_check(case_id: str) -> CaseConstants:
     """Framework constants with every arithmetic identity re-evaluated."""
-    short = _SHORT.get(case_id, case_id)
+    short = CASE_SHORT.get(case_id, case_id)
     if short in BUNDLE_CONSTANTS:
         c = BUNDLE_CONSTANTS[short]
         dim_A, f_A, d, l, N = c["dim_A"], c["f_A"], c["d"], c["l"], c["N"]
@@ -296,7 +265,7 @@ def normal_bundle_ledger(case_id: str) -> list:
     """Stated normal-bundle degrees re-derived from adjunction bookkeeping:
     deg N = deg(-K restricted) - deg(-K of the exceptional projective space).
     """
-    short = _SHORT.get(case_id, case_id)
+    short = CASE_SHORT.get(case_id, case_id)
     facts: list[NormalBundleFact] = []
     if short in BUNDLE_CONSTANTS:
         c = BUNDLE_CONSTANTS[short]
@@ -375,13 +344,17 @@ def load_ledger_lines(text: str):
 
 def run_ledger(case: str | None = None):
     """Verify every identity in the shipped ledger file; optionally restrict
-    to one case prefix. Returns LedgerRecord list."""
+    to one case, by short alias or full id. Returns LedgerRecord list; a case
+    with no identity raises KeyError."""
     text = resources.files("keyvariety").joinpath("data/identities.led").read_text()
+    prefix = None if case is None else CASE_SHORT.get(case, case) + "."
     records = []
     for lattice_name, identity, anchor in load_ledger_lines(text):
-        if case is not None and not lattice_name.startswith(case + "."):
+        if prefix is not None and not lattice_name.startswith(prefix):
             continue
         lattice = lattice_by_name(lattice_name)
         records.append(LedgerRecord(lattice_name, identity, anchor,
                                     verify_identity(lattice, identity)))
+    if case is not None and not records:
+        raise KeyError(f"no ledger identities for case {case!r}")
     return records

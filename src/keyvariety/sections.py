@@ -37,7 +37,6 @@ DEFAULT_SECTION_SEEDS = {
 class SectionSpec:
     base_case: str
     linear_forms: tuple
-    seed: int | None = None
     contains_planes: tuple = ()
 
 
@@ -138,7 +137,7 @@ def random_section(base: VarietySpec, codim: int, seed: int,
             forms.append(f)
         if not all(_forms_independent_mod_p(forms, p) for p in primes):
             continue
-        return SectionSpec(base.case_id, tuple(forms), seed, tuple(contains_planes)), draws
+        return SectionSpec(base.case_id, tuple(forms), tuple(contains_planes)), draws
 
 
 def parse_section_file(text: str, ring: Sequence[str]) -> tuple:

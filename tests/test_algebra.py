@@ -49,15 +49,57 @@ def test_parse_round_trip():
         assert parse_poly(str(f), ring) == f
 
 
-def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_poly("x + w", ("x", "y"))       # unknown variable
-    with pytest.raises(ParseError):
-        parse_poly("x ++ y", ("x", "y"))
-    with pytest.raises(ParseError):
-        parse_poly("", ("x",))
-    with pytest.raises(ParseError):
-        parse_poly("x^", ("x",))
+@pytest.mark.parametrize("text, message", [
+    pytest.param("x + w", "unknown variable 'w'", id="unknown-variable"),
+    pytest.param("x ++ y", "unexpected token '+'", id="double-plus"),
+    pytest.param("--x", "unexpected token '-'", id="double-minus"),
+    pytest.param("", "empty expression", id="empty"),
+    pytest.param("x^", "exponent must be a nonnegative integer", id="bare-caret"),
+    pytest.param("x^y", "exponent must be a nonnegative integer", id="variable-exponent"),
+    pytest.param("x y", "expected + or -, got 'y'", id="missing-operator"),
+    pytest.param("x*", "unexpected end of expression", id="trailing-star"),
+    pytest.param("+", "unexpected end of expression", id="bare-sign"),
+    pytest.param("x$", "bad character '$' at position 1", id="bad-character"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text, ("x", "y"))
+    assert str(exc.value) == message
+
+
+_RING = ("x", "y", "z1")
+_SPACES = st.sampled_from(["", " ", "  "])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_poly_matches_built_polynomial(data):
+    """A rendered term list parses to the polynomial that variable, * and +
+    build from the same terms."""
+    terms = data.draw(st.lists(st.tuples(
+        st.integers(-30, 30),
+        st.lists(st.tuples(st.sampled_from(_RING), st.integers(0, 3)), max_size=4)),
+        min_size=1, max_size=5))
+    expected = Polynomial.zero(_RING)
+    tokens = []
+    for k, (c, factors) in enumerate(terms):
+        term = Polynomial.constant(_RING, c)
+        words = []
+        for v, e in factors:
+            for _ in range(e):
+                term = term * Polynomial.variable(_RING, v)
+            words.append([v] if e == 1 and data.draw(st.booleans()) else [v, "^", str(e)])
+        expected = expected + term
+        if abs(c) != 1 or not words or data.draw(st.booleans()):
+            words.append([str(abs(c))])
+        if c < 0:
+            tokens.append(data.draw(st.sampled_from(["-", "\u2212"])))
+        elif k or data.draw(st.booleans()):
+            tokens.append("+")
+        for j, word in enumerate(data.draw(st.permutations(words))):
+            tokens += ["*"] * bool(j) + word
+    text = "".join(data.draw(_SPACES) + t for t in tokens)
+    assert parse_poly(text, _RING) == expected
 
 
 def test_eval_examples():

@@ -231,6 +231,22 @@ def test_cli_ledger_command(capsys):
     assert all(line.startswith("pass") for line in lines)
 
 
+def test_cli_ledger_case_accepts_full_id(capsys):
+    assert main(["ledger", "--case", "g4"]) == 0
+    short = capsys.readouterr().out.splitlines()
+    assert len(short) == 5 and all(line.startswith("pass  g4.") for line in short)
+    assert main(["ledger", "--case", "g4_sigma_bar"]) == 0
+    assert capsys.readouterr().out.splitlines() == short
+
+
+@pytest.mark.parametrize("case", ["bogus", "grass_2_5"])
+def test_cli_ledger_case_without_identities_exits_2(capsys, case):
+    assert main(["ledger", "--case", case]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no ledger identities for case {case!r}\n"
+
+
 def test_cli_section_command(tmp_path, capsys):
     forms = tmp_path / "forms.txt"
     forms.write_text("# two cuts\nx2 - p24\nx3 - p35\n")

@@ -9,6 +9,7 @@ from keyvariety import incidence
 from keyvariety.algebra import (OffVarietyError, PointAffineRep, Polynomial,
                                 SmallPrime, matrix_rank_mod_p)
 from keyvariety.catalog import build_case, trace_zero_matrix
+from keyvariety.cli import RunConfig, check_fibers
 from keyvariety.incidence import (FIBER_CASES, _classify, base_points,
                                   fiber_birationality_check, fiber_over,
                                   g4_intersection_plane_fiber_check,
@@ -151,11 +152,15 @@ def test_g4_plane_fiber_matches_hyperplane_oracle():
 
 
 def test_g6q_vertex_fiber_is_confirmed_surface():
+    # the fibers check names the vertex fiber a surface when its count is
+    # the oracle's; fiber_over itself only sees a count
     t = PointAffineRep((0,) * 9 + (1, 0, 0, 0, 0))
     oracle = g6q_vertex_fiber_oracle(t, 2)
-    rep = fiber_over("g6q", t, 2, confirmed_surface_count=oracle)
-    assert rep.fiber_count == oracle
-    assert rep.classified_shape == "surface"
+    assert fiber_over("g6q", t, 2).fiber_count == oracle
+    [record] = [r for r in check_fibers(RunConfig(cases=("g6q_sigma_bar",)))
+                if "vertex-plane" in r.anchor]
+    assert record.expected == record.observed == {"count": oracle, "shape": "surface"}
+    assert record.verdict == "pass"
 
 
 @pytest.mark.parametrize("case", ["g8", "g6q", "g5", "g4"])
@@ -257,7 +262,7 @@ def test_fiber_over_matches_pointwise_oracle(case, p):
             rep = fiber_over(case, t, p)
             assert rep.fiber_points == tuple(hits), (case, p, t)
             assert rep.fiber_count == len(hits)
-            assert rep.classified_shape == _classify(len(hits), p, None)
+            assert rep.classified_shape == _classify(len(hits), p)
             shapes[rep.classified_shape] += 1
     assert len(shapes) > 1  # the samples reach more than one fiber shape
 

@@ -78,6 +78,52 @@ def test_exceptional_pair_identity():
     assert not verify_identity(lat, "E1pp + E2pp == 2*LB6").ok
 
 
+# basis and relation vectors of lattices the ledger names, as the literal
+# dicts declared them before the relations were written as identities
+_RELATIONS = {
+    "g5.link": (("mKY", "Etld", "Ep", "fH"), [
+        ("blowup-along-curve", {"mKY": 1, "fH": -4, "Ep": 1}),
+        ("exceptional-class-table", {"Ep": 1, "mKY": -3, "Etld": 4}),
+    ]),
+    "g4.bundle": (("mKSig", "H", "LA", "Fa", "LB", "E", "F"), [
+        ("bundle-anticanonical", {"mKSig": 1, "H": -8, "LA": -3, "Fa": 1, "LB": 1}),
+        ("blowdown-hyperplane", {"LB": 1, "LA": -2, "Fa": 1}),
+        ("subbundle-divisor", {"E": 1, "H": -1, "LA": 1}),
+        ("exceptional-pullback", {"F": 1, "Fa": -1}),
+    ]),
+    "g6q.key": (("mK", "H", "E", "F", "M"), [
+        ("anticanonical-on-flipped-model", {"mK": 1, "H": -7, "E": 2}),
+        ("half-point-polarization", {"H": 1, "M": -1, "F": Fraction(1, 2)}),
+    ]),
+    "g8.key": (("mK", "H", "Pt", "M"), [
+        ("anticanonical-on-flopped-model", {"mK": 1, "H": -3}),
+        ("half-point-polarization", {"H": 1, "M": -1, "Pt": Fraction(1, 2)}),
+    ]),
+    "g5.key": (("mK", "H", "E", "Pt", "M"), [
+        ("anticanonical-after-center-blowup", {"mK": 1, "H": -10, "E": 4}),
+        ("half-point-polarization", {"H": 1, "M": -1, "Pt": Fraction(1, 2)}),
+    ]),
+    "g4.sarkisov": (("mKZp", "H", "piaL", "pibL", "E1p", "E2p", "ECp",
+                     "E1pp", "E2pp", "LB6"), [
+        ("anticanonical-is-polarization", {"mKZp": 1, "piaL": -1}),
+        ("hyperplane-restriction", {"H": 1, "piaL": -1}),
+        ("blowdown-hyperplane-restricted", {"piaL": 2, "E1p": -1, "E2p": -1, "pibL": -1}),
+        ("blowup-of-base-along-curve", {"mKZp": 1, "pibL": -2, "ECp": 1}),
+        ("strict-transform-1", {"E1p": 1, "E1pp": -1, "ECp": 1}),
+        ("strict-transform-2", {"E2p": 1, "E2pp": -1, "ECp": 1}),
+        ("hyperplane-pullback", {"pibL": 1, "LB6": -1}),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(_RELATIONS))
+def test_lattice_relation_vectors(name):
+    lat = lattice_by_name(name)
+    basis, relations = _RELATIONS[name]
+    assert lat.basis == basis
+    assert [(r.label, r.vector) for r in lat.relations] == relations
+
+
 def test_relation_uses_declared_symbols_only():
     with pytest.raises(ValueError):
         ClassLattice("bad", ("a",), (Relation("r", {"b": Fraction(1)}),))
