@@ -5,6 +5,15 @@ numerology, and divisor-class identities."""
 
 __version__ = "0.1.0"
 
+import os
+
+# Every float32 product runs in row blocks small enough for OpenBLAS to keep
+# on the calling thread, and the int64 products do not use BLAS, so the
+# thread pool that OpenBLAS starts when numpy is imported does no work; its
+# threads only spin at start-up. Set before the first import of numpy; a
+# value already in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .algebra import (ParseError, OffVarietyError, PointAffineRep, Polynomial,
                       SmallPrime, jacobian_rank, matrix_rank_mod_p,
                       parse_poly)

@@ -593,7 +593,7 @@ def main(argv=None) -> int:
             pt = PointAffineRep.parse(args.point)
             rep = fiber_over(short, pt, SmallPrime(args.prime))
             print(json.dumps({
-                "case": args.case, "prime": args.prime,
+                "case": CASE_ALIASES.get(args.case, args.case), "prime": args.prime,
                 "point": pt.serialize(), "fiber_count": rep.fiber_count,
                 "shape": rep.classified_shape,
                 "fiber_points": [_jsonable(s) for s in rep.fiber_points],

@@ -12,10 +12,10 @@ import numpy as np
 from .algebra import SmallPrime, _jacobian_partials, matrix_rank_mod_p_batch
 from .catalog import VarietySpec, RankLocusSpec, pinned_coordinate_change
 from .projspace import (BudgetExceeded,  # noqa: F401
-                        CompiledSystem, ScanPlan, point_set, proj_point_count,
-                        scan_system)
+                        CompiledSystem, ScanPlan, point_batches, point_set,
+                        proj_point_count, row_dtype, scan_system)
 
-_RANK_BLOCK = 1 << 13
+_RANK_BLOCK = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def two_path_count_check(spec: VarietySpec, p: int,
 
 @dataclass(frozen=True)
 class SingularScanReport:
-    points: np.ndarray              # the held read-only rows of the variety
+    count: int                      # the number of rational points
     singular: np.ndarray            # Jacobian-singular rows
     difference: np.ndarray | None   # rows where the two masks differ
     containment_plane: str | None = None
@@ -232,17 +232,29 @@ def singular_scan(spec: VarietySpec, locus: RankLocusSpec | None,
     description, difference holds the rows where the two masks disagree;
     with none, report the containment of the singular set in the
     distinguished plane instead. All row arrays are in index order.
+
+    The points are classified a batch at a time (point_batches): slices of
+    the held set when an earlier check put it in the memo, else batches
+    streamed from a scan as it finds them, so only the singular and the
+    differing rows are kept. A streamed scan adds nothing to the memo: a
+    later check that reads the same set (fibers at p = 2, sections at
+    p = 3) scans it again.
     """
     p = SmallPrime(p)
-    pts = point_set(ScanPlan(spec.ambient_dim, p), spec.generators)
-    sing = _jacobian_singular_mask(spec, pts, p)
-    sing_pts = pts[sing]
+    empty = np.zeros((0, spec.ambient_dim + 1), dtype=row_dtype(p))
+    count, sing_rows, diff_rows = 0, [empty], [empty]
+    for pts in point_batches(ScanPlan(spec.ambient_dim, p), spec.generators):
+        count += pts.shape[0]
+        sing = _jacobian_singular_mask(spec, pts, p)
+        sing_rows.append(pts[sing])
+        if locus is not None:
+            diff_rows.append(pts[sing ^ _rank_locus_mask(spec, locus, pts, p)])
+    sing_pts = np.concatenate(sing_rows)
     if locus is not None:
-        diff = sing ^ _rank_locus_mask(spec, locus, pts, p)
-        return SingularScanReport(pts, sing_pts, pts[diff])
+        return SingularScanReport(count, sing_pts, np.concatenate(diff_rows))
     plane_name = next(iter(spec.planes), None)
     holds = None
     if plane_name is not None:
         holds = bool(_on_zero_block(
             spec, spec.planes[plane_name].vanishing_vars, sing_pts).all())
-    return SingularScanReport(pts, sing_pts, None, plane_name, holds)
+    return SingularScanReport(count, sing_pts, None, plane_name, holds)

@@ -153,14 +153,15 @@ def _lattice(name: str, basis: tuple, relations: tuple) -> ClassLattice:
 
 @lru_cache(maxsize=None)
 def lattice_by_name(name: str) -> ClassLattice:
-    case, kind = name.split(".", 1)
-    if kind == "link":
+    """The lattice named case.kind; KeyError naming it for any other name."""
+    case, _, kind = name.partition(".")
+    if kind == "link" and case in LINK_Z:
         z = LINK_Z[case]
         return _lattice(name, ("mKY", "Etld", "Ep", "fH"), (
             ("blowup-along-curve", f"mKY + Ep == {z + 1}*fH"),
             ("exceptional-class-table", f"Ep + {z + 1}*Etld == {z}*mKY"),
         ))
-    if kind == "bundle":
+    if kind == "bundle" and case in BUNDLE_CONSTANTS:
         c = BUNDLE_CONSTANTS[case]
         return _lattice(name, ("mKSig", "H", "LA", "Fa", "LB", "E", "F"), (
             ("bundle-anticanonical",
@@ -169,7 +170,7 @@ def lattice_by_name(name: str) -> ClassLattice:
             ("subbundle-divisor", "E + LA == H"),
             ("exceptional-pullback", "F == Fa"),
         ))
-    if kind == "key":
+    if kind == "key" and case in (*BUNDLE_CONSTANTS, "g8", "g5"):
         if case in BUNDLE_CONSTANTS:
             c = BUNDLE_CONSTANTS[case]
             disc = c["dim_A"] - 3
@@ -179,11 +180,9 @@ def lattice_by_name(name: str) -> ClassLattice:
         elif case == "g8":
             basis, half = ("mK", "H", "Pt", "M"), "Pt"
             anticanonical = ("anticanonical-on-flopped-model", "mK == 3*H")
-        elif case == "g5":
+        else:
             basis, half = ("mK", "H", "E", "Pt", "M"), "Pt"
             anticanonical = ("anticanonical-after-center-blowup", "mK + 4*E == 10*H")
-        else:
-            raise KeyError(f"unknown lattice {name!r}")
         return _lattice(name, basis, (
             anticanonical,
             ("half-point-polarization", f"H + 1/2*{half} == M"),

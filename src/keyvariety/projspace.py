@@ -49,26 +49,34 @@ generators of a block, vanishing_mask with one per generator on the rows
 still held.
 
 Chunks (blocks of outer rows of about GRID_CHUNK_POINTS points) run one after
-another in index order, which bounds the memory of one step. Every scan is
-held to a point budget. Point sets of the catalog's varieties go through a
-memo (point_set), so each (generators, prime) pair is scanned once until
-clear_point_sets(). common_zeros reads the memo without adding to it: a
-system whose leading generators are held (a linear section of a held
-variety) is filtered from their rows instead of scanned.
+another in index order, which bounds the memory of one step. One generator,
+_scan_pieces, runs them and yields a piece per chunk with a match: its
+group's (k, s, width, inner digits), its first outer row and its offsets. It
+has two consumers: scan_system, which counts the matches or decodes all the
+pieces at once into one array (collect=True), and scan_batches, which decodes
+them as they come into batches of at least _SCAN_BATCH rows, so that a caller
+can use the rows of a set without ever holding it whole. Every scan is held
+to a point budget, checked when it is called. Point sets of the catalog's
+varieties go through a memo (point_set), so each (generators, prime) pair is
+scanned once until clear_point_sets(). common_zeros and point_batches read
+the memo without adding to it: common_zeros filters a system whose leading
+generators are held (a linear section of a held variety) from their rows
+instead of scanning it, and point_batches gives slices of a held set, else
+the batches of scan_batches.
 
-Point sets are narrow: the rows of a collect scan, of point_set and of
-common_zeros are in row_dtype(p), the narrowest unsigned dtype that holds
-p - 1 (uint8 up to p = 251, an eighth of int64). They are widened to int64
-only inside arithmetic, and never a whole set at once: the monomial builder
-casts each column it reads, vanishing_mask walks its rows in blocks of
-GRID_CHUNK_POINTS, _matmul_mod casts its operands and _float32_zero casts
+Point sets are narrow: the rows of a collect scan, of point_set, of
+common_zeros and of a batch are in row_dtype(p), the narrowest unsigned dtype
+that holds p - 1 (uint8 up to p = 251, an eighth of int64). They are widened
+to int64 only inside arithmetic, and never a whole set at once: the monomial
+builder casts each column it reads, vanishing_mask walks its rows in blocks
+of GRID_CHUNK_POINTS, _matmul_mod casts its operands and _float32_zero casts
 to float32. A collect scan holds each chunk's matches as offsets in the
-narrowest dtype that holds a chunk, with its group's inner digits, and
-writes every row once at the end into one row_dtype(p) array of the final
-count. A group's inner digits and the values of eval_block are in
-row_dtype(p) as well, so the value slabs of the rank loci stay narrow up to
-the rank. Kernel operands that are not held (the outer digit grid of a
-chunk, points_block) stay int64.
+narrowest dtype that holds a chunk, with its group's inner digits, and writes
+every row once at the end into one row_dtype(p) array of the final count;
+scan_batches does the same for each batch. A group's inner digits and the
+values of eval_block are in row_dtype(p) as well, so the value slabs of the
+rank loci stay narrow up to the rank. Kernel operands that are not held (the
+outer digit grid of a chunk, points_block) stay int64.
 """
 from __future__ import annotations
 
@@ -479,6 +487,35 @@ def _collected_rows(pieces: list, n: int, p: int, count: int) -> np.ndarray:
     return rows
 
 
+def _check_scan(plan: ScanPlan, polys: Sequence[Polynomial]) -> None:
+    """Raise BudgetExceeded when P^n(F_p) exceeds DEFAULT_POINT_BUDGET, and
+    ValueError for an empty system or a generator whose ring does not match
+    the plan."""
+    _check_budget(plan)
+    if not polys:
+        raise ValueError("empty system")
+    if any(len(f.ring_vars) != plan.ambient_dim + 1 for f in polys):
+        raise ValueError("system arity does not match the scan plan")
+
+
+def _scan_pieces(plan: ScanPlan, polys: Sequence[Polynomial], collect: bool):
+    """Run the grid kernel over every chunk in index order and yield, per
+    chunk with a match, (matched count, piece): with collect the piece is
+    its group's (k, s, width, inner digits), its first outer row r0 and its
+    offsets, as _collected_rows decodes them, else None."""
+    n, p = plan.ambient_dim, int(plan.prime)
+    for k in range(n + 1):
+        group = _grid_group(polys, n, k, p)
+        step = max(1, GRID_CHUNK_POINTS // group.width)
+        nrows = p ** group.s
+        spot = (k, group.s, group.width, group.inner_digits)
+        for r0 in range(0, nrows, step):
+            nmatch, hits = _grid_chunk(group, p, r0, min(r0 + step, nrows),
+                                       collect)
+            if nmatch:
+                yield nmatch, ((spot, r0, hits) if collect else None)
+
+
 def scan_system(plan: ScanPlan, polys: Sequence[Polynomial], *,
                 collect: bool = False):
     """Scan for common zeros of a polynomial system with the grid kernel.
@@ -488,31 +525,53 @@ def scan_system(plan: ScanPlan, polys: Sequence[Polynomial], *,
     rows are in index order. Raises BudgetExceeded before any work when
     P^n(F_p) exceeds DEFAULT_POINT_BUDGET.
     """
-    _check_budget(plan)
-    if not polys:
-        raise ValueError("empty system")
-    if any(len(f.ring_vars) != plan.ambient_dim + 1 for f in polys):
-        raise ValueError("system arity does not match the scan plan")
+    _check_scan(plan, polys)
+    if not collect:
+        return ScanResult(sum(m for m, _ in _scan_pieces(plan, polys, False)))
+    pieces = [piece for _, piece in _scan_pieces(plan, polys, True)]
+    matched = sum(piece[2].size for piece in pieces)
+    return (ScanResult(matched),
+            _collected_rows(pieces, plan.ambient_dim, int(plan.prime), matched))
+
+
+_SCAN_BATCH = 1 << 15
+
+
+def scan_batches(plan: ScanPlan, polys: Sequence[Polynomial]):
+    """The common zeros of a polynomial system as row_dtype(p) batches of at
+    least _SCAN_BATCH rows (the last may be shorter), yielded as the scan
+    finds them, in index order: the pieces of consecutive chunks are decoded
+    once a batch's worth has gathered, each row written once, and no batch
+    is held after it is yielded. An empty set yields nothing. The budget and
+    the arity are checked here, before any chunk runs."""
+    _check_scan(plan, polys)
+    return _batches(plan, polys)
+
+
+def _batches(plan: ScanPlan, polys: Sequence[Polynomial]):
     n, p = plan.ambient_dim, int(plan.prime)
-    matched = 0
-    pieces = []
-    for k in range(n + 1):
-        group = _grid_group(polys, n, k, p)
-        step = max(1, GRID_CHUNK_POINTS // group.width)
-        nrows = p ** group.s
-        spot = None
-        for r0 in range(0, nrows, step):
-            nmatch, hits = _grid_chunk(group, p, r0, min(r0 + step, nrows),
-                                       collect)
-            matched += nmatch
-            if collect and nmatch:
-                if spot is None:
-                    spot = (k, group.s, group.width, group.inner_digits)
-                pieces.append((spot, r0, hits))
-    result = ScanResult(matched)
-    if collect:
-        return result, _collected_rows(pieces, n, p, matched)
-    return result
+    pieces, count = [], 0
+    for nmatch, piece in _scan_pieces(plan, polys, True):
+        pieces.append(piece)
+        count += nmatch
+        if count >= _SCAN_BATCH:
+            yield _collected_rows(pieces, n, p, count)
+            pieces, count = [], 0
+    if count:
+        yield _collected_rows(pieces, n, p, count)
+
+
+def point_batches(plan: ScanPlan, polys: Sequence[Polynomial]):
+    """The common zeros of polys in P^n(F_p) in index order as batches of
+    row_dtype(p) rows, read through the memo without adding to it: slices of
+    _SCAN_BATCH rows of the held set when point_set holds it, else the
+    batches of scan_batches. Raises BudgetExceeded at the call for an
+    unheld set over the budget."""
+    polys = tuple(polys)
+    held = _POINT_SETS.get((plan, polys))
+    if held is None:
+        return scan_batches(plan, polys)
+    return (held[lo:lo + _SCAN_BATCH] for lo in range(0, len(held), _SCAN_BATCH))
 
 
 _POINT_SETS: dict = {}

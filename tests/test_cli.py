@@ -188,6 +188,17 @@ def test_cli_fiber_command(capsys):
     assert out["fiber_count"] == 3 and out["shape"] == "P1"
 
 
+def test_cli_fiber_prints_the_resolved_case_id(capsys):
+    point = "0:0:0:0:1:0:0:0:0:1:0:0:0:0:0:0"
+    lines = []
+    for case in ("g5", "g5_sigma_bar"):
+        assert main(["fiber", "--case", case, "--prime", "2",
+                     "--point", point]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1]
+    assert json.loads(lines[0])["case"] == "g5_sigma_bar"
+
+
 @pytest.mark.parametrize("case,prime,point", [
     ("g5", 65537, "1:0:0:0:0:1:0:0:0:0:1:0:0:0:0:1"),
     ("g4", 101, "0:0:0:0:0:0:1:0:0:0:0:0:0:0"),

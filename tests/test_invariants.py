@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from keyvariety import invariants
+from keyvariety import invariants, projspace
 from keyvariety.catalog import RankLocusSpec, build_case
 from keyvariety.invariants import (BudgetExceeded, bracket_dimension,
                                    ci_degree, count_points, estimate_dimension,
                                    grassmann_degree, hilbert_ci_degree,
                                    singular_scan, two_path_count_check)
-from keyvariety.projspace import proj_point_count
+from keyvariety.projspace import ScanPlan, point_set, proj_point_count
 from keyvariety.sections import section_report
 
 # frozen by exhaustive scans; regression-guarded here
@@ -99,8 +99,10 @@ def test_singular_scan_equality_p2(case, expected_sing):
     rep = singular_scan(spec, spec.rank_locus, 2)
     assert rep.difference.shape == (0, len(spec.vars))
     assert len(rep.singular) == expected_sing
-    member = invariants._rank_locus_mask(spec, spec.rank_locus, rep.points, 2)
-    assert np.array_equal(rep.points[member], rep.singular)
+    pts = point_set(ScanPlan(spec.ambient_dim, 2), spec.generators)
+    assert rep.count == len(pts) == FROZEN_COUNTS[(case, 2)]
+    member = invariants._rank_locus_mask(spec, spec.rank_locus, pts, 2)
+    assert np.array_equal(pts[member], rep.singular)
 
 
 def _row_positions(rows, points):
@@ -116,11 +118,12 @@ def test_singular_scan_reports_true_difference_count():
     spec = build_case("g6q_sigma_bar")
     empty = RankLocusSpec(spec.case_id, "no branches", ())
     rep = singular_scan(spec, empty, 2)
-    assert len(rep.points) == FROZEN_COUNTS[("g6q_sigma_bar", 2)]
-    assert not rep.points.flags.writeable
+    pts = point_set(ScanPlan(spec.ambient_dim, 2), spec.generators)
+    assert rep.count == len(pts) == FROZEN_COUNTS[("g6q_sigma_bar", 2)]
+    assert not pts.flags.writeable
     assert len(rep.difference) == len(rep.singular) == 151
     assert np.array_equal(rep.difference, rep.singular)
-    positions = _row_positions(rep.difference, rep.points)
+    positions = _row_positions(rep.difference, pts)
     assert positions == sorted(set(positions))
     codim = spec.ambient_dim - spec.expected_dim
     for row in rep.difference.tolist():
@@ -242,8 +245,79 @@ def test_singular_scan_g6c_containment_p2():
     assert rep.containment_plane == "Pibar"
     assert rep.containment_holds is True
     assert len(rep.singular) == 87
-    positions = _row_positions(rep.singular, rep.points)
+    pts = point_set(ScanPlan(spec.ambient_dim, 2), spec.generators)
+    assert rep.count == len(pts) == FROZEN_COUNTS[("g6c_sigma_bar", 2)]
+    positions = _row_positions(rep.singular, pts)
     assert positions == sorted(set(positions))
+
+
+@pytest.mark.parametrize("case,p", list(FROZEN_COUNTS))
+def test_streamed_singular_scan_equals_held(case, p, monkeypatch):
+    """singular_scan on a set nobody holds (streamed from scan_batches) and
+    on the held set (slices of point_set's rows) give the same rows and
+    count, with chunks and batches small enough that batches gather several
+    chunks and split index groups; the streamed scan adds nothing to the
+    memo. g6c reports its plane containment and g8 its projected Veronese
+    singular set (no declared rank locus)."""
+    spec = build_case(case)
+    plan = ScanPlan(spec.ambient_dim, p)
+    count = FROZEN_COUNTS[(case, p)]
+    monkeypatch.setattr(projspace, "GRID_CHUNK_POINTS", p ** 7)
+    monkeypatch.setattr(projspace, "_SCAN_BATCH", count // 6)
+    batches = []
+    real = projspace._collected_rows
+    monkeypatch.setattr(projspace, "_collected_rows",
+                        lambda pieces, *a: batches.append(
+                            [piece[0][0] for piece in pieces])
+                        or real(pieces, *a))
+    streamed = singular_scan(spec, spec.rank_locus, p)
+    assert projspace._POINT_SETS == {}
+    assert len(batches) >= 6
+    assert any(len(groups) > 1 for groups in batches)
+    assert len({groups[-1] for groups in batches}) < len(batches)
+    pts = point_set(plan, spec.generators)
+    held = singular_scan(spec, spec.rank_locus, p)
+    assert streamed.count == held.count == len(pts) == count
+    assert np.array_equal(streamed.singular, held.singular)
+    assert streamed.singular.dtype == held.singular.dtype == pts.dtype
+    if spec.rank_locus is None:
+        assert streamed.difference is held.difference is None
+        assert (streamed.containment_plane, streamed.containment_holds) == (
+            held.containment_plane, held.containment_holds)
+    else:
+        assert np.array_equal(streamed.difference, held.difference)
+        assert len(held.difference) == 0
+
+
+def test_singular_scan_of_a_held_set_runs_no_scan(monkeypatch):
+    spec = build_case("g6q_sigma_bar")
+    pts = point_set(ScanPlan(spec.ambient_dim, 3), spec.generators)
+    chunks = []
+    real = projspace._grid_chunk
+    monkeypatch.setattr(projspace, "_grid_chunk",
+                        lambda *a: chunks.append(a[2]) or real(*a))
+    rep = singular_scan(spec, spec.rank_locus, 3)
+    assert chunks == []
+    assert rep.count == len(pts) == FROZEN_COUNTS[("g6q_sigma_bar", 3)]
+    assert len(rep.singular) == 1201 and len(rep.difference) == 0
+
+
+def test_streamed_singular_scan_stays_small_in_memory():
+    """The traced peak of the g4 singular scan at p = 3 stays below 6 MiB:
+    its 401,314 rows (5.4 MiB of uint8) are ranked a batch at a time as the
+    scan finds them and never held whole; holding them took 10.2 MiB."""
+    import tracemalloc
+
+    spec = build_case("g4_sigma_bar")
+    tracemalloc.start()
+    try:
+        rep = singular_scan(spec, spec.rank_locus, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.count == FROZEN_COUNTS[("g4_sigma_bar", 3)]
+    assert len(rep.difference) == 0
+    assert peak < 6 * 2**20
 
 
 def test_g6q_dual_vertex_plane_is_singular():

@@ -124,6 +124,14 @@ def test_lattice_relation_vectors(name):
     assert [(r.label, r.vector) for r in lat.relations] == relations
 
 
+@pytest.mark.parametrize("name", [
+    "g4.link", "g5.bundle", "g5.sarkisov", "g4.hodge", "bogus.key", "g4", ""])
+def test_unknown_lattice_raises_key_error_naming_it(name):
+    with pytest.raises(KeyError) as info:
+        lattice_by_name(name)
+    assert info.value.args == (f"unknown lattice {name!r}",)
+
+
 def test_relation_uses_declared_symbols_only():
     with pytest.raises(ValueError):
         ClassLattice("bad", ("a",), (Relation("r", {"b": Fraction(1)}),))

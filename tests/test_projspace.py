@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,8 @@ from keyvariety.projspace import (GRID_CHUNK_POINTS, CompiledSystem,
                                   _generator_values, _matmul_mod, _zero_mod,
                                   clear_point_sets,
                                   index_to_point, point_set, point_to_index,
-                                  points_block, proj_point_count, scan_system)
+                                  points_block, proj_point_count,
+                                  scan_batches, scan_system)
 from keyvariety.sections import SectionSpec, cut, section_report
 
 
@@ -608,8 +613,8 @@ def test_collect_rows_equal_brute_force_mask(p, n, monkeypatch):
 
 def test_jacobian_value_slabs_stay_narrow_in_memory():
     """The traced peak of the Jacobian mask of g6q at p = 3 (39,001 points,
-    84 partials of which 45 are zero) stays below 6 MiB: one (84, 8192)
-    int64 value slab is 5.25 MiB, and an int64 copy of it in the rank
+    84 partials of which 45 are zero) stays below 4 MiB: one (84, 4096)
+    int64 value slab is 2.6 MiB, and an int64 copy of it in the rank
     would hold two."""
     import tracemalloc
 
@@ -625,7 +630,7 @@ def test_jacobian_value_slabs_stay_narrow_in_memory():
         tracemalloc.stop()
         clear_point_sets()
     assert len(pts) == 39_001 and 0 < sing.sum() < len(pts)
-    assert peak < 6 * 2**20
+    assert peak < 4 * 2**20
 
 
 def test_point_sets_stay_narrow_in_memory():
@@ -660,3 +665,72 @@ def test_point_sets_stay_narrow_in_memory():
     assert 0 < len(rows) < len(pts)
     assert cut_peak - held < (2 * ncols * GRID_CHUNK_POINTS * 8
                               + pts.shape[0] + pts.nbytes)
+
+
+@pytest.mark.parametrize("case,p,chunk_points,batch", [
+    ("g6q_sigma_bar", 2, 64, 100), ("g6c_sigma_bar", 3, 729, 1000),
+    ("g8_sigma_bar", 3, 81, 1)])
+def test_scan_batches_join_to_the_collected_rows(case, p, chunk_points, batch,
+                                                 monkeypatch):
+    """Batches of at least _SCAN_BATCH rows (the last may be shorter), each
+    gathered from whole chunks, whose join is the collect scan's rows."""
+    spec = build_case(case)
+    plan = ScanPlan(spec.ambient_dim, SmallPrime(p))
+    want = point_set(plan, spec.generators)
+    clear_point_sets()
+    monkeypatch.setattr(projspace, "GRID_CHUNK_POINTS", chunk_points)
+    monkeypatch.setattr(projspace, "_SCAN_BATCH", batch)
+    batches = list(scan_batches(plan, spec.generators))
+    assert len(batches) > 2
+    assert all(len(b) >= batch for b in batches[:-1])
+    assert 0 < len(batches[-1])
+    assert all(b.dtype == projspace.row_dtype(p) for b in batches)
+    assert np.array_equal(np.concatenate(batches), want)
+    assert projspace._POINT_SETS == {}
+
+
+def test_scan_batches_of_an_empty_set_yield_nothing():
+    ring = tuple(f"x{i}" for i in range(3))
+    plan = ScanPlan(2, SmallPrime(3))
+    assert list(scan_batches(plan, [parse_poly("x0^2 + x1^2 + x2^2 + 1", ring),
+                                    parse_poly("x0", ring),
+                                    parse_poly("x1", ring),
+                                    parse_poly("x2", ring)])) == []
+
+
+def test_scan_batches_check_budget_and_arity_at_the_call(monkeypatch):
+    """P^15(F_5) for g5 and a generator of another ring are refused when
+    scan_batches is called, before any group is built."""
+    def refuse(*_):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(projspace, "_grid_group", refuse)
+    spec = build_case("g5_sigma_bar")
+    with pytest.raises(projspace.BudgetExceeded):
+        scan_batches(ScanPlan(spec.ambient_dim, SmallPrime(5)), spec.generators)
+    with pytest.raises(ValueError, match="arity"):
+        scan_batches(ScanPlan(3, SmallPrime(2)), spec.generators)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_starts_no_blas_threads(preset):
+    """Importing keyvariety sets OPENBLAS_NUM_THREADS=1 before numpy starts
+    OpenBLAS, so a fresh interpreter holds one thread; a value already set
+    is kept."""
+    src = str(Path(projspace.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run(
+        [sys.executable, "-c", "import keyvariety, os; "
+         "print(len(os.listdir('/proc/self/task')), "
+         "os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    threads, value = out.stdout.split()
+    if preset is None:
+        assert (threads, value) == ("1", "1")
+    else:
+        assert value == preset
