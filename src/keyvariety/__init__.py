@@ -15,11 +15,10 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .algebra import (ParseError, OffVarietyError, PointAffineRep, Polynomial,
-                      SmallPrime, jacobian_rank, matrix_rank_mod_p,
-                      parse_poly)
+                      SmallPrime, matrix_rank_mod_p, parse_poly)
 from .catalog import (ALL_CASES, MAIN_CASES, VarietySpec, build_case,
                       normalize_pairing, plane_containment_check,
-                      plucker_ideal, rank_locus_member, spec_dump)
+                      plucker_ideal, spec_dump)
 from .incidence import (FiberReport, fiber_over, linalg_equiv_check,
                         subspace_from_plucker)
 from .invariants import (DimensionEstimate, SingularScanReport, ci_degree,

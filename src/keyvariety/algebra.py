@@ -409,6 +409,29 @@ def nullspace_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     return basis
 
 
+_MOD_P_SMALL = 1 << 10
+
+
+def mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """x % p for an integer array x, in x's dtype, which must hold p: from
+    _MOD_P_SMALL entries up as x - p*(x // p). numpy divides an integer
+    array by a scalar with libdivide in //, not in %: on 32,768 entries
+    this takes about a seventh of the time of % in int16 and a third in
+    int64. Below that size the three calls cost more than one %, which is
+    used there. Floor division makes it equal x % p for negative entries
+    too; a product p*(x // p) that wraps in a signed dtype wraps back in the
+    subtraction, since the true result lies in [0, p). One temporary is
+    allocated and holds the result. p is passed as a Python int, which keeps
+    x's dtype under the promotion rules of numpy 1.x and 2.x alike because
+    the dtype holds it, and costs less per call than a numpy scalar."""
+    p = int(p)
+    if x.size < _MOD_P_SMALL:
+        return x % p
+    q = x // p
+    q *= p
+    return np.subtract(x, q, out=q)
+
+
 def _inverse_mod_p(v: np.ndarray, p: int) -> np.ndarray:
     """Elementwise v^(p-2) mod p by square-and-multiply: the inverse of each
     nonzero residue (Fermat), and 0 for v = 0 when p > 2."""
@@ -417,38 +440,40 @@ def _inverse_mod_p(v: np.ndarray, p: int) -> np.ndarray:
     e = p - 2
     while e:
         if e & 1:
-            result = result * base % p
-        base = base * base % p
+            result = mod_p(result * base, p)
+        base = mod_p(base * base, p)
         e >>= 1
     return result
 
 
-_ONE = np.uint64(1)
-
-
 def _bit_planes(T: np.ndarray, p: int) -> list:
-    """Pack a batch-last (r, c, B) integer view, c <= 64, into uint64 bit
-    planes of shape (r, B): bit j of a plane holds column j. p = 2 gives one
-    plane (the entry is odd: x & 1 is x mod 2 for every integer in two's
+    """Pack a batch-last (r, c, B) integer view, c <= 64, into bit planes of
+    shape (r, B) in the narrowest unsigned word that holds c bits (uint8,
+    uint16, uint32 or uint64): bit j of a plane holds column j. p = 2 gives
+    one plane (the entry is odd: x & 1 is x mod 2 for every integer in two's
     complement), p = 3 two (the entry is 1, the entry is 2). At p = 3 each
-    column is reduced mod p on its own, unless every entry is a residue
+    column is reduced by mod_p on its own, unless every entry is a residue
     already: the check costs about as much as reducing two columns. Each
-    column is cast into one uint64 buffer before any & or <<, which a narrow
-    column would otherwise keep in its own dtype under numpy 1.x, and is
-    shifted there in place, so that packing allocates nothing per column."""
+    column is cast into one buffer of the plane's word before any & or <<,
+    and is shifted there in place, so that packing allocates nothing per
+    column. Every scalar is of the plane's own word, so no operation widens
+    a plane under the promotion rules of numpy 1.x or 2.x."""
     r, c, B = T.shape
-    planes = [np.zeros((r, B), dtype=np.uint64) for _ in range(p - 1)]
+    word = np.min_scalar_type((1 << c) - 1)
+    one = word.type(1)
+    planes = [np.zeros((r, B), dtype=word) for _ in range(p - 1)]
     reduce = p == 3 and T.size and (T.min() < 0 or T.max() > 2)
-    low = np.empty((r, B), dtype=np.uint64)
+    low = np.empty((r, B), dtype=word)
     high = np.empty_like(low) if p == 3 else None
     for j in range(c):
-        np.copyto(low, T[:, j, :] % p if reduce else T[:, j, :], casting="unsafe")
-        shift = np.uint64(j)
+        np.copyto(low, mod_p(T[:, j, :], p) if reduce else T[:, j, :],
+                  casting="unsafe")
+        shift = word.type(j)
         if p == 3:
-            np.right_shift(low, _ONE, out=high)
+            np.right_shift(low, one, out=high)
             high <<= shift
             planes[1] |= high
-        low &= _ONE
+        low &= one
         low <<= shift
         planes[0] |= low
     return planes
@@ -456,16 +481,19 @@ def _bit_planes(T: np.ndarray, p: int) -> list:
 
 def _rank_bitsliced(T: np.ndarray, p: int) -> np.ndarray:
     """Ranks over F_2 or F_3 of a batch-last (r, c, B) view with c <= 64, by
-    the elimination of matrix_rank_mod_p_batch on bit planes (Boothby and
-    Bradshaw, arXiv:0901.1413). Step i takes the lowest set bit of row i as
-    its pivot. A lower row that holds the pivot bit h gets row i added under
-    the mask -h, which is all ones from the pivot bit up, where row i lives.
+    the elimination of matrix_rank_mod_p_batch on the bit planes of
+    _bit_planes (Boothby and Bradshaw, arXiv:0901.1413), all in the planes'
+    word, the 1 of the pivot mask a scalar of that word. Step i takes the
+    lowest set bit of row i as its pivot. A lower row that holds the pivot
+    bit h gets row i added under the mask -h, which is all ones from the
+    pivot bit up, where row i lives.
     At p = 3 row i is first scaled so that its pivot entry cancels the lower
     row's: negated (planes swapped) where the two entries are equal. The F_3
     sum of one-hot planes (a1, a2) + (b1, b2) is, with t = (a1|b2)^(a2|b1),
     ((a2|b2)^t, (a1|b1)^t)."""
     r, B = T.shape[0], T.shape[2]
     planes = _bit_planes(T, p)
+    one = planes[0].dtype.type(1)
     rank = np.zeros(B, dtype=np.int64)
     for i in range(r):
         if p == 2:
@@ -476,7 +504,7 @@ def _rank_bitsliced(T: np.ndarray, p: int) -> np.ndarray:
         rank += x != 0
         if i == r - 1:
             break
-        piv = x & (~x + _ONE)
+        piv = x & (~x + one)
         if p == 2:
             below = planes[0][i + 1:]
             below ^= x & np.negative(below & piv)
@@ -498,13 +526,14 @@ def matrix_rank_mod_p_batch(mats: np.ndarray, p: int) -> np.ndarray:
     side (a batch with r > c is transposed). Step i takes the first nonzero
     column of row i as its pivot and clears that column from the rows below;
     the rank is the number of rows that are nonzero when reached. At p = 2
-    and 3, with the longer side at most 64, the rows are uint64 bit planes
-    packed from the batch-last view in its own integer dtype, so a (B, r, c)
-    view whose batch axis is the last in memory is read without a copy
-    (_rank_bitsliced). Otherwise the entries are widened to int64 and the
-    pivot is inverted by Fermat's little theorem (v^(p-2)): residues stay
-    below p and products below p^2 < 2^62, so every prime SmallPrime accepts
-    (p < 2^31) is exact, and no memory of size p is allocated. The result,
+    and 3, with the longer side at most 64, the rows are bit planes in the
+    narrowest unsigned word that holds a row, packed from the batch-last
+    view in its own integer dtype, so a (B, r, c) view whose batch axis is
+    the last in memory is read without a copy (_rank_bitsliced). Otherwise
+    the entries are widened to int64, reduced by mod_p, and the pivot is
+    inverted by Fermat's little theorem (v^(p-2)): residues stay below p and
+    products below p^2 < 2^62, so every prime SmallPrime accepts (p < 2^31)
+    is exact, and no memory of size p is allocated. The result,
     int64, matches matrix_rank_mod_p row by row.
     """
     A = np.asarray(mats)
@@ -513,7 +542,7 @@ def matrix_rank_mod_p_batch(mats: np.ndarray, p: int) -> np.ndarray:
         T = T.transpose(1, 0, 2)
     if p in (2, 3) and T.shape[0] >= 1 and T.shape[1] <= 64:
         return _rank_bitsliced(T, p)
-    A = A.astype(np.int64, copy=False) % p
+    A = mod_p(A.astype(np.int64, copy=False), p)
     if A.shape[1] > A.shape[2]:
         A = np.ascontiguousarray(A.transpose(0, 2, 1))
     B, r, c = A.shape
@@ -529,9 +558,9 @@ def matrix_rank_mod_p_batch(mats: np.ndarray, p: int) -> np.ndarray:
         pivot = np.take_along_axis(row, piv[:, 0], axis=1)[:, 0]
         below = A[:, i + 1:, :]
         factors = np.take_along_axis(below, piv, axis=2)[:, :, 0]
-        factors = factors * _inverse_mod_p(pivot, p)[:, None] % p
+        factors = mod_p(factors * _inverse_mod_p(pivot, p)[:, None], p)
         below -= factors[:, :, None] * row[:, None, :]
-        below %= p
+        below[...] = mod_p(below, p)
     return rank
 
 

@@ -312,11 +312,10 @@ def check_fibers(config: RunConfig) -> list:
         t = PointAffineRep((0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0))
         oracle = g6q_vertex_fiber_oracle(t, 2)
         rep = fiber_over("g6q", t, 2)
-        shape = "surface" if rep.fiber_count == oracle else rep.classified_shape
         records.append(_rec(
             "fibers", "g6q_sigma_bar", 2,
             {"count": oracle, "shape": "surface"},
-            {"count": rep.fiber_count, "shape": shape},
+            {"count": rep.fiber_count, "shape": rep.classified_shape},
             "vertex-plane fiber is the quadric-surface section of the base"))
     for case in sorted(cases & set(MAIN_CASES)):
         short = CASE_SHORT[case]

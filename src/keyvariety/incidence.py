@@ -317,7 +317,9 @@ def fiber_over(case: str, t: PointAffineRep, p: int) -> FiberReport:
     """All base points whose fiber subspace contains t, in base order (the
     base point's key block, or the (w, u) pair for g4). Requires t on the
     corresponding model, with entries in [0, p); both are checked before
-    the base is built."""
+    the base is built. The shape is named from the count alone, except over
+    g6q's dual vertex plane {z = x = 0}, where a count equal to
+    g6q_vertex_fiber_oracle names the quadric-surface fiber "surface"."""
     base = _BASE_POINTS.get((case, p))
     spec = build_case(_fiber_case(case).model) if base is None else base.model
     coords = t.coords
@@ -330,7 +332,11 @@ def fiber_over(case: str, t: PointAffineRep, p: int) -> FiberReport:
     if base is None:
         base = base_points(case, p)
     hits = tuple(_hits(case, base, coords, p))
-    return FiberReport(hits, len(hits), _classify(len(hits), p))
+    shape = _classify(len(hits), p)
+    if (case == "g6q" and not any(coords[:9])
+            and len(hits) == g6q_vertex_fiber_oracle(t, p)):
+        shape = "surface"
+    return FiberReport(hits, len(hits), shape)
 
 
 # ---------------------------------------------------------------------------

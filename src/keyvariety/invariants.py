@@ -12,10 +12,10 @@ import numpy as np
 from .algebra import SmallPrime, _jacobian_partials, matrix_rank_mod_p_batch
 from .catalog import VarietySpec, RankLocusSpec, pinned_coordinate_change
 from .projspace import (BudgetExceeded,  # noqa: F401
-                        CompiledSystem, ScanPlan, point_batches, point_set,
-                        proj_point_count, row_dtype, scan_system)
+                        CompiledSystem, ScanPlan, lane_dtype, point_batches,
+                        point_set, proj_point_count, row_dtype, scan_system)
 
-_RANK_BLOCK = 1 << 12
+_RANK_BLOCK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -179,23 +179,36 @@ class SingularScanReport:
     containment_holds: bool | None = None
 
 
-def _rank_mask(entries, shape: tuple, pts: np.ndarray, p: int) -> np.ndarray:
-    """F_p rank at each row of pts of the polynomial matrix of the given
-    (rows, cols) shape whose entries are listed in row order, evaluated and
-    ranked one _RANK_BLOCK block of points at a time, the ranks held in the
-    narrowest dtype that holds min(shape). A block is copied column-major
-    and widened to int64 in the same copy, so that each column the entries
-    read is contiguous and needs no further copy, and is small enough that
-    its values and bit planes stay in cache; the row_dtype(p) values of
-    eval_block reach the batch rank as the (B, rows, cols) view of their
-    batch-last array, so no int64 value slab is made."""
-    system = CompiledSystem(list(entries))
-    out = np.zeros(pts.shape[0], dtype=np.min_scalar_type(min(shape)))
+def _rank_mask(matrix, pts: np.ndarray, p: int, t: int) -> np.ndarray:
+    """Whether the F_p rank is below t at each row of pts, for a matrix of
+    polynomials given as its rows. A column submatrix's rank bounds the
+    whole rank from below, so the prefix of the first max(t, ceil(cols/2))
+    columns is evaluated and ranked at every row, and the other columns only
+    at the rows where the prefix rank is below t, where the full matrix is
+    ranked. The points go one _RANK_BLOCK block at a time, copied
+    column-major into the term loop's lane (lane_dtype(p)), so that each
+    column the entries read is contiguous and needs no further copy; a block
+    is small enough that its values and bit planes stay in cache. The
+    row_dtype(p) values of eval_block reach the batch rank as (B, rows,
+    columns) views of their batch-last arrays, so no int64 value slab is
+    made."""
+    rows, cols = len(matrix), len(matrix[0])
+    width = min(cols, max(t, -(-cols // 2)))
+    prefix = CompiledSystem([e for row in matrix for e in row[:width]])
+    rest = (CompiledSystem([e for row in matrix for e in row[width:]])
+            if width < cols else None)
+    out = np.zeros(pts.shape[0], dtype=bool)
     for s in range(0, pts.shape[0], _RANK_BLOCK):
-        block = np.asfortranarray(pts[s:s + _RANK_BLOCK], dtype=np.int64)
-        vals = system.eval_block(block, p)                  # (rows*cols, B)
-        mats = vals.reshape(*shape, block.shape[0]).transpose(2, 0, 1)
-        out[s:s + block.shape[0]] = matrix_rank_mod_p_batch(mats, p)
+        block = np.asfortranarray(pts[s:s + _RANK_BLOCK], dtype=lane_dtype(p))
+        vals = prefix.eval_block(block, p).reshape(rows, width, -1)
+        low = matrix_rank_mod_p_batch(vals.transpose(2, 0, 1), p) < t
+        idx = np.flatnonzero(low)
+        if rest is not None and idx.size:
+            tail = rest.eval_block(np.asfortranarray(block[idx]), p)
+            full = np.concatenate(
+                [vals[:, :, idx], tail.reshape(rows, cols - width, -1)], axis=1)
+            low[idx] = matrix_rank_mod_p_batch(full.transpose(2, 0, 1), p) < t
+        out[s:s + block.shape[0]] = low
     return out
 
 
@@ -206,9 +219,8 @@ def _on_zero_block(spec: VarietySpec, names, pts: np.ndarray) -> np.ndarray:
 
 def _jacobian_singular_mask(spec: VarietySpec, pts: np.ndarray, p: int) -> np.ndarray:
     """Rank < codimension of the Jacobian at each point."""
-    shape = (len(spec.generators), len(spec.vars))
-    partials = [d for row in _jacobian_partials(tuple(spec.generators)) for d in row]
-    return _rank_mask(partials, shape, pts, p) < spec.ambient_dim - spec.expected_dim
+    return _rank_mask(_jacobian_partials(tuple(spec.generators)), pts, p,
+                      spec.ambient_dim - spec.expected_dim)
 
 
 def _rank_locus_mask(spec: VarietySpec, locus: RankLocusSpec,
@@ -219,9 +231,8 @@ def _rank_locus_mask(spec: VarietySpec, locus: RankLocusSpec,
     member = np.zeros(pts.shape[0], dtype=bool)
     for branch in locus.branches:
         idx = np.flatnonzero(_on_zero_block(spec, branch.zero_vars, pts))
-        shape = (len(branch.matrix), len(branch.matrix[0]))
-        entries = [e for row in branch.matrix for e in row]
-        member[idx[_rank_mask(entries, shape, pts[idx], p) <= branch.rank_bound]] = True
+        below = _rank_mask(branch.matrix, pts[idx], p, branch.rank_bound + 1)
+        member[idx[below]] = True
     return member
 
 

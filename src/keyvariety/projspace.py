@@ -3,22 +3,30 @@
 Index bijection: points are grouped by the position k of their leading 1
 (coordinates before k vanish), group k holding p^(n-k) points; inside a group
 the free coordinates after position k run in base-p lexicographic order, the
-coordinate right after the leading 1 being the most significant digit. This
-gives O(1) index -> point and a trivially partitionable index range.
+coordinate right after the leading 1 being the most significant digit.
+points_block builds the rows of an index range, and a scan's chunks are
+ranges of it.
 
 One routine evaluates polynomials on rows of residues: the term loop
 _term_sum, which reads the values of each monomial from a monomial builder
-(_Monomials) over a block of rows. The builder holds each monomial it has
-built for the life of the block and builds a new one with one multiply, from
-the monomial with its last nonzero exponent lowered by 1 and the column of
-that variable; the constant monomial is a row of ones and a degree-1 one is
-its column, widened to int64 once. Each term of the loop is a raw int64
-product of its coefficient and monomial, added raw into the sum. Python-int
-bounds on the entries of every held monomial, term and sum decide when to
-reduce mod p, only where the next product or addition could pass 2^63 - 1;
-one % p ends the sum. At p = 2 and 3 nothing is reduced before that for the
-catalog's degrees, and at the largest SmallPrime it reduces about once per
-factor, so every value is exact for every SmallPrime.
+(_Monomials) over a block of rows. A builder computes in one signed lane,
+lane_dtype(p), chosen from p alone: int16 where (p - 1)^2 fits in it
+(p <= 181), else int64. It holds each monomial it has built for the life of
+the block and builds a new one with one multiply, from the monomial with its
+last nonzero exponent lowered by 1 and the column of that variable; the
+constant monomial is a row of ones and a degree-1 one is its column, cast to
+the lane once. Each term of the loop is a raw product of its coefficient and
+monomial in the lane, added raw into the sum. Python-int bounds on the
+entries of every held monomial, term and sum decide when to reduce mod p,
+only where the next product or addition could pass the lane's largest value
+(2^15 - 1 or 2^63 - 1); one reduction ends the sum where its bound is p or
+more. The lane holds the
+product of two residues, so a term of reduced factors always fits, and every
+value is exact for every SmallPrime. At p = 2 and 3 nothing is reduced
+before the end for the catalog's degrees, and at p = 181 and at the largest
+SmallPrime a product is reduced about once per factor. Every array
+reduction here is algebra.mod_p, x - p*(x // p) in one temporary, which
+numpy runs with libdivide where x % p does not.
 
 One routine tests products: _zero_mod(a, b, p) is (a @ b) % p == 0 for
 entries in [0, p). An entry of a @ b is at most L(p-1)^2 for inner length L.
@@ -67,16 +75,17 @@ the batches of scan_batches.
 Point sets are narrow: the rows of a collect scan, of point_set, of
 common_zeros and of a batch are in row_dtype(p), the narrowest unsigned dtype
 that holds p - 1 (uint8 up to p = 251, an eighth of int64). They are widened
-to int64 only inside arithmetic, and never a whole set at once: the monomial
-builder casts each column it reads, vanishing_mask walks its rows in blocks
-of GRID_CHUNK_POINTS, _matmul_mod casts its operands and _float32_zero casts
-to float32. A collect scan holds each chunk's matches as offsets in the
-narrowest dtype that holds a chunk, with its group's inner digits, and writes
-every row once at the end into one row_dtype(p) array of the final count;
-scan_batches does the same for each batch. A group's inner digits and the
-values of eval_block are in row_dtype(p) as well, so the value slabs of the
-rank loci stay narrow up to the rank. Kernel operands that are not held (the
-outer digit grid of a chunk, points_block) stay int64.
+to the term loop's lane or to int64 only inside arithmetic, and never a whole
+set at once: the monomial builder casts each column it reads, vanishing_mask
+walks its rows in blocks of GRID_CHUNK_POINTS, _matmul_mod casts its operands
+and _float32_zero casts to float32. A collect scan holds each chunk's matches
+as offsets in the narrowest dtype that holds a chunk, with its group's inner
+digits, and writes every row once at the end into one row_dtype(p) array of
+the final count; scan_batches does the same for each batch. A group's inner
+digits and the values of eval_block are in row_dtype(p) as well, so the
+value slabs of the rank loci stay narrow up to the rank. The outer digit
+grid of a chunk is built in the term loop's lane, so that its builder casts
+no column, and points_block stays int64.
 """
 from __future__ import annotations
 
@@ -85,10 +94,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Polynomial, SmallPrime
+from .algebra import Polynomial, SmallPrime, mod_p
 
 DEFAULT_POINT_BUDGET = 100_000_000
 _INT64_MAX = (1 << 63) - 1
+_INT16_MAX = (1 << 15) - 1
 
 
 class BudgetExceeded(RuntimeError):
@@ -128,51 +138,19 @@ def _check_budget(plan: ScanPlan) -> None:
                              f"{plan.total} points, budget {DEFAULT_POINT_BUDGET}")
 
 
-def index_to_point(plan: ScanPlan, index: int) -> tuple:
-    n, p = plan.ambient_dim, plan.prime
-    if not 0 <= index < plan.total:
-        raise IndexError(index)
-    gstart = 0
-    for k in range(n + 1):
-        gsize = p ** (n - k)
-        if index < gstart + gsize:
-            off = index - gstart
-            coords = [0] * (n + 1)
-            coords[k] = 1
-            m = n - k
-            for j in range(m):
-                coords[k + 1 + j] = (off // p ** (m - 1 - j)) % p
-            return tuple(coords)
-        gstart += gsize
-    raise AssertionError("unreachable")
-
-
-def point_to_index(plan: ScanPlan, coords: Sequence[int]) -> int:
-    """Index of a normalized representative; ValueError for a vector of the
-    wrong length, an entry outside [0, p), the zero vector or a leading
-    entry other than 1."""
-    n, p = plan.ambient_dim, plan.prime
-    if len(coords) != n + 1:
-        raise ValueError(f"point has {len(coords)} coordinates, P^{n} needs {n + 1}")
-    if any(not 0 <= c < p for c in coords):
-        raise ValueError(f"coordinates must be residues in [0, {p})")
-    k = next((i for i, c in enumerate(coords) if c), None)
-    if k is None:
-        raise ValueError("zero vector is not a projective point")
-    if coords[k] != 1:
-        raise ValueError("representative not normalized")
-    gstart = sum(p ** (n - i) for i in range(k))
-    off = 0
-    for c in coords[k + 1:]:
-        off = off * p + int(c)
-    return gstart + off
-
-
 def row_dtype(p: int) -> np.dtype:
     """The narrowest unsigned dtype that holds every residue mod p: uint8 up
     to p = 251, uint16 up to 65521, uint32 above. Scanned and held point
     sets are stored in it."""
     return np.min_scalar_type(p - 1)
+
+
+def lane_dtype(p: int) -> np.dtype:
+    """The signed dtype the term loop computes in at p: int16 where the
+    product (p - 1)^2 of two residues fits (p <= 181), else int64. There is
+    no int32 lane: it reduces far more often than int64 above p = 181, and
+    one made a P^2(F_4099) scan no faster."""
+    return np.dtype(np.int16 if (p - 1) ** 2 <= _INT16_MAX else np.int64)
 
 
 def points_block(n: int, p: int, start: int, stop: int) -> np.ndarray:
@@ -186,18 +164,22 @@ def points_block(n: int, p: int, start: int, stop: int) -> np.ndarray:
         if lo < hi:
             rows = slice(pos, pos + hi - lo)
             out[rows, k] = 1
-            out[rows, k + 1:] = _digit_grid(p, lo - gstart, hi - gstart, n - k)
+            out[rows, k + 1:] = _digit_grid(p, lo - gstart, hi - gstart, n - k,
+                                            row_dtype(p))
             pos += hi - lo
         gstart = gend
     return out
 
 
-def _digit_grid(p: int, start: int, stop: int, width: int) -> np.ndarray:
-    """Base-p digits of start..stop-1, most significant first: (stop-start, width)."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, width), dtype=np.int64)
-    for j in range(width):
-        out[:, j] = (idx // p ** (width - 1 - j)) % p
+def _digit_grid(p: int, start: int, stop: int, width: int,
+                dtype: np.dtype) -> np.ndarray:
+    """Base-p digits of start..stop-1, most significant first, in dtype:
+    (stop-start, width)."""
+    h = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((stop - start, width), dtype=dtype)
+    for j in range(width - 1, -1, -1):
+        out[:, j] = mod_p(h, p)
+        h //= p
     return out
 
 
@@ -207,17 +189,20 @@ def _digit_grid(p: int, start: int, stop: int, width: int) -> np.ndarray:
 
 class _Monomials:
     """Values of monomials on the rows of pts indexed by rows (all rows when
-    None), held for one block: each exponent tuple over the columns of pts
-    maps to (values, hi), hi bounding the entries. The constant monomial is
-    a row of ones and a degree-1 monomial is its column, widened to int64
-    once (no copy for int64 rows); any other is built with one multiply from
-    the monomial with its last nonzero exponent lowered by 1, which is
-    reduced mod p first (and held reduced) only where the product could pass
-    2^63 - 1."""
+    None), held for one block in the lane lane_dtype(p), whose largest value
+    is limit: each exponent tuple over the columns of pts maps to (values,
+    hi), hi bounding the entries. The constant monomial is a row of ones and
+    a degree-1 monomial is its column, cast to the lane once (no copy for
+    rows in the lane); any other is built with one multiply from the
+    monomial with its last nonzero exponent lowered by 1, which is reduced
+    mod p first (and held reduced) only where the product could pass
+    limit."""
 
     def __init__(self, pts: np.ndarray, rows: np.ndarray | None, p: int):
         self.pts, self.rows, self.p = pts, rows, p
         self.size = pts.shape[0] if rows is None else rows.size
+        self.lane = lane_dtype(p)
+        self.limit = _INT16_MAX if self.lane == np.int16 else _INT64_MAX
         self._held: dict = {}
 
     def __getitem__(self, e: tuple) -> tuple:
@@ -230,7 +215,7 @@ class _Monomials:
         """The values of e reduced to [0, p), held reduced from then on."""
         values, hi = self[e]
         if hi >= self.p:
-            values, hi = self._held[e] = values % self.p, self.p - 1
+            values, hi = self._held[e] = mod_p(values, self.p), self.p - 1
         return values
 
     def _build(self, e: tuple) -> tuple:
@@ -239,45 +224,52 @@ class _Monomials:
         while v >= 0 and not e[v]:
             v -= 1
         if v < 0:
-            return np.ones(self.size, dtype=np.int64), 1
+            return np.ones(self.size, dtype=self.lane), 1
         unit = (0,) * v + (1,) + (0,) * (len(e) - v - 1)
         if e == unit:
             col = self.pts[:, v] if self.rows is None else self.pts[self.rows, v]
-            return col.astype(np.int64, copy=False), top
+            return col.astype(self.lane, copy=False), top
         lower = e[:v] + (e[v] - 1,) + e[v + 1:]
         values, hi = self[lower]
-        if hi * top > _INT64_MAX:
+        if hi * top > self.limit:
             values, hi = self.reduced(lower), top
         return values * self[unit][0], hi * top
 
 
 def _term_sum(terms, monomials: _Monomials, p: int) -> np.ndarray:
     """The term loop: sum c * M_e mod p over the (e, c) pairs of terms, M_e
-    read from monomials. Each term is a raw int64 product of its coefficient
-    and monomial, added raw into the sum; hi and acc_hi bound the entries of
-    term and acc, and the monomial or acc is reduced mod p only where the
-    next product or sum could pass 2^63 - 1."""
-    top = p - 1
-    acc = np.zeros(monomials.size, dtype=np.int64)
-    acc_hi = 0
+    read from monomials, as residues in the builder's lane. Each term is a
+    raw product of its coefficient and monomial in the lane, added raw into
+    the sum, which starts as the first term; hi and acc_hi bound the entries
+    of term and acc, and the monomial or acc is reduced mod p (by mod_p)
+    only where the next product or sum could pass the lane's limit, and the
+    sum at the end only where acc_hi shows it may not be a residue yet. The
+    lane holds (p - 1)^2, so a term of reduced factors always fits."""
+    top, limit = p - 1, monomials.limit
+    acc, acc_hi = None, 0
     for e, c in terms:
         c %= p
         if not c:
             continue
         values, hi = monomials[e]
-        if hi * c > _INT64_MAX:
+        if hi * c > limit:
             values, hi = monomials.reduced(e), top
-        term = values if c == 1 else values * c
         hi *= c
-        if acc_hi + hi > _INT64_MAX:
-            acc %= p
+        if acc is None:
+            acc, acc_hi = values * c, hi
+            continue
+        term = values if c == 1 else values * c
+        if acc_hi + hi > limit:
+            acc = mod_p(acc, p)
             acc_hi = top
-            if acc_hi + hi > _INT64_MAX:
-                term = term % p
+            if acc_hi + hi > limit:
+                term = mod_p(term, p)
                 hi = top
         acc += term
         acc_hi += hi
-    return acc % p
+    if acc is None:
+        return np.zeros(monomials.size, dtype=monomials.lane)
+    return acc if acc_hi < p else mod_p(acc, p)
 
 
 def _generator_values(gen: tuple, pts: np.ndarray, rows: np.ndarray | None,
@@ -341,10 +333,10 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     b = b.astype(np.int64, copy=False)
     step = max(1, _INT64_MAX // (p - 1) ** 2)
     if a.shape[1] <= step:
-        return (a @ b) % p
+        return mod_p(a @ b, p)
     out = 0
     for lo in range(0, a.shape[1], step):
-        out = (out + (a[:, lo:lo + step] @ b[lo:lo + step]) % p) % p
+        out = mod_p(out + mod_p(a[:, lo:lo + step] @ b[lo:lo + step], p), p)
     return out
 
 
@@ -420,7 +412,7 @@ def _grid_group(polys: Sequence[Polynomial], n: int, k: int, p: int) -> _GridGro
     s = max((m + 1) // 2,
             next(s for s in range(m + 1) if p ** (m - s) <= GRID_CHUNK_POINTS))
     width = p ** (m - s)
-    inner_digits = _digit_grid(p, 0, width, m - s).astype(row_dtype(p))
+    inner_digits = _digit_grid(p, 0, width, m - s, row_dtype(p))
     inner = _Monomials(inner_digits, None, p)
     outer: dict = {}
     gens = []
@@ -449,7 +441,7 @@ def _grid_chunk(group: _GridGroup, p: int, r0: int, r1: int, collect: bool):
     its fused table. Returns (matched count, with collect the offsets of the
     matched points from the chunk's first point in index order, in the
     narrowest dtype that holds the chunk, else None)."""
-    outer = _digit_grid(p, r0, r1, group.s)
+    outer = _digit_grid(p, r0, r1, group.s, lane_dtype(p))
     monomials = _Monomials(outer, None, p)
     values = np.array([monomials.reduced(e) for e in group.outer]).T
     mask = np.ones((r1 - r0, group.width), dtype=bool)
@@ -478,11 +470,11 @@ def _collected_rows(pieces: list, n: int, p: int, count: int) -> np.ndarray:
         pos += hits.size
         h = hits.astype(np.int64)
         block[:, k] = 1
-        block[:, k + 1 + s:] = inner[h % width]
+        block[:, k + 1 + s:] = inner[mod_p(h, width)]
         h //= width
         h += r0
         for j in range(k + s, k, -1):
-            block[:, j] = h % p
+            block[:, j] = mod_p(h, p)
             h //= p
     return rows
 

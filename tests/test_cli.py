@@ -199,6 +199,22 @@ def test_cli_fiber_prints_the_resolved_case_id(capsys):
     assert json.loads(lines[0])["case"] == "g5_sigma_bar"
 
 
+def test_cli_fiber_names_the_g6q_vertex_fiber_a_surface(capsys):
+    """Over the point of g6q's dual vertex plane {z = x = 0} that the fibers
+    check probes, the fiber is the quadric-surface section of the base: its
+    7 points at p = 2 equal the oracle's count, so it is a "surface", not
+    the "P2" its count alone would name. A point off that plane keeps the
+    name of its count."""
+    assert main(["fiber", "--case", "g6q", "--prime", "2",
+                 "--point", "0:0:0:0:0:0:0:0:0:1:0:0:0:0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["fiber_count"], out["shape"]) == (7, "surface")
+    assert main(["fiber", "--case", "g6q", "--prime", "2",
+                 "--point", "0:0:0:0:1:0:0:0:0:0:0:0:0:0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["shape"] != "surface"
+
+
 @pytest.mark.parametrize("case,prime,point", [
     ("g5", 65537, "1:0:0:0:0:1:0:0:0:0:1:0:0:0:0:1"),
     ("g4", 101, "0:0:0:0:0:0:1:0:0:0:0:0:0:0"),

@@ -262,9 +262,16 @@ def test_fiber_over_matches_pointwise_oracle(case, p):
             rep = fiber_over(case, t, p)
             assert rep.fiber_points == tuple(hits), (case, p, t)
             assert rep.fiber_count == len(hits)
-            assert rep.classified_shape == _classify(len(hits), p)
+            # over g6q's dual vertex plane {z = x = 0} a fiber of the
+            # oracle's count is the quadric surface, named for its shape
+            want = _classify(len(hits), p)
+            if (case == "g6q" and zero == tuple(range(9))
+                    and len(hits) == g6q_vertex_fiber_oracle(t, p)):
+                want = "surface"
+            assert rep.classified_shape == want
             shapes[rep.classified_shape] += 1
     assert len(shapes) > 1  # the samples reach more than one fiber shape
+    assert shapes["surface"] == (25 if case == "g6q" else 0)
 
 
 def _oracle_g4_plane_check(p):

@@ -198,8 +198,8 @@ def test_rank_locus_mask_matches_pointwise_membership(monkeypatch, case, p,
     seen = []
     real = invariants._rank_mask
     monkeypatch.setattr(invariants, "_rank_mask",
-                        lambda entries, shape, rows, q: seen.append(rows.shape[0])
-                        or real(entries, shape, rows, q))
+                        lambda matrix, rows, q, t: seen.append(rows.shape[0])
+                        or real(matrix, rows, q, t))
     member = invariants._rank_locus_mask(spec, locus, pts, p)
     assert seen == [int(_zero_block_rows(spec, b, pts).sum())
                     for b in locus.branches]

@@ -16,10 +16,8 @@ from keyvariety.catalog import build_case, plucker_ideal
 from keyvariety.projspace import (GRID_CHUNK_POINTS, CompiledSystem,
                                   ScanPlan, ScanResult, _fits_float32,
                                   _generator_values, _matmul_mod, _zero_mod,
-                                  clear_point_sets,
-                                  index_to_point, point_set, point_to_index,
-                                  points_block, proj_point_count,
-                                  scan_batches, scan_system)
+                                  clear_point_sets, point_set, points_block,
+                                  proj_point_count, scan_batches, scan_system)
 from keyvariety.sections import SectionSpec, cut, section_report
 
 
@@ -66,24 +64,16 @@ def test_enumerate_p3_over_f3():
 
 
 def test_index_bijection():
+    """points_block gives each point of P^3(F_3) once, as its normalized
+    representative, in index order: by the position k of the leading 1, then
+    the coordinates after it in base-p lexicographic order."""
     plan = ScanPlan(3, SmallPrime(3))
-    for i, coords in enumerate(_all_rows(plan)):
+    want = [(0,) * k + (1,) + digits for k in range(4)
+            for digits in itertools.product(range(3), repeat=3 - k)]
+    rows = _all_rows(plan)
+    assert rows == want and len(rows) == plan.total
+    for coords in rows:
         PointAffineRep(coords)  # a normalized representative
-        assert index_to_point(plan, i) == coords
-        assert point_to_index(plan, coords) == i
-
-
-@pytest.mark.parametrize("coords", [
-    (0, 0, 0),      # the zero vector
-    (1, 5, 0),      # an entry outside [0, p)
-    (1, -1, 0),
-    (1, 0),         # too short
-    (1, 0, 0, 0),   # too long
-    (0, 2, 1),      # leading entry not 1
-])
-def test_point_to_index_rejects_bad_input(coords):
-    with pytest.raises(ValueError):
-        point_to_index(ScanPlan(2, SmallPrime(3)), coords)
 
 
 def test_scan_true_predicate():
@@ -397,7 +387,8 @@ def test_compiled_system_matches_eval_mod(case):
 def test_monomial_builder_matches_eval_mod(p):
     """Every monomial of degree <= 6 in three variables equals eval_mod at
     random residue rows and the all-(p-1) row, over the whole SmallPrime
-    range: the raw values lie in [0, hi] with hi below 2^63, and reduced()
+    range: the raw values are in the lane lane_dtype(p) and lie in [0, hi]
+    with hi at most the lane's largest value, and reduced()
     gives the residues. Monomials are asked for in ascending and in
     descending degree (a high one first builds the lower ones it needs), on
     all int64 rows and on indexed rows of the narrow dtype. At p = 4099,
@@ -417,7 +408,8 @@ def test_monomial_builder_matches_eval_mod(p):
             monomials = projspace._Monomials(pts, rows, p)
             for e in order:
                 values, hi = monomials[e]
-                assert values.dtype == np.int64 and hi <= projspace._INT64_MAX
+                lane = projspace.lane_dtype(p)
+                assert values.dtype == lane and hi <= np.iinfo(lane).max
                 assert 0 <= values.min() and values.max() <= hi
                 assert (values % p).tolist() == want[e]
             for e in order:
@@ -543,10 +535,12 @@ def test_narrow_rows_equal_int64_rows_at_dtype_edges(p, dtype, monkeypatch):
     assert np.array_equal(held, CompiledSystem(polys[:2]).vanishing_mask(wide, p))
 
     entries = [Polynomial.variable(ring, v) for v in ring]
-    ranks = _rank_mask(entries, (2, 4), narrow, p)
-    assert np.array_equal(ranks, _rank_mask(entries, (2, 4), wide, p))
-    assert ranks.tolist() == [matrix_rank_mod_p([row[:4], row[4:]], p)
-                              for row in wide.tolist()]
+    matrix = (entries[:4], entries[4:])
+    ranks = [matrix_rank_mod_p([row[:4], row[4:]], p) for row in wide.tolist()]
+    for t in range(4):
+        low = _rank_mask(matrix, narrow, p, t)
+        assert np.array_equal(low, _rank_mask(matrix, wide, p, t))
+        assert low.tolist() == [r < t for r in ranks]
 
     traced = _trace_zero_rows(narrow, p)
     assert np.array_equal(traced, _trace_zero_rows(wide, p))
@@ -613,9 +607,9 @@ def test_collect_rows_equal_brute_force_mask(p, n, monkeypatch):
 
 def test_jacobian_value_slabs_stay_narrow_in_memory():
     """The traced peak of the Jacobian mask of g6q at p = 3 (39,001 points,
-    84 partials of which 45 are zero) stays below 4 MiB: one (84, 4096)
-    int64 value slab is 2.6 MiB, and an int64 copy of it in the rank
-    would hold two."""
+    84 partials of which 45 are zero) stays below 4 MiB: it is about
+    1.5 MiB with row_dtype(p) value slabs in blocks of 8192 points, and
+    about 9 MiB when eval_block returns int64 slabs."""
     import tracemalloc
 
     from keyvariety.invariants import _jacobian_singular_mask
