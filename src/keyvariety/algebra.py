@@ -1,4 +1,5 @@
-"""Exact sparse multivariate polynomial arithmetic and linear algebra mod p.
+"""Exact sparse multivariate polynomial arithmetic and linear algebra over F_p
+and Q.
 
 Field elements are canonical integer residues 0 <= a < p. Polynomials carry
 arbitrary-precision integer coefficients; reduction mod p happens only at
@@ -354,48 +355,43 @@ class PointAffineRep:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over F_p
+# linear algebra over F_p and Q
 
 
-def _echelon_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple[list, list]:
-    """Gauss-Jordan over F_p: the reduced row echelon form of the matrix (as
-    residue rows, pivot rows first) and its pivot columns. Stops once every
-    row holds a pivot."""
-    A = [[int(x) % p for x in row] for row in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
+def _echelon(rows: Sequence[Sequence], p: int | None = None) -> tuple[list, list]:
+    """Gauss-Jordan over F_p (residue entries) when p is given, else over Q
+    (exact Fractions): the reduced row echelon form of the matrix, pivot
+    rows first, and its pivot columns. Stops once every row holds a pivot."""
+    A = [[Fraction(x) if p is None else int(x) % p for x in row] for row in rows]
+    field = Fraction if p is None else p.__rmod__   # x -> x % p
+    m, n = len(A), len(A[0]) if A else 0
     pivots: list[int] = []
-    rank = 0
     for c in range(n):
-        piv = None
-        for i in range(rank, m):
-            if A[i][c]:
-                piv = i
-                break
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if A[i][c]), None)
         if piv is None:
             continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = pow(A[rank][c], -1, p)
-        A[rank] = [(x * inv) % p for x in A[rank]]
+        A[r], A[piv] = A[piv], A[r]
+        inv = 1 / A[r][c] if p is None else pow(A[r][c], -1, p)
+        A[r] = [field(x * inv) for x in A[r]]
         for i in range(m):
-            if i != rank and A[i][c]:
+            if i != r and A[i][c]:
                 f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[rank])]
+                A[i] = [field(x - f * y) for x, y in zip(A[i], A[r])]
         pivots.append(c)
-        rank += 1
-        if rank == m:
+        if len(pivots) == m:
             break
     return A, pivots
 
 
 def matrix_rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank of a rectangular integer matrix over F_p by Gaussian elimination."""
-    return len(_echelon_mod_p(rows, p)[1])
+    return len(_echelon(rows, p)[1])
 
 
 def nullspace_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     """Basis of the right kernel over F_p, one vector per non-pivot column."""
-    A, pivots = _echelon_mod_p(rows, p)
+    A, pivots = _echelon(rows, p)
     n = len(A[0]) if A else 0
     basis = []
     for fc in range(n):
@@ -407,6 +403,11 @@ def nullspace_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
             v[c] = (-A[i][fc]) % p
         basis.append(v)
     return basis
+
+
+def fraction_matrix_rank(M: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of a matrix over Q, from exact rational elimination."""
+    return len(_echelon(M)[1])
 
 
 _MOD_P_SMALL = 1 << 10
@@ -582,40 +583,3 @@ def jacobian_rank(fs: Sequence[Polynomial], pt: PointAffineRep, p: int) -> int:
             raise OffVarietyError(f"point {pt.serialize()} not on the variety mod {p}")
     rows = [[d.eval_mod(coords, p) for d in row] for row in _jacobian_partials(tuple(fs))]
     return matrix_rank_mod_p(rows, p)
-
-
-# ---------------------------------------------------------------------------
-# exact rational matrices (section forms, pairing normalization)
-
-
-def _echelon_q(M: Sequence[Sequence]) -> tuple[list, list]:
-    """Gauss-Jordan over Q with exact Fractions: the reduced row echelon form
-    of the matrix and its pivot columns. Stops once every row holds a pivot."""
-    A = [[Fraction(x) for x in row] for row in M]
-    m, n = len(A), len(A[0]) if A else 0
-    pivots: list[int] = []
-    rank = 0
-    for c in range(n):
-        piv = None
-        for i in range(rank, m):
-            if A[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = 1 / A[rank][c]
-        A[rank] = [x * inv for x in A[rank]]
-        for i in range(m):
-            if i != rank and A[i][c]:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[rank])]
-        pivots.append(c)
-        rank += 1
-        if rank == m:
-            break
-    return A, pivots
-
-
-def fraction_matrix_rank(M: Sequence[Sequence[Fraction]]) -> int:
-    return len(_echelon_q(M)[1])

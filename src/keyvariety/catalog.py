@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .algebra import (Polynomial, PointAffineRep, _echelon_q,
+from .algebra import (Polynomial, PointAffineRep, _echelon,
                       matrix_rank_mod_p, parse_poly)
 
 
@@ -444,8 +444,8 @@ def normalize_pairing(M0: Sequence[Sequence]) -> list[list[Fraction]]:
         raise ValueError("expected a 3x3 matrix")
     # Gauss-Jordan on [M0 | I]: M0 is invertible iff its columns hold the
     # pivots, and then the right-hand block is M0^-1
-    aug, pivots = _echelon_q([list(row) + [int(i == k) for k in range(3)]
-                              for i, row in enumerate(M0)])
+    aug, pivots = _echelon([list(row) + [int(i == k) for k in range(3)]
+                            for i, row in enumerate(M0)])
     if pivots[:3] != [0, 1, 2]:
         raise ValueError("pairing matrix has rank <= 2")
     return [row[3:] for row in aug]

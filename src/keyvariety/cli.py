@@ -31,8 +31,9 @@ from .invariants import (BudgetExceeded, ci_degree, estimate_dimension,
 from .numerology import (case_table_check, normal_bundle_ledger,
                          primitivity_checks, run_ledger)
 from .projspace import clear_point_sets
-from .sections import (DEFAULT_SECTION_SEEDS, SectionSpec, cut,
-                       parse_section_file, random_section, section_report)
+from .sections import (DEFAULT_SECTION_SEEDS, SectionSpec,
+                       _forms_independent_mod_p, cut, parse_section_file,
+                       random_section, section_report)
 
 ALL_CHECKS = ("count", "dimension", "singular-locus", "fibers", "degrees",
               "ledger", "sections")
@@ -613,6 +614,9 @@ def main(argv=None) -> int:
             primes = tuple(dict.fromkeys(int(SmallPrime(int(x)))
                                          for x in args.primes.split(",")))
             w = cut(spec, SectionSpec(case, forms))
+            for p in primes:
+                if not _forms_independent_mod_p(forms, p):
+                    raise ValueError(f"the section forms are dependent modulo {p}")
             for rep in section_report(w, primes):
                 print(json.dumps({
                     "case": rep.case_id, "prime": rep.prime, "count": rep.count,

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import (OffVarietyError, PointAffineRep, SmallPrime,
+from .algebra import (OffVarietyError, PointAffineRep, SmallPrime, _echelon,
                       matrix_rank_mod_p, matrix_rank_mod_p_batch,
                       nullspace_mod_p)
 from .catalog import (build_case, g8_dual_net_matrix, g8_lift_to_wedge,
@@ -94,8 +94,9 @@ def _plucker_quadrics(n: int) -> tuple:
 
 
 def subspace_from_plucker(vec: Sequence[int], n: int, p: int) -> tuple:
-    """Basis of the unique 2-subspace with the given Plucker vector,
-    recovered by contracting the bivector against the coordinate covectors.
+    """Basis of the unique 2-subspace with the given Plucker vector: the two
+    pivot rows of one elimination of the matrix that contracts the bivector
+    against the coordinate covectors, whose rows span the subspace.
 
     Raises ValueError when the vector is zero or violates a Plucker relation.
     """
@@ -107,17 +108,11 @@ def subspace_from_plucker(vec: Sequence[int], n: int, p: int) -> tuple:
     A = [[0] * n for _ in range(n)]
     for k, (i, j) in enumerate(pair_labels(n, offset=0)):
         A[i][j] = vec[k]
-        A[j][i] = (-vec[k]) % p
-    basis: list = []
-    for row in A:
-        if not any(x % p for x in row):
-            continue
-        cand = basis + [tuple(x % p for x in row)]
-        if matrix_rank_mod_p(cand, p) > len(basis):
-            basis.append(cand[-1])
-        if len(basis) == 2:
-            return tuple(basis)
-    raise ValueError("bivector spans less than a 2-subspace")
+        A[j][i] = -vec[k]
+    rref, pivots = _echelon(A, p)
+    if len(pivots) != 2:
+        raise ValueError("bivector spans less than a 2-subspace")
+    return tuple(map(tuple, rref[:2]))
 
 
 def _annihilated(forms: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> bool:

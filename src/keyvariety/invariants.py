@@ -181,34 +181,24 @@ class SingularScanReport:
 
 def _rank_mask(matrix, pts: np.ndarray, p: int, t: int) -> np.ndarray:
     """Whether the F_p rank is below t at each row of pts, for a matrix of
-    polynomials given as its rows. A column submatrix's rank bounds the
-    whole rank from below, so the prefix of the first max(t, ceil(cols/2))
-    columns is evaluated and ranked at every row, and the other columns only
-    at the rows where the prefix rank is below t, where the full matrix is
-    ranked. The points go one _RANK_BLOCK block at a time, copied
-    column-major into the term loop's lane (lane_dtype(p)), so that each
-    column the entries read is contiguous and needs no further copy; a block
-    is small enough that its values and bit planes stay in cache. The
+    polynomials given as its rows. The points go one _RANK_BLOCK block at a
+    time, copied column-major into the term loop's lane (lane_dtype(p)), so
+    that each column the entries read is contiguous and needs no further
+    copy; a block is small enough that its values and bit planes stay in
+    cache. Each block is evaluated once over every entry and ranked once at
+    full width: the bit-sliced rank holds a whole row of up to 64 columns in
+    one word, so ranking part of the columns would cost about as much. The
     row_dtype(p) values of eval_block reach the batch rank as (B, rows,
     columns) views of their batch-last arrays, so no int64 value slab is
     made."""
     rows, cols = len(matrix), len(matrix[0])
-    width = min(cols, max(t, -(-cols // 2)))
-    prefix = CompiledSystem([e for row in matrix for e in row[:width]])
-    rest = (CompiledSystem([e for row in matrix for e in row[width:]])
-            if width < cols else None)
+    system = CompiledSystem([e for row in matrix for e in row])
     out = np.zeros(pts.shape[0], dtype=bool)
     for s in range(0, pts.shape[0], _RANK_BLOCK):
         block = np.asfortranarray(pts[s:s + _RANK_BLOCK], dtype=lane_dtype(p))
-        vals = prefix.eval_block(block, p).reshape(rows, width, -1)
-        low = matrix_rank_mod_p_batch(vals.transpose(2, 0, 1), p) < t
-        idx = np.flatnonzero(low)
-        if rest is not None and idx.size:
-            tail = rest.eval_block(np.asfortranarray(block[idx]), p)
-            full = np.concatenate(
-                [vals[:, :, idx], tail.reshape(rows, cols - width, -1)], axis=1)
-            low[idx] = matrix_rank_mod_p_batch(full.transpose(2, 0, 1), p) < t
-        out[s:s + block.shape[0]] = low
+        vals = system.eval_block(block, p).reshape(rows, cols, -1)
+        out[s:s + block.shape[0]] = (
+            matrix_rank_mod_p_batch(vals.transpose(2, 0, 1), p) < t)
     return out
 
 

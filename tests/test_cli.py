@@ -293,6 +293,25 @@ def test_cli_section_removes_duplicate_primes(tmp_path, capsys):
     assert len(lines) == 1 and json.loads(lines[0])["prime"] == 2
 
 
+@pytest.mark.parametrize("text,primes,bad", [("2*x2\n", "2", 2),
+                                              ("x2 + x3\nx2 - 2*x3\n", "2,3", 3)],
+                         ids=["zero-mod-2", "dependent-mod-3"])
+def test_cli_section_rejects_forms_dependent_modulo_a_prime(tmp_path, capsys,
+                                                            text, primes, bad):
+    """Forms independent over Q whose rank modulo a requested prime is below
+    their number (2*x2 is zero mod 2; x2 + x3 and x2 - 2*x3 agree mod 3) end
+    the command with exit 2 and one stderr line naming that prime, before any
+    prime is scanned: the independent p = 2 of the second case prints no
+    line either."""
+    forms = tmp_path / "forms.txt"
+    forms.write_text(text)
+    assert main(["section", "--case", "g8", "--forms", str(forms),
+                 "--primes", primes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the section forms are dependent modulo {bad}\n"
+
+
 @pytest.mark.parametrize("where", ["missing/r.json", "."])
 def test_run_with_unwritable_report_exits_2_before_any_check(where, tmp_path,
                                                              capsys, monkeypatch):

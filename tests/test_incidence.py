@@ -7,7 +7,7 @@ import pytest
 
 from keyvariety import incidence
 from keyvariety.algebra import (OffVarietyError, PointAffineRep, Polynomial,
-                                SmallPrime, matrix_rank_mod_p)
+                                SmallPrime, matrix_rank_mod_p, nullspace_mod_p)
 from keyvariety.catalog import build_case, trace_zero_matrix
 from keyvariety.cli import RunConfig, check_fibers
 from keyvariety.incidence import (FIBER_CASES, _classify, base_points,
@@ -47,12 +47,14 @@ def test_subspace_from_plucker_rejects_nondecomposable():
         subspace_from_plucker((0, 0, 0, 0, 0, 0), 4, 3)
 
 
-def test_plucker_vector_round_trip():
-    for basis in itertools.islice(two_subspaces(4, 3), 40):
-        vec = plucker_vector(basis, 3)
-        rec = subspace_from_plucker(vec, 4, 3)
-        for row in basis:
-            assert in_span(row, rec, 3)
+@pytest.mark.parametrize("n,p", [(4, 2), (4, 3), (4, 5), (5, 3)])
+def test_plucker_vector_round_trip(n, p):
+    """The recovered basis spans the original subspace: both have the same
+    kernel forms, the fiber annihilators of the g8 and g6q bases."""
+    for basis in itertools.islice(two_subspaces(n, p), 40):
+        rec = subspace_from_plucker(plucker_vector(basis, p), n, p)
+        assert len(rec) == 2
+        assert nullspace_mod_p(rec, p) == nullspace_mod_p(basis, p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """The narrow lanes of the singular classification: the term loop's int16 and
 int64 lanes, the mod_p remainder, bit planes in the narrowest word and the
-column-prefix exit of the rank mask. CI runs this file with
--W error::RuntimeWarning on the numpy 1.x and 2.x legs."""
+rank mask, which evaluates and ranks each block of points once at full
+width; its masks are checked against the pointwise oracles. The two
+test_prefix_exit_* tests keep the names they had when the mask ranked a
+column prefix first. CI runs this file with -W error::RuntimeWarning on the
+numpy 1.x and 2.x legs."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from keyvariety import invariants, projspace
-from keyvariety.algebra import (Polynomial, _bit_planes, matrix_rank_mod_p,
+from keyvariety.algebra import (PointAffineRep, Polynomial, _bit_planes,
+                                jacobian_rank, matrix_rank_mod_p,
                                 matrix_rank_mod_p_batch, mod_p)
-from keyvariety.catalog import build_case
+from keyvariety.catalog import build_case, rank_locus_member
 from keyvariety.projspace import (CompiledSystem, ScanPlan, _generator_values,
                                   lane_dtype, point_set)
 
@@ -142,55 +146,36 @@ def test_bit_planes_use_the_narrowest_word_and_rank_exactly(p, c):
     assert len(set(want)) > 1
 
 
-def _full_rank_below(matrix, pts, p, t):
-    """The mask without the column-prefix exit: every entry evaluated and
-    the whole matrix ranked at every row."""
-    vals = CompiledSystem([e for row in matrix for e in row]).eval_block(pts, p)
-    mats = vals.reshape(len(matrix), len(matrix[0]), -1).transpose(2, 0, 1)
-    return matrix_rank_mod_p_batch(mats, p) < t
-
-
 @pytest.mark.parametrize("case,p", list(FROZEN_COUNTS))
-def test_prefix_exit_masks_equal_full_rank_masks(case, p, monkeypatch):
-    """On every point of the nine frozen cases, the Jacobian mask (rank <
-    codim) and each rank-locus branch mask (rank <= bound, on the branch's
-    zero-block rows) equal the masks that rank the whole matrix at every
-    row. The full pass sees only the rows whose prefix rank is below t:
-    25,798 of g4's 401,314 at p = 3."""
-    from keyvariety.algebra import _jacobian_partials
-
+def test_prefix_exit_masks_equal_full_rank_masks(case, p):
+    """On the nine frozen cases, the Jacobian mask (rank < codim) and the
+    rank-locus mask (rank <= bound on a branch whose zero block vanishes)
+    equal the pointwise oracles jacobian_rank and rank_locus_member at every
+    row either mask marks and at a seeded sample of 200 of the other rows."""
     spec = build_case(case)
     pts = point_set(ScanPlan(spec.ambient_dim, p), spec.generators)
     assert len(pts) == FROZEN_COUNTS[(case, p)]
-    jacobian = _jacobian_partials(tuple(spec.generators))
+    locus = spec.rank_locus
+    sing = invariants._jacobian_singular_mask(spec, pts, p)
+    member = (invariants._rank_locus_mask(spec, locus, pts, p) if locus
+              else np.zeros(len(pts), dtype=bool))
+    assert 0 < sing.sum() < len(pts) or case == "g8_sigma_bar"
+    rest = np.flatnonzero(~(sing | member))
+    sample = np.random.default_rng(len(pts)).choice(
+        rest, min(200, rest.size), replace=False)
     codim = spec.ambient_dim - spec.expected_dim
-    want = _full_rank_below(jacobian, pts, p, codim)
-    ranked = []
-    real = invariants.matrix_rank_mod_p_batch
-    monkeypatch.setattr(invariants, "matrix_rank_mod_p_batch",
-                        lambda mats, q: ranked.append(mats.shape) or real(mats, q))
-    got = invariants._jacobian_singular_mask(spec, pts, p)
-    monkeypatch.undo()
-    assert np.array_equal(got, want)
-    assert 0 < want.sum() < len(pts) or case == "g8_sigma_bar"
-    full = sum(b for b, _, c in ranked if c == len(spec.vars))
-    assert full <= len(pts)
-    if (case, p) == ("g4_sigma_bar", 3):
-        assert full == 25_798
-    for branch in (spec.rank_locus.branches if spec.rank_locus else ()):
-        on = (pts[:, [spec.var_index(v) for v in branch.zero_vars]] == 0).all(axis=1)
-        t = branch.rank_bound + 1
-        assert np.array_equal(invariants._rank_mask(branch.matrix, pts[on], p, t),
-                              _full_rank_below(branch.matrix, pts[on], p, t))
+    for i in np.concatenate([np.flatnonzero(sing | member), sample]).tolist():
+        pt = PointAffineRep(tuple(pts[i].tolist()))
+        assert sing[i] == (jacobian_rank(spec.generators, pt, p) < codim)
+        if locus is not None:
+            assert member[i] == rank_locus_member(locus, pt, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_prefix_exit_ranks_the_full_matrix_where_the_prefix_falls_short(
-        p, monkeypatch):
-    """A crafted batch of 2 x 4 matrices [x0 x1 x2 x3; x4 x5 x6 x7] at t = 2,
-    whose prefix is the first two columns: rows whose prefix is zero or of
-    rank 1 but whose full rank is 2 are not below t, rows of full rank 1 or
-    0 are, and only the rows with a short prefix reach the second pass."""
+def test_prefix_exit_ranks_the_full_matrix_where_the_prefix_falls_short(p):
+    """A crafted batch of 2 x 4 matrices [x0 x1 x2 x3; x4 x5 x6 x7] at t = 2:
+    rows whose first two columns are zero or of rank 1 but whose full rank
+    is 2 are not below t, rows of full rank 1 or 0 are."""
     ring = tuple(f"x{i}" for i in range(8))
     x = [Polynomial.variable(ring, v) for v in ring]
     matrix = (x[:4], x[4:])
@@ -202,15 +187,25 @@ def test_prefix_exit_ranks_the_full_matrix_where_the_prefix_falls_short(
         [1, 0, 0, 0, 0, 1, 0, 0],   # prefix rank 2
         [0, 1, 0, 0, 0, 1, 0, 1],   # prefix rank 1, full rank 2
     ], dtype=projspace.row_dtype(p))
-    evaluated = []
-    real = CompiledSystem.eval_block
+    low = invariants._rank_mask(matrix, pts, p, 2)
+    want = [matrix_rank_mod_p([row[:4], row[4:]], p) < 2 for row in pts.tolist()]
+    assert low.tolist() == want == [False, False, True, True, False, False]
+
+
+def test_g8_jacobian_mask_evaluates_and_ranks_each_block_once(monkeypatch):
+    """g8's 15 x 12 Jacobian at p = 3 (481 points, one block): one eval_block
+    call over all 180 entries and one batch rank of the (481, 15, 12)
+    matrices."""
+    spec = build_case("g8_sigma_bar")
+    pts = point_set(ScanPlan(spec.ambient_dim, 3), spec.generators)
+    evaluated, ranked = [], []
+    real_eval, real_rank = CompiledSystem.eval_block, invariants.matrix_rank_mod_p_batch
     monkeypatch.setattr(
         CompiledSystem, "eval_block",
         lambda self, block, q: evaluated.append((len(self.compiled), block.shape[0]))
-        or real(self, block, q))
-    low = invariants._rank_mask(matrix, pts, p, 2)
-    monkeypatch.undo()
-    want = [matrix_rank_mod_p([row[:4], row[4:]], p) < 2 for row in pts.tolist()]
-    assert low.tolist() == want == [False, False, True, True, False, False]
-    assert evaluated == [(4, 6), (4, 5)]
-    assert np.array_equal(low, _full_rank_below(matrix, pts, p, 2))
+        or real_eval(self, block, q))
+    monkeypatch.setattr(invariants, "matrix_rank_mod_p_batch",
+                        lambda mats, q: ranked.append(mats.shape) or real_rank(mats, q))
+    invariants._jacobian_singular_mask(spec, pts, 3)
+    assert evaluated == [(15 * 12, 481)]
+    assert ranked == [(481, 15, 12)]
