@@ -86,17 +86,14 @@ def _jsonable(val):
     return str(val)
 
 
-def _rec(check, case, prime, expected, observed, anchor, info=False,
+def _rec(check, case, prime, expected, observed, anchor,
          ok: bool | None = None) -> CheckRecord:
     """ok overrides the equality comparison when observed carries extra
     diagnostic fields beyond the expected values."""
-    if info:
-        verdict = "info"
-    elif ok is not None:
-        verdict = "pass" if ok else "fail"
-    else:
-        verdict = "pass" if expected == observed else "fail"
-    return CheckRecord(check, case, prime, expected, observed, verdict, anchor)
+    if ok is None:
+        ok = expected == observed
+    return CheckRecord(check, case, prime, expected, observed,
+                       "pass" if ok else "fail", anchor)
 
 
 def _int_value(values: dict, key: str, default: int) -> int:
@@ -117,14 +114,18 @@ def parse_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     values: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, val = line.split("=", 1)
-        values[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
+        values[key] = val
     known = {"cases", "primes", "checks", "threads", "output_path", "sample_cap"}
     unknown = set(values) - known
     if unknown:

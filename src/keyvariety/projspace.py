@@ -58,34 +58,36 @@ still held.
 
 Chunks (blocks of outer rows of about GRID_CHUNK_POINTS points) run one after
 another in index order, which bounds the memory of one step. One generator,
-_scan_pieces, runs them and yields a piece per chunk with a match: its
-group's (k, s, width, inner digits), its first outer row and its offsets. It
-has two consumers: scan_system, which counts the matches or decodes all the
-pieces at once into one array (collect=True), and scan_batches, which decodes
-them as they come into batches of at least _SCAN_BATCH rows, so that a caller
-can use the rows of a set without ever holding it whole. Every scan is held
-to a point budget, checked when it is called. Point sets of the catalog's
+_scan_pieces, runs them and yields a piece per chunk: its group's (k, s,
+width, inner digits), its first outer row and its match mask. A count sums
+the matches of the masks; _batches keeps each chunk's matches as offsets and
+decodes them into rows, all at once for a collect=True scan_system, or as
+they come into batches of at least _SCAN_BATCH rows. Every scan is held to a
+point budget, checked when it is called. Point sets of the catalog's
 varieties go through a memo (point_set), so each (generators, prime) pair is
-scanned once until clear_point_sets(). common_zeros and point_batches read
-the memo without adding to it: common_zeros filters a system whose leading
-generators are held (a linear section of a held variety) from their rows
-instead of scanning it, and point_batches gives slices of a held set, else
-the batches of scan_batches.
+scanned once until clear_point_sets().
 
-Point sets are narrow: the rows of a collect scan, of point_set, of
-common_zeros and of a batch are in row_dtype(p), the narrowest unsigned dtype
-that holds p - 1 (uint8 up to p = 251, an eighth of int64). They are widened
-to the term loop's lane or to int64 only inside arithmetic, and never a whole
-set at once: the monomial builder casts each column it reads, vanishing_mask
-walks its rows in blocks of GRID_CHUNK_POINTS, _matmul_mod casts its operands
-and _float32_zero casts to float32. A collect scan holds each chunk's matches
-as offsets in the narrowest dtype that holds a chunk, with its group's inner
-digits, and writes every row once at the end into one row_dtype(p) array of
-the final count; scan_batches does the same for each batch. A group's inner
-digits and the values of eval_block are in row_dtype(p) as well, so the
-value slabs of the rank loci stay narrow up to the rank. The outer digit
-grid of a chunk is built in the term loop's lane, so that its builder casts
-no column, and points_block stays int64.
+One reader, point_batches, gives a set that the caller does not hold,
+without adding to the memo. It yields slices of _SCAN_BATCH rows of the
+held set; else, where a leading part of the generators is held (the base of
+a linear section), those slices of the base, each filtered by
+vanishing_mask of the other generators; else the batches of a scan as the
+scan finds them. So a caller reads the rows of a set it does not hold a
+batch at a time and never holds the set whole.
+
+Point sets are narrow: the rows of a collect scan, of point_set and of a
+batch are in row_dtype(p), the narrowest unsigned dtype that holds p - 1
+(uint8 up to p = 251, an eighth of int64). They are widened to the term
+loop's lane or to int64 only inside arithmetic, and never a whole set at
+once: the monomial builder casts each column it reads, vanishing_mask gets
+at most GRID_CHUNK_POINTS rows, _matmul_mod casts its operands and
+_float32_zero casts to float32. A scan holds each chunk's matches as offsets
+in the narrowest dtype that holds a chunk, with its group's inner digits,
+and writes every row of a batch once into one row_dtype(p) array of the
+batch's count. A group's inner digits and the values of eval_block are in
+row_dtype(p) as well, so the value slabs of the rank loci stay narrow up to
+the rank. The outer digit grid of a chunk is built in the term loop's lane,
+so that its builder casts no column, and points_block stays int64.
 """
 from __future__ import annotations
 
@@ -302,19 +304,16 @@ class CompiledSystem:
         return out
 
     def vanishing_mask(self, pts: np.ndarray, p: int) -> np.ndarray:
-        """Rows of pts on which every generator vanishes mod p, walked in
-        blocks of GRID_CHUNK_POINTS rows, so that the int64 columns of one
-        block are the most ever widened at once. In a block each generator
-        is evaluated only at the rows still held."""
+        """Rows of pts on which every generator vanishes mod p, each
+        generator evaluated only at the rows still held. Every caller passes
+        at most GRID_CHUNK_POINTS rows, so the columns one call widens to
+        the lane are the most ever widened at once."""
         mask = np.ones(pts.shape[0], dtype=bool)
-        for lo in range(0, pts.shape[0], GRID_CHUNK_POINTS):
-            block = pts[lo:lo + GRID_CHUNK_POINTS]
-            held = mask[lo:lo + GRID_CHUNK_POINTS]
-            for gen in self.compiled:
-                idx = np.flatnonzero(held)
-                if not idx.size:
-                    break
-                held[idx[_generator_values(gen, block, idx, p) != 0]] = False
+        for gen in self.compiled:
+            idx = np.flatnonzero(mask)
+            if not idx.size:
+                break
+            mask[idx[_generator_values(gen, pts, idx, p) != 0]] = False
         return mask
 
 
@@ -433,14 +432,14 @@ def _grid_group(polys: Sequence[Polynomial], n: int, k: int, p: int) -> _GridGro
     return _GridGroup(k, s, width, inner_digits, tuple(outer), tuple(gens))
 
 
-def _grid_chunk(group: _GridGroup, p: int, r0: int, r1: int, collect: bool):
+def _grid_chunk(group: _GridGroup, p: int, r0: int, r1: int) -> np.ndarray:
     """Scan outer rows [r0, r1) of a group: the residues of every outer
     monomial of the group at these rows, from one monomial builder on their
     outer digits, then per generator the columns of its outer monomials at
     the rows that still hold a common zero, and one _zero_mod of them against
-    its fused table. Returns (matched count, with collect the offsets of the
-    matched points from the chunk's first point in index order, in the
-    narrowest dtype that holds the chunk, else None)."""
+    its fused table. Returns the match mask of the chunk's points in index
+    order, flat: a count reads only its number of matches, so that no
+    offsets are made for it."""
     outer = _digit_grid(p, r0, r1, group.s, lane_dtype(p))
     monomials = _Monomials(outer, None, p)
     values = np.array([monomials.reduced(e) for e in group.outer]).T
@@ -450,14 +449,11 @@ def _grid_chunk(group: _GridGroup, p: int, r0: int, r1: int, collect: bool):
         if live.size == 0:
             break
         mask[live] &= _zero_mod(values[live][:, cols], table, p)
-    if not collect:
-        return int(np.count_nonzero(mask)), None
-    hits = np.flatnonzero(mask)
-    return int(hits.size), hits.astype(np.min_scalar_type(mask.size - 1))
+    return mask.ravel()
 
 
 def _collected_rows(pieces: list, n: int, p: int, count: int) -> np.ndarray:
-    """The count matched rows of a collect scan, each written once into one
+    """The count matched rows of pieces, each written once into one
     row_dtype(p) array. pieces holds, per chunk with a match, its group's
     (k, s, width, inner digits), its first outer row r0 and its offsets h:
     a row has its leading 1 at k, the inner digits of h % width and the s
@@ -490,11 +486,10 @@ def _check_scan(plan: ScanPlan, polys: Sequence[Polynomial]) -> None:
         raise ValueError("system arity does not match the scan plan")
 
 
-def _scan_pieces(plan: ScanPlan, polys: Sequence[Polynomial], collect: bool):
-    """Run the grid kernel over every chunk in index order and yield, per
-    chunk with a match, (matched count, piece): with collect the piece is
-    its group's (k, s, width, inner digits), its first outer row r0 and its
-    offsets, as _collected_rows decodes them, else None."""
+def _scan_pieces(plan: ScanPlan, polys: Sequence[Polynomial]):
+    """Run the grid kernel over every chunk in index order and yield a piece
+    per chunk: its group's (k, s, width, inner digits), its first outer row
+    r0 and its match mask."""
     n, p = plan.ambient_dim, int(plan.prime)
     for k in range(n + 1):
         group = _grid_group(polys, n, k, p)
@@ -502,10 +497,31 @@ def _scan_pieces(plan: ScanPlan, polys: Sequence[Polynomial], collect: bool):
         nrows = p ** group.s
         spot = (k, group.s, group.width, group.inner_digits)
         for r0 in range(0, nrows, step):
-            nmatch, hits = _grid_chunk(group, p, r0, min(r0 + step, nrows),
-                                       collect)
-            if nmatch:
-                yield nmatch, ((spot, r0, hits) if collect else None)
+            yield spot, r0, _grid_chunk(group, p, r0, min(r0 + step, nrows))
+
+
+def _batches(plan: ScanPlan, polys: Sequence[Polynomial], size: int | None):
+    """The common zeros of polys as row_dtype(p) batches in index order,
+    yielded as the scan finds them. A batch decodes the pieces of
+    consecutive chunks, each row written once, as soon as at least size rows
+    have gathered (the last batch may be shorter, and an empty set yields
+    nothing); with size None there is one batch, empty for an empty set.
+    Until then a chunk's matches are held as offsets from its first point,
+    in the narrowest dtype that holds the chunk."""
+    n, p = plan.ambient_dim, int(plan.prime)
+    pieces, count = [], 0
+    for spot, r0, match in _scan_pieces(plan, polys):
+        hits = np.flatnonzero(match).astype(np.min_scalar_type(match.size - 1))
+        del match  # a chunk's mask is freed before the next chunk runs
+        if not hits.size:
+            continue
+        count += hits.size
+        pieces.append((spot, r0, hits))
+        if size is not None and count >= size:
+            yield _collected_rows(pieces, n, p, count)
+            pieces, count = [], 0
+    if count or size is None:
+        yield _collected_rows(pieces, n, p, count)
 
 
 def scan_system(plan: ScanPlan, polys: Sequence[Polynomial], *,
@@ -519,84 +535,54 @@ def scan_system(plan: ScanPlan, polys: Sequence[Polynomial], *,
     """
     _check_scan(plan, polys)
     if not collect:
-        return ScanResult(sum(m for m, _ in _scan_pieces(plan, polys, False)))
-    pieces = [piece for _, piece in _scan_pieces(plan, polys, True)]
-    matched = sum(piece[2].size for piece in pieces)
-    return (ScanResult(matched),
-            _collected_rows(pieces, plan.ambient_dim, int(plan.prime), matched))
+        matched = 0
+        for _, _, match in _scan_pieces(plan, polys):
+            matched += int(np.count_nonzero(match))
+            del match  # a chunk's mask is freed before the next chunk runs
+        return ScanResult(matched)
+    (rows,) = _batches(plan, polys, None)
+    return ScanResult(rows.shape[0]), rows
 
 
 _SCAN_BATCH = 1 << 15
-
-
-def scan_batches(plan: ScanPlan, polys: Sequence[Polynomial]):
-    """The common zeros of a polynomial system as row_dtype(p) batches of at
-    least _SCAN_BATCH rows (the last may be shorter), yielded as the scan
-    finds them, in index order: the pieces of consecutive chunks are decoded
-    once a batch's worth has gathered, each row written once, and no batch
-    is held after it is yielded. An empty set yields nothing. The budget and
-    the arity are checked here, before any chunk runs."""
-    _check_scan(plan, polys)
-    return _batches(plan, polys)
-
-
-def _batches(plan: ScanPlan, polys: Sequence[Polynomial]):
-    n, p = plan.ambient_dim, int(plan.prime)
-    pieces, count = [], 0
-    for nmatch, piece in _scan_pieces(plan, polys, True):
-        pieces.append(piece)
-        count += nmatch
-        if count >= _SCAN_BATCH:
-            yield _collected_rows(pieces, n, p, count)
-            pieces, count = [], 0
-    if count:
-        yield _collected_rows(pieces, n, p, count)
+_POINT_SETS: dict = {}
 
 
 def point_batches(plan: ScanPlan, polys: Sequence[Polynomial]):
     """The common zeros of polys in P^n(F_p) in index order as batches of
-    row_dtype(p) rows, read through the memo without adding to it: slices of
-    _SCAN_BATCH rows of the held set when point_set holds it, else the
-    batches of scan_batches. Raises BudgetExceeded at the call for an
-    unheld set over the budget."""
+    row_dtype(p) rows, read through the memo without adding to it: slices
+    of _SCAN_BATCH rows of the held set when point_set holds it; else those
+    slices of the set of the longest held leading part of polys (a cut's
+    base), each filtered by the other generators; else the batches of a
+    scan, at least _SCAN_BATCH rows each (the last may be shorter), yielded
+    as the scan finds them. No batch is held after it is yielded. Raises
+    BudgetExceeded at the call for a set it would scan over the budget, and
+    ValueError for a generator whose ring does not match the plan."""
     polys = tuple(polys)
-    held = _POINT_SETS.get((plan, polys))
-    if held is None:
-        return scan_batches(plan, polys)
-    return (held[lo:lo + _SCAN_BATCH] for lo in range(0, len(held), _SCAN_BATCH))
-
-
-_POINT_SETS: dict = {}
+    for j in range(len(polys), 0, -1):
+        held = _POINT_SETS.get((plan, polys[:j]))
+        if held is not None:
+            slices = (held[lo:lo + _SCAN_BATCH]
+                      for lo in range(0, len(held), _SCAN_BATCH))
+            if j == len(polys):
+                return slices
+            rest = CompiledSystem(polys[j:])
+            return (rows[rest.vanishing_mask(rows, plan.prime)] for rows in slices)
+    _check_scan(plan, polys)
+    return _batches(plan, polys, _SCAN_BATCH)
 
 
 def point_set(plan: ScanPlan, polys: Sequence[Polynomial]) -> np.ndarray:
     """Common zeros of polys in P^n(F_p) as read-only row_dtype(p) rows, in
-    index order. The first call per (plan, generators) finds them with
-    common_zeros and holds them; later calls return the held array until
-    clear_point_sets()."""
+    index order. The first call per (plan, generators) finds them with one
+    collect=True scan and holds them; later calls return the held array
+    until clear_point_sets()."""
     key = (plan, tuple(polys))
     pts = _POINT_SETS.get(key)
     if pts is None:
-        pts = common_zeros(plan, key[1])
+        _, pts = scan_system(plan, key[1], collect=True)
         pts.setflags(write=False)
         _POINT_SETS[key] = pts
-    return pts
-
-
-def common_zeros(plan: ScanPlan, polys: Sequence[Polynomial]) -> np.ndarray:
-    """Common zeros of polys in P^n(F_p) as row_dtype(p) rows in index
-    order, read through the memo without adding to it: the held rows of
-    polys, else the rows of the longest held leading part of polys (a cut
-    spec's base) on which the other generators vanish, else a collect=True
-    scan."""
-    polys = tuple(polys)
-    for j in range(len(polys), 0, -1):
-        base = _POINT_SETS.get((plan, polys[:j]))
-        if base is not None:
-            if j == len(polys):
-                return base
-            return base[CompiledSystem(polys[j:]).vanishing_mask(base, plan.prime)]
-    _, pts = scan_system(plan, polys, collect=True)
     return pts
 
 

@@ -18,7 +18,7 @@ from .algebra import (ParseError, Polynomial, SmallPrime, fraction_matrix_rank,
 from .catalog import VarietySpec, form_vanishes_on_plane
 from .invariants import (_jacobian_singular_mask, _on_zero_block,
                          bracket_dimension)
-from .projspace import ScanPlan, common_zeros
+from .projspace import ScanPlan, point_batches
 
 # committed seeds for the shipped section checks (one per case); the g8 seed
 # is shared by the plane-preserving terminality probe
@@ -158,21 +158,24 @@ def section_report(spec: VarietySpec, primes: Sequence[int],
                    plane: str | None = None) -> list:
     """Per-prime profile of a (cut) spec: point count, bracket dimension,
     Jacobian-singular rational points, and - when a plane is tracked - the
-    plane-section count and the singular count off the plane. Point sets
-    are read through the memo (common_zeros), which this adds nothing to."""
+    plane-section count and the singular count off the plane. The points
+    are read a batch at a time (point_batches), which adds nothing to the
+    memo, so a cut is never held whole."""
     out = []
     for p in primes:
         p = SmallPrime(p)
-        pts = common_zeros(ScanPlan(spec.ambient_dim, p), spec.generators)
-        count = pts.shape[0]
+        count = sing_count = plane_count = off_plane = 0
+        for pts in point_batches(ScanPlan(spec.ambient_dim, p), spec.generators):
+            count += pts.shape[0]
+            sing = _jacobian_singular_mask(spec, pts, p)
+            sing_count += int(sing.sum())
+            if plane is not None:
+                on_plane = _on_zero_block(spec, spec.planes[plane].vanishing_vars, pts)
+                plane_count += int(on_plane.sum())
+                off_plane += int((sing & ~on_plane).sum())
+        if plane is None:
+            plane_count = off_plane = None
         est = bracket_dimension(count, p, spec.ambient_dim)
-        sing = _jacobian_singular_mask(spec, pts, p)
-        plane_count = None
-        off_plane = None
-        if plane is not None:
-            on_plane = _on_zero_block(spec, spec.planes[plane].vanishing_vars, pts)
-            plane_count = int(on_plane.sum())
-            off_plane = int((sing & ~on_plane).sum())
-        out.append(SectionReport(spec.case_id, p, int(count), est,
-                                 int(sing.sum()), off_plane, plane_count))
+        out.append(SectionReport(spec.case_id, p, count, est, sing_count,
+                                 off_plane, plane_count))
     return out

@@ -53,6 +53,19 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         parse_config(_write(tmp_path, "zzz=1\n"))
 
 
+def test_repeated_config_key_is_a_config_error(tmp_path, capsys):
+    """A key set on two lines is refused with both line numbers, rather than
+    the later line silently winning; the run writes no report."""
+    path = _write(tmp_path, "cases=g8\n# comment\nprimes=2\ncases = g6c\n")
+    message = "line 4: key 'cases' repeats line 1"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_config(path)
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_parse_config_rejects_unknown_case_and_check(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(_write(tmp_path, "cases=g99\nchecks=count\n"))

@@ -253,7 +253,7 @@ def test_singular_scan_g6c_containment_p2():
 
 @pytest.mark.parametrize("case,p", list(FROZEN_COUNTS))
 def test_streamed_singular_scan_equals_held(case, p, monkeypatch):
-    """singular_scan on a set nobody holds (streamed from scan_batches) and
+    """singular_scan on a set nobody holds (streamed by point_batches) and
     on the held set (slices of point_set's rows) give the same rows and
     count, with chunks and batches small enough that batches gather several
     chunks and split index groups; the streamed scan adds nothing to the

@@ -16,8 +16,8 @@ from keyvariety.catalog import build_case, plucker_ideal
 from keyvariety.projspace import (GRID_CHUNK_POINTS, CompiledSystem,
                                   ScanPlan, ScanResult, _fits_float32,
                                   _generator_values, _matmul_mod, _zero_mod,
-                                  clear_point_sets, point_set, points_block,
-                                  proj_point_count, scan_batches, scan_system)
+                                  clear_point_sets, point_batches, point_set,
+                                  points_block, proj_point_count, scan_system)
 from keyvariety.sections import SectionSpec, cut, section_report
 
 
@@ -217,9 +217,9 @@ def test_small_grid_chunks_split_groups(monkeypatch):
     chunks = []
     real = projspace._grid_chunk
     monkeypatch.setattr(projspace, "_grid_chunk",
-                        lambda group, p, r0, r1, collect:
+                        lambda group, p, r0, r1:
                         chunks.append((group.k, r0, r1)) or
-                        real(group, p, r0, r1, collect))
+                        real(group, p, r0, r1))
     monkeypatch.setattr(projspace, "GRID_CHUNK_POINTS", 8)
     ring = tuple(f"x{i}" for i in range(5))
     scan_system(ScanPlan(4, SmallPrime(3)), [parse_poly("x0*x1 - x4^2", ring)])
@@ -439,10 +439,10 @@ def test_grid_kernel_builds_each_monomial_once_per_group_and_chunk(monkeypatch):
         finally:
             where.pop()
 
-    def chunk(group, p, r0, r1, collect):
+    def chunk(group, p, r0, r1):
         where.append(("chunk", group.k, r0))
         try:
-            return real_chunk(group, p, r0, r1, collect)
+            return real_chunk(group, p, r0, r1)
         finally:
             where.pop()
 
@@ -461,21 +461,27 @@ def test_grid_kernel_builds_each_monomial_once_per_group_and_chunk(monkeypatch):
     assert len({ctx[1] for ctx in chunks}) < len(chunks)
 
 
+def _count_scans(monkeypatch):
+    """Count the runs of the grid kernel from here on: one per scan."""
+    calls = []
+    real = projspace._scan_pieces
+    monkeypatch.setattr(projspace, "_scan_pieces",
+                        lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
 def test_cut_rows_from_memo_filter_equal_direct_scan(monkeypatch):
     spec = build_case("g8_sigma_bar")
     forms = tuple(parse_poly(t, spec.vars) for t in ("x2 - p24", "x3 - p35"))
     w = cut(spec, SectionSpec(spec.case_id, forms))
     plan = ScanPlan(spec.ambient_dim, SmallPrime(3))
     point_set(plan, spec.generators)
-    calls = []
-    real = projspace.scan_system
-    monkeypatch.setattr(projspace, "scan_system",
-                        lambda *a, **k: calls.append(a) or real(*a, **k))
-    filtered = point_set(plan, w.generators)
+    _, direct = scan_system(plan, list(w.generators), collect=True)
+    calls = _count_scans(monkeypatch)
+    filtered = np.concatenate(list(point_batches(plan, w.generators)))
     assert calls == []
-    _, direct = real(plan, list(w.generators), collect=True)
     assert len(direct) > 0 and np.array_equal(filtered, direct)
-    assert not filtered.flags.writeable
+    assert (plan, w.generators) not in projspace._POINT_SETS
 
 
 def test_section_report_reads_the_memo_and_adds_nothing(monkeypatch):
@@ -486,10 +492,7 @@ def test_section_report_reads_the_memo_and_adds_nothing(monkeypatch):
     _, direct = scan_system(plan, list(w.generators), collect=True)
     point_set(plan, spec.generators)
     held = dict(projspace._POINT_SETS)
-    calls = []
-    real = projspace.scan_system
-    monkeypatch.setattr(projspace, "scan_system",
-                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    calls = _count_scans(monkeypatch)
     (rep,) = section_report(w, (3,))
     assert calls == [] and rep.count == len(direct)
     assert projspace._POINT_SETS == held
@@ -499,9 +502,31 @@ def test_section_report_reads_the_memo_and_adds_nothing(monkeypatch):
     assert projspace._POINT_SETS == {}
 
 
+def test_section_report_of_an_unheld_cut_stays_narrow_in_memory():
+    """With nothing held, the g5 cut x1 = y11 at p = 3 is streamed from its
+    scan a batch at a time: the traced peak of section_report stays below
+    the bytes of the whole cut (344,452 rows of 16 one-byte residues,
+    5.3 MiB): about 3.3 MiB, where collecting the cut whole peaks at about
+    7.2 MiB."""
+    import tracemalloc
+
+    spec = build_case("g5_sigma_bar")
+    w = cut(spec, SectionSpec(spec.case_id, (parse_poly("x1 - y11", spec.vars),)))
+    clear_point_sets()
+    tracemalloc.start()
+    try:
+        (rep,) = section_report(w, (3,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rep.count, rep.singular_count) == (344_452, 15_565)
+    assert projspace._POINT_SETS == {}
+    assert peak < 344_452 * 16
+
+
 @pytest.mark.parametrize("p,dtype", [(251, np.uint8), (257, np.uint16),
                                      (4099, np.uint16)])
-def test_narrow_rows_equal_int64_rows_at_dtype_edges(p, dtype, monkeypatch):
+def test_narrow_rows_equal_int64_rows_at_dtype_edges(p, dtype):
     """Rows held in the narrowest dtype give every kernel the results of the
     same rows as int64. p = 251 holds 250 in uint8, p = 257 needs uint16,
     and at p = 4099 the products leave float32 for _matmul_mod. Each kernel
@@ -529,7 +554,6 @@ def test_narrow_rows_equal_int64_rows_at_dtype_edges(p, dtype, monkeypatch):
     want = [[f.eval_mod(row, p) for row in wide.tolist()] for f in polys]
     assert np.array_equal(values, system.eval_block(wide, p))
     assert values.tolist() == want
-    monkeypatch.setattr(projspace, "GRID_CHUNK_POINTS", 7)
     held = CompiledSystem(polys[:2]).vanishing_mask(narrow, p)
     assert held[::2].all() and not held.all()
     assert np.array_equal(held, CompiledSystem(polys[:2]).vanishing_mask(wide, p))
@@ -633,8 +657,9 @@ def test_point_sets_stay_narrow_in_memory():
     holds each chunk's matches as narrow offsets and writes every row once,
     where holding both the chunk pieces and their join would take twice the
     rows. A linear cut of it filtered from the memo widens one block of
-    GRID_CHUNK_POINTS rows at a time: at most 2(n + 1) int64 vectors of a
-    block at once, besides the mask and the cut rows."""
+    batch of _SCAN_BATCH rows at a time, read through point_batches: at most
+    2(n + 1) int64 vectors of a batch at once, besides its mask and cut
+    rows."""
     import tracemalloc
 
     spec = build_case("g4_sigma_bar")
@@ -649,7 +674,7 @@ def test_point_sets_stay_narrow_in_memory():
         _, scan_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         held, _ = tracemalloc.get_traced_memory()
-        rows = projspace.common_zeros(plan, spec.generators + (form,))
+        rows = np.concatenate(list(point_batches(plan, spec.generators + (form,))))
         _, cut_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -657,7 +682,7 @@ def test_point_sets_stay_narrow_in_memory():
     assert pts.shape == (401_314, ncols) and pts.dtype == np.uint8
     assert scan_peak < 1.5 * pts.nbytes
     assert 0 < len(rows) < len(pts)
-    assert cut_peak - held < (2 * ncols * GRID_CHUNK_POINTS * 8
+    assert cut_peak - held < (2 * ncols * projspace._SCAN_BATCH * 8
                               + pts.shape[0] + pts.nbytes)
 
 
@@ -674,7 +699,7 @@ def test_scan_batches_join_to_the_collected_rows(case, p, chunk_points, batch,
     clear_point_sets()
     monkeypatch.setattr(projspace, "GRID_CHUNK_POINTS", chunk_points)
     monkeypatch.setattr(projspace, "_SCAN_BATCH", batch)
-    batches = list(scan_batches(plan, spec.generators))
+    batches = list(point_batches(plan, spec.generators))
     assert len(batches) > 2
     assert all(len(b) >= batch for b in batches[:-1])
     assert 0 < len(batches[-1])
@@ -686,24 +711,24 @@ def test_scan_batches_join_to_the_collected_rows(case, p, chunk_points, batch,
 def test_scan_batches_of_an_empty_set_yield_nothing():
     ring = tuple(f"x{i}" for i in range(3))
     plan = ScanPlan(2, SmallPrime(3))
-    assert list(scan_batches(plan, [parse_poly("x0^2 + x1^2 + x2^2 + 1", ring),
-                                    parse_poly("x0", ring),
-                                    parse_poly("x1", ring),
-                                    parse_poly("x2", ring)])) == []
+    assert list(point_batches(plan, [parse_poly("x0^2 + x1^2 + x2^2 + 1", ring),
+                                     parse_poly("x0", ring),
+                                     parse_poly("x1", ring),
+                                     parse_poly("x2", ring)])) == []
 
 
 def test_scan_batches_check_budget_and_arity_at_the_call(monkeypatch):
     """P^15(F_5) for g5 and a generator of another ring are refused when
-    scan_batches is called, before any group is built."""
+    point_batches is called for an unheld set, before any group is built."""
     def refuse(*_):
         raise AssertionError("a group was built")
 
     monkeypatch.setattr(projspace, "_grid_group", refuse)
     spec = build_case("g5_sigma_bar")
     with pytest.raises(projspace.BudgetExceeded):
-        scan_batches(ScanPlan(spec.ambient_dim, SmallPrime(5)), spec.generators)
+        point_batches(ScanPlan(spec.ambient_dim, SmallPrime(5)), spec.generators)
     with pytest.raises(ValueError, match="arity"):
-        scan_batches(ScanPlan(3, SmallPrime(2)), spec.generators)
+        point_batches(ScanPlan(3, SmallPrime(2)), spec.generators)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
