@@ -175,8 +175,6 @@ class SingularScanReport:
     count: int                      # the number of rational points
     singular: np.ndarray            # Jacobian-singular rows
     difference: np.ndarray | None   # rows where the two masks differ
-    containment_plane: str | None = None
-    containment_holds: bool | None = None
 
 
 def _rank_mask(matrix, pts: np.ndarray, p: int, t: int) -> np.ndarray:
@@ -226,13 +224,12 @@ def _rank_locus_mask(spec: VarietySpec, locus: RankLocusSpec,
     return member
 
 
-def singular_scan(spec: VarietySpec, locus: RankLocusSpec | None,
-                  p: int) -> SingularScanReport:
+def singular_scan(spec: VarietySpec, p: int) -> SingularScanReport:
     """Classify every rational point of the variety as smooth or singular by
-    the Jacobian criterion (rank < codimension). With a declared rank-locus
-    description, difference holds the rows where the two masks disagree;
-    with none, report the containment of the singular set in the
-    distinguished plane instead. All row arrays are in index order.
+    the Jacobian criterion (rank < codimension). difference holds the rows
+    where that mask and membership in the declared rank locus
+    (spec.rank_locus) disagree, and is None where no rank locus is declared.
+    All row arrays are in index order.
 
     The points are classified a batch at a time (point_batches): slices of
     the held set when an earlier check put it in the memo, else batches
@@ -242,6 +239,7 @@ def singular_scan(spec: VarietySpec, locus: RankLocusSpec | None,
     p = 3) scans it again.
     """
     p = SmallPrime(p)
+    locus = spec.rank_locus
     empty = np.zeros((0, spec.ambient_dim + 1), dtype=row_dtype(p))
     count, sing_rows, diff_rows = 0, [empty], [empty]
     for pts in point_batches(ScanPlan(spec.ambient_dim, p), spec.generators):
@@ -250,12 +248,5 @@ def singular_scan(spec: VarietySpec, locus: RankLocusSpec | None,
         sing_rows.append(pts[sing])
         if locus is not None:
             diff_rows.append(pts[sing ^ _rank_locus_mask(spec, locus, pts, p)])
-    sing_pts = np.concatenate(sing_rows)
-    if locus is not None:
-        return SingularScanReport(count, sing_pts, np.concatenate(diff_rows))
-    plane_name = next(iter(spec.planes), None)
-    holds = None
-    if plane_name is not None:
-        holds = bool(_on_zero_block(
-            spec, spec.planes[plane_name].vanishing_vars, sing_pts).all())
-    return SingularScanReport(count, sing_pts, None, plane_name, holds)
+    return SingularScanReport(count, np.concatenate(sing_rows),
+                              None if locus is None else np.concatenate(diff_rows))

@@ -54,7 +54,7 @@ entries are kept as offsets, which np.flatnonzero returns in index order.
 CompiledSystem evaluates generators on explicit rows of points, which
 points_block builds by index: eval_block with one builder for all
 generators of a block, vanishing_mask with one per generator on the rows
-still held.
+still held, gathered from the block.
 
 Chunks (blocks of outer rows of about GRID_CHUNK_POINTS points) run one after
 another in index order, which bounds the memory of one step. One generator,
@@ -190,19 +190,18 @@ def _digit_grid(p: int, start: int, stop: int, width: int,
 
 
 class _Monomials:
-    """Values of monomials on the rows of pts indexed by rows (all rows when
-    None), held for one block in the lane lane_dtype(p), whose largest value
-    is limit: each exponent tuple over the columns of pts maps to (values,
-    hi), hi bounding the entries. The constant monomial is a row of ones and
-    a degree-1 monomial is its column, cast to the lane once (no copy for
-    rows in the lane); any other is built with one multiply from the
-    monomial with its last nonzero exponent lowered by 1, which is reduced
-    mod p first (and held reduced) only where the product could pass
-    limit."""
+    """Values of monomials on every row of pts, held for one block in the
+    lane lane_dtype(p), whose largest value is limit: each exponent tuple
+    over the columns of pts maps to (values, hi), hi bounding the entries.
+    The constant monomial is a row of ones and a degree-1 monomial is its
+    column, cast to the lane once (no copy for rows in the lane); any other
+    is built with one multiply from the monomial with its last nonzero
+    exponent lowered by 1, which is reduced mod p first (and held reduced)
+    only where the product could pass limit."""
 
-    def __init__(self, pts: np.ndarray, rows: np.ndarray | None, p: int):
-        self.pts, self.rows, self.p = pts, rows, p
-        self.size = pts.shape[0] if rows is None else rows.size
+    def __init__(self, pts: np.ndarray, p: int):
+        self.pts, self.p = pts, p
+        self.size = pts.shape[0]
         self.lane = lane_dtype(p)
         self.limit = _INT16_MAX if self.lane == np.int16 else _INT64_MAX
         self._held: dict = {}
@@ -229,8 +228,7 @@ class _Monomials:
             return np.ones(self.size, dtype=self.lane), 1
         unit = (0,) * v + (1,) + (0,) * (len(e) - v - 1)
         if e == unit:
-            col = self.pts[:, v] if self.rows is None else self.pts[self.rows, v]
-            return col.astype(self.lane, copy=False), top
+            return self.pts[:, v].astype(self.lane, copy=False), top
         lower = e[:v] + (e[v] - 1,) + e[v + 1:]
         values, hi = self[lower]
         if hi * top > self.limit:
@@ -274,14 +272,6 @@ def _term_sum(terms, monomials: _Monomials, p: int) -> np.ndarray:
     return acc if acc_hi < p else mod_p(acc, p)
 
 
-def _generator_values(gen: tuple, pts: np.ndarray, rows: np.ndarray | None,
-                      p: int) -> np.ndarray:
-    """Values mod p of a compiled generator (its (exponents, coefficient)
-    pairs) at the rows of pts indexed by rows (all rows when None), by the
-    term loop over monomials of those rows."""
-    return _term_sum(gen, _Monomials(pts, rows, p), p)
-
-
 class CompiledSystem:
     """Generators as (exponents, coefficient) pairs, evaluated by the term
     loop on explicit rows of points whose entries are residues in [0, p):
@@ -297,7 +287,7 @@ class CompiledSystem:
         row_dtype(p): shape (ngens, npts), their monomials built once for the
         block. A generator with no terms (an identically zero partial) gets
         a zero row without running the term loop."""
-        monomials = _Monomials(pts, None, p)
+        monomials = _Monomials(pts, p)
         out = np.empty((len(self.compiled), pts.shape[0]), dtype=row_dtype(p))
         for g, gen in enumerate(self.compiled):
             out[g] = _term_sum(gen, monomials, p) if gen else 0
@@ -305,15 +295,19 @@ class CompiledSystem:
 
     def vanishing_mask(self, pts: np.ndarray, p: int) -> np.ndarray:
         """Rows of pts on which every generator vanishes mod p, each
-        generator evaluated only at the rows still held. Every caller passes
-        at most GRID_CHUNK_POINTS rows, so the columns one call widens to
-        the lane are the most ever widened at once."""
-        mask = np.ones(pts.shape[0], dtype=bool)
+        generator evaluated by the term loop over a builder of its own on
+        the rows still held: all of pts for the first, then the rows on
+        which every earlier generator vanished, gathered after each one.
+        Every caller passes at most GRID_CHUNK_POINTS rows, so the rows one
+        call copies are the most ever copied at once."""
+        mask = np.zeros(pts.shape[0], dtype=bool)
+        idx = np.arange(pts.shape[0])
         for gen in self.compiled:
-            idx = np.flatnonzero(mask)
             if not idx.size:
                 break
-            mask[idx[_generator_values(gen, pts, idx, p) != 0]] = False
+            zero = _term_sum(gen, _Monomials(pts, p), p) == 0
+            pts, idx = pts[zero], idx[zero]
+        mask[idx] = True
         return mask
 
 
@@ -412,7 +406,7 @@ def _grid_group(polys: Sequence[Polynomial], n: int, k: int, p: int) -> _GridGro
             next(s for s in range(m + 1) if p ** (m - s) <= GRID_CHUNK_POINTS))
     width = p ** (m - s)
     inner_digits = _digit_grid(p, 0, width, m - s, row_dtype(p))
-    inner = _Monomials(inner_digits, None, p)
+    inner = _Monomials(inner_digits, p)
     outer: dict = {}
     gens = []
     for f in polys:
@@ -441,7 +435,7 @@ def _grid_chunk(group: _GridGroup, p: int, r0: int, r1: int) -> np.ndarray:
     order, flat: a count reads only its number of matches, so that no
     offsets are made for it."""
     outer = _digit_grid(p, r0, r1, group.s, lane_dtype(p))
-    monomials = _Monomials(outer, None, p)
+    monomials = _Monomials(outer, p)
     values = np.array([monomials.reduced(e) for e in group.outer]).T
     mask = np.ones((r1 - r0, group.width), dtype=bool)
     for cols, table in group.gens:

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from collections import Counter
 
@@ -21,8 +22,6 @@ def test_parse_config_minimal_defaults(tmp_path):
     assert cfg.cases == ("g5_sigma_bar",)
     assert cfg.primes == (2, 3)
     assert cfg.checks == ("count",)
-    assert cfg.sample_cap == 1024
-    assert cfg.threads == 0
 
 
 def test_parse_config_rejects_nonprime(tmp_path):
@@ -30,22 +29,20 @@ def test_parse_config_rejects_nonprime(tmp_path):
         parse_config(_write(tmp_path, "primes=4\nchecks=count\n"))
 
 
-def test_parse_config_rejects_negative_sample_cap(tmp_path):
-    with pytest.raises(ConfigError):
-        parse_config(_write(tmp_path, "checks=count\nsample_cap=-5\n"))
-    assert main(["run", "--config",
-                 _write(tmp_path, "checks=count\nsample_cap=-5\n")]) == 2
-
-
-@pytest.mark.parametrize("key", ["threads", "sample_cap"])
-def test_non_integer_config_value_is_a_config_error(tmp_path, capsys, key):
-    path = _write(tmp_path, f"checks=count\n{key}=abc\n")
-    with pytest.raises(ConfigError, match=f"^{key} must be an integer, got 'abc'$"):
+@pytest.mark.parametrize("line", ["threads=4", "sample_cap=13"],
+                         ids=["threads", "sample_cap"])
+def test_removed_config_key_is_a_config_error(tmp_path, capsys, line):
+    """threads and sample_cap are no longer config keys: a config that sets
+    one is refused as an unknown key, and the run writes no report."""
+    key = line.split("=")[0]
+    path = _write(tmp_path, f"cases=g8\nprimes=2\nchecks=degrees\n{line}\n")
+    message = f"unknown config keys: [{key!r}]"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         parse_config(path)
-    capsys.readouterr()
-    assert main(["run", "--config", path]) == 2
-    err = capsys.readouterr().err
-    assert err == f"config error: {key} must be an integer, got 'abc'\n"
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
@@ -85,14 +82,16 @@ def test_parse_config_removes_duplicates(tmp_path):
 
 def test_parse_config_full_round_trips_into_report(tmp_path):
     text = ("cases=g8,grass_2_5\nprimes=2,3\nchecks=degrees,ledger\n"
-            "threads=2\nsample_cap=13\noutput_path=out.json\n")
+            "output_path=out.json\n")
     cfg = parse_config(_write(tmp_path, text))
     assert cfg.cases == ("g8_sigma_bar", "grass_2_5")
-    assert cfg.threads == 2 and cfg.sample_cap == 13
+    assert cfg.output_path == "out.json"
     report = run(cfg)
     assert report["config"]["cases"] == ["g8_sigma_bar", "grass_2_5"]
     assert report["config"]["primes"] == [2, 3]
-    assert report["config"]["sample_cap"] == 13
+    # the report keeps the removed keys at their old defaults
+    assert report["config"]["threads"] == 0
+    assert report["config"]["sample_cap"] == 1024
 
 
 def test_missing_config_is_config_error(tmp_path):
@@ -127,16 +126,6 @@ def test_reports_identical_across_thread_counts(tmp_path):
         assert main(["run", "--threads", threads, "--config", cfg,
                      "--out", str(path)]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-def test_config_threads_is_echoed_and_selects_nothing(tmp_path):
-    text = "cases=g8,B6\nprimes=2,3\nchecks=count,dimension\n"
-    plain = run(parse_config(_write(tmp_path, text)))
-    echoed = run(parse_config(_write(tmp_path, text + "threads=4\n", "t4.txt")))
-    assert plain["config"]["threads"] == 0 and echoed["config"]["threads"] == 4
-    assert echoed["records"] == plain["records"]
-    assert {k: v for k, v in echoed["config"].items() if k != "threads"} == \
-        {k: v for k, v in plain["config"].items() if k != "threads"}
 
 
 def test_report_records_have_fixed_fields(tmp_path):
@@ -457,3 +446,22 @@ def test_passing_singular_record_has_no_differences():
     assert record["verdict"] == "pass"
     assert record["observed"] == {"sets_equal": True, "symmetric_difference": 0,
                                   "singular_points": 151}
+
+
+def test_singular_records_of_g6q_g6c_and_g8_p2():
+    """The three kinds of singular-locus claim at p = 2: a rank-locus
+    equality (g6q), the containment of the singular set in Pibar, reported
+    without verdict (g6c), and the projected Veronese surface (g8)."""
+    report = run(RunConfig(cases=("g6q_sigma_bar", "g6c_sigma_bar",
+                                  "g8_sigma_bar"),
+                           primes=(2,), checks=("singular-locus",)))
+    got = [(r["case"], r["verdict"], r["expected"], r["observed"])
+           for r in report["records"]]
+    assert got == [
+        ("g6q_sigma_bar", "pass", {"sets_equal": True, "symmetric_difference": 0},
+         {"sets_equal": True, "symmetric_difference": 0, "singular_points": 151}),
+        ("g6c_sigma_bar", "info", {"contained_in_plane": True},
+         {"contained_in_plane": True, "plane": "Pibar", "singular_points": 87}),
+        ("g8_sigma_bar", "pass", {"equals_veronese": True, "size": 7},
+         {"equals_veronese": True, "size": 7}),
+    ]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,7 +98,7 @@ def test_two_path_agreement_g6c():
     ("g4_sigma_bar", 1151), ("g5_sigma_bar", 1575), ("g6q_sigma_bar", 151)])
 def test_singular_scan_equality_p2(case, expected_sing):
     spec = build_case(case)
-    rep = singular_scan(spec, spec.rank_locus, 2)
+    rep = singular_scan(spec, 2)
     assert rep.difference.shape == (0, len(spec.vars))
     assert len(rep.singular) == expected_sing
     pts = point_set(ScanPlan(spec.ambient_dim, 2), spec.generators)
@@ -117,7 +119,7 @@ def test_singular_scan_reports_true_difference_count():
 
     spec = build_case("g6q_sigma_bar")
     empty = RankLocusSpec(spec.case_id, "no branches", ())
-    rep = singular_scan(spec, empty, 2)
+    rep = singular_scan(dataclasses.replace(spec, rank_locus=empty), 2)
     pts = point_set(ScanPlan(spec.ambient_dim, 2), spec.generators)
     assert rep.count == len(pts) == FROZEN_COUNTS[("g6q_sigma_bar", 2)]
     assert not pts.flags.writeable
@@ -231,7 +233,7 @@ def test_g8_singular_set_is_projected_veronese():
     from keyvariety.incidence import projected_veronese_points
     spec = build_case("g8_sigma_bar")
     for p in (2, 3):
-        rep = singular_scan(spec, None, p)
+        rep = singular_scan(spec, p)
         veronese, _ = projected_veronese_points(p)
         embedded = {tuple(v) + (0,) * 7 for v in veronese}
         assert set(map(tuple, rep.singular.tolist())) == embedded
@@ -240,10 +242,10 @@ def test_g8_singular_set_is_projected_veronese():
 
 def test_singular_scan_g6c_containment_p2():
     spec = build_case("g6c_sigma_bar")
-    rep = singular_scan(spec, None, 2)
+    rep = singular_scan(spec, 2)
     assert rep.difference is None
-    assert rep.containment_plane == "Pibar"
-    assert rep.containment_holds is True
+    plane = [spec.var_index(v) for v in spec.planes["Pibar"].vanishing_vars]
+    assert (rep.singular[:, plane] == 0).all()
     assert len(rep.singular) == 87
     pts = point_set(ScanPlan(spec.ambient_dim, 2), spec.generators)
     assert rep.count == len(pts) == FROZEN_COUNTS[("g6c_sigma_bar", 2)]
@@ -257,8 +259,7 @@ def test_streamed_singular_scan_equals_held(case, p, monkeypatch):
     on the held set (slices of point_set's rows) give the same rows and
     count, with chunks and batches small enough that batches gather several
     chunks and split index groups; the streamed scan adds nothing to the
-    memo. g6c reports its plane containment and g8 its projected Veronese
-    singular set (no declared rank locus)."""
+    memo. g6c and g8, with no declared rank locus, report no difference."""
     spec = build_case(case)
     plan = ScanPlan(spec.ambient_dim, p)
     count = FROZEN_COUNTS[(case, p)]
@@ -270,20 +271,18 @@ def test_streamed_singular_scan_equals_held(case, p, monkeypatch):
                         lambda pieces, *a: batches.append(
                             [piece[0][0] for piece in pieces])
                         or real(pieces, *a))
-    streamed = singular_scan(spec, spec.rank_locus, p)
+    streamed = singular_scan(spec, p)
     assert projspace._POINT_SETS == {}
     assert len(batches) >= 6
     assert any(len(groups) > 1 for groups in batches)
     assert len({groups[-1] for groups in batches}) < len(batches)
     pts = point_set(plan, spec.generators)
-    held = singular_scan(spec, spec.rank_locus, p)
+    held = singular_scan(spec, p)
     assert streamed.count == held.count == len(pts) == count
     assert np.array_equal(streamed.singular, held.singular)
     assert streamed.singular.dtype == held.singular.dtype == pts.dtype
     if spec.rank_locus is None:
         assert streamed.difference is held.difference is None
-        assert (streamed.containment_plane, streamed.containment_holds) == (
-            held.containment_plane, held.containment_holds)
     else:
         assert np.array_equal(streamed.difference, held.difference)
         assert len(held.difference) == 0
@@ -296,7 +295,7 @@ def test_singular_scan_of_a_held_set_runs_no_scan(monkeypatch):
     real = projspace._grid_chunk
     monkeypatch.setattr(projspace, "_grid_chunk",
                         lambda *a: chunks.append(a[2]) or real(*a))
-    rep = singular_scan(spec, spec.rank_locus, 3)
+    rep = singular_scan(spec, 3)
     assert chunks == []
     assert rep.count == len(pts) == FROZEN_COUNTS[("g6q_sigma_bar", 3)]
     assert len(rep.singular) == 1201 and len(rep.difference) == 0
@@ -311,7 +310,7 @@ def test_streamed_singular_scan_stays_small_in_memory():
     spec = build_case("g4_sigma_bar")
     tracemalloc.start()
     try:
-        rep = singular_scan(spec, spec.rank_locus, 3)
+        rep = singular_scan(spec, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -336,7 +335,7 @@ def test_g6q_dual_vertex_plane_is_singular():
 
 @pytest.mark.parametrize("check", [
     lambda spec: two_path_count_check(spec, 5),
-    lambda spec: singular_scan(spec, spec.rank_locus, 5),
+    lambda spec: singular_scan(spec, 5),
     lambda spec: section_report(spec, (5,)),
 ], ids=["two_path_count_check", "singular_scan", "section_report"])
 def test_unbudgeted_paths_hit_the_default_budget(check):

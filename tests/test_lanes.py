@@ -15,8 +15,8 @@ from keyvariety.algebra import (PointAffineRep, Polynomial, _bit_planes,
                                 jacobian_rank, matrix_rank_mod_p,
                                 matrix_rank_mod_p_batch, mod_p)
 from keyvariety.catalog import build_case, rank_locus_member
-from keyvariety.projspace import (CompiledSystem, ScanPlan, _generator_values,
-                                  lane_dtype, point_set)
+from keyvariety.projspace import (CompiledSystem, ScanPlan, _Monomials,
+                                  _term_sum, lane_dtype, point_set)
 
 from test_invariants import FROZEN_COUNTS
 
@@ -38,7 +38,7 @@ def test_term_loop_matches_eval_mod_at_the_lane_edge(p):
     sum of 30 terms (p - 1) * x_i^2 * x_j whose raw value at the all-(p-1)
     row passes 2^15 many times over, equal eval_mod on random rows, the
     all-(p-1) row and the zero row, through eval_block and through the
-    term loop on indexed rows of the narrow dtype."""
+    term loop on rows of the narrow dtype gathered by an index."""
     rng = np.random.default_rng(p)
     polys = []
     for _ in range(6):
@@ -65,7 +65,7 @@ def test_term_loop_matches_eval_mod_at_the_lane_edge(p):
     idx = np.array([0, 7, 1, 7, 49], dtype=np.int64)
     for f, row in zip(polys, want):
         gen = tuple(f.terms.items())
-        got = _generator_values(gen, narrow, idx, p)
+        got = _term_sum(gen, _Monomials(narrow[idx], p), p)
         assert got.dtype == lane_dtype(p)
         assert got.tolist() == [row[i] for i in idx]
 

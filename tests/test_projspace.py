@@ -15,7 +15,7 @@ from keyvariety.algebra import (PointAffineRep, Polynomial, SmallPrime,
 from keyvariety.catalog import build_case, plucker_ideal
 from keyvariety.projspace import (GRID_CHUNK_POINTS, CompiledSystem,
                                   ScanPlan, ScanResult, _fits_float32,
-                                  _generator_values, _matmul_mod, _zero_mod,
+                                  _matmul_mod, _term_sum, _zero_mod,
                                   clear_point_sets, point_batches, point_set,
                                   points_block, proj_point_count, scan_system)
 from keyvariety.sections import SectionSpec, cut, section_report
@@ -371,15 +371,16 @@ def _rows_and_systems(draw):
 @given(_rows_and_systems())
 def test_compiled_system_matches_eval_mod(case):
     """The bound-tracked term loop is exact at every prime, up to the
-    largest SmallPrime, with rows given and with all rows."""
+    largest SmallPrime, on all rows and on rows gathered by an index."""
     p, pts, idx, polys = case
     system = CompiledSystem(polys)
     want = np.array([[f.eval_mod(row, p) for row in pts.tolist()]
                      for f in polys], dtype=np.int64)
     assert np.array_equal(system.eval_block(pts, p), want)
     for gen, values in zip(system.compiled, want):
-        assert np.array_equal(_generator_values(gen, pts, None, p), values)
-        assert np.array_equal(_generator_values(gen, pts, idx, p), values[idx])
+        for rows, expect in ((pts, values), (pts[idx], values[idx])):
+            got = _term_sum(gen, projspace._Monomials(rows, p), p)
+            assert np.array_equal(got, expect)
     assert np.array_equal(system.vanishing_mask(pts, p), (want == 0).all(axis=0))
 
 
@@ -391,7 +392,7 @@ def test_monomial_builder_matches_eval_mod(p):
     with hi at most the lane's largest value, and reduced()
     gives the residues. Monomials are asked for in ascending and in
     descending degree (a high one first builds the lower ones it needs), on
-    all int64 rows and on indexed rows of the narrow dtype. At p = 4099,
+    int64 rows and on rows of the narrow dtype gathered by an index. At p = 4099,
     65537 and 2^31 - 1 the bound forces reductions from degree 6, 4 and 3."""
     rng = np.random.default_rng(p)
     ring = ("x0", "x1", "x2")
@@ -401,11 +402,12 @@ def test_monomial_builder_matches_eval_mod(p):
     exps = sorted((e for e in itertools.product(range(7), repeat=3) if sum(e) <= 6),
                   key=sum)
     for order in (exps, exps[::-1]):
-        for pts, rows in ((wide, None), (wide.astype(projspace.row_dtype(p)), idx)):
-            want_rows = (wide if rows is None else wide[rows]).tolist()
-            want = {e: [Polynomial(ring, {e: 1}).eval_mod(r, p) for r in want_rows]
+        for pts, want_rows in ((wide, wide),
+                               (wide.astype(projspace.row_dtype(p))[idx], wide[idx])):
+            want = {e: [Polynomial(ring, {e: 1}).eval_mod(r, p)
+                        for r in want_rows.tolist()]
                     for e in order}
-            monomials = projspace._Monomials(pts, rows, p)
+            monomials = projspace._Monomials(pts, p)
             for e in order:
                 values, hi = monomials[e]
                 lane = projspace.lane_dtype(p)
