@@ -41,8 +41,12 @@ CASE_SHORT = {full: short for short, full in CASE_ALIASES.items()}
 class CaseRecord:
     """Classification metadata of the underlying 3-fold family.
 
-    e, deg_C and genus_C are recorded for reference only; no check asserts
-    them (they would require intersection theory out of scope here).
+    genus and num_half_points_N, with VarietySpec.expected_dim, are claims
+    that only the expected side of checks reads; expected_dim is also the
+    codimension input of the Jacobian criterion and of 3-fold sections,
+    which the dimension check's count-growth path guards. e, deg_C and
+    genus_C are recorded for reference only; no check asserts them (they
+    would require intersection theory out of scope here).
     """
     genus: int
     num_half_points_N: int

@@ -316,24 +316,23 @@ def check_fibers(config: RunConfig) -> list:
 def check_degrees(config: RunConfig) -> list:
     records = []
     table = (
-        ("g4_sigma_bar", ci_degree((2, 3)), 4, "quadric-cubic intersection degree"),
-        ("g5_sigma_bar", ci_degree((2, 2, 2)), 5, "three-quadrics intersection degree"),
-        ("g6q_sigma_bar", 2 * grassmann_degree(5), 6,
+        ("g4_sigma_bar", ci_degree((2, 3)), "quadric-cubic intersection degree"),
+        ("g5_sigma_bar", ci_degree((2, 2, 2)), "three-quadrics intersection degree"),
+        ("g6q_sigma_bar", 2 * grassmann_degree(5),
          "quadric section of the del Pezzo 4-fold"),
-        ("g8_sigma_bar", grassmann_degree(6), 8, "Plucker degree of the 2-plane "
-                                                 "Grassmannian of 6-space"),
+        ("g8_sigma_bar", grassmann_degree(6), "Plucker degree of the 2-plane "
+                                              "Grassmannian of 6-space"),
     )
-    for case, degree, genus, anchor in table:
+    for case, degree, anchor in table:
+        genus = build_case(case).metadata.genus
         records.append(_rec("degrees", case, None, 2 * genus - 2, degree,
                             anchor + " equals 2g - 2"))
-    records.append(_rec(
-        "degrees", "g4_sigma_bar", None,
-        hilbert_ci_degree((2, 3), 13), ci_degree((2, 3)),
-        "product degree agrees with the Hilbert-series oracle"))
-    records.append(_rec(
-        "degrees", "g5_sigma_bar", None,
-        hilbert_ci_degree((2, 2, 2), 15), ci_degree((2, 2, 2)),
-        "product degree agrees with the Hilbert-series oracle"))
+    for case in ("g4_sigma_bar", "g5_sigma_bar"):
+        spec = build_case(case)
+        degrees = tuple(g.total_degree() for g in spec.generators)
+        records.append(_rec(
+            "degrees", case, None, hilbert_ci_degree(degrees, spec.ambient_dim),
+            ci_degree(degrees), "product degree agrees with the Hilbert-series oracle"))
     records.append(_rec(
         "degrees", "grass_2_5", None, 2, ci_degree((2,)),
         "a single quadric has degree 2"))
@@ -345,13 +344,14 @@ def check_ledger(config: RunConfig) -> list:
     for rec in run_ledger():
         records.append(_rec("ledger", rec.lattice, None, True, rec.verdict.ok,
                             rec.anchor or rec.identity))
-    for case in ("g4", "g5", "g6q", "g6c", "g8"):
+    for full in MAIN_CASES:
+        case, spec = CASE_SHORT[full], build_case(full)
         consts = case_table_check(case)
+        # X, cut by dim - 3 hyperplanes, has -K_X = O(1): the index is dim - 2
         records.append(_rec(
             "ledger", case, None,
-            {"dim": {"g4": 11, "g5": 12, "g6q": 9, "g6c": 8, "g8": 5}[case],
-             "index": {"g4": 9, "g5": 10, "g6q": 7, "g6c": 6, "g8": 3}[case],
-             "half_points": {"g4": 2}.get(case, 1)},
+            {"dim": spec.expected_dim, "index": spec.expected_dim - 2,
+             "half_points": spec.metadata.num_half_points_N},
             {"dim": consts.dim_Sigma, "index": consts.fano_index_r,
              "half_points": consts.half_point_count},
             "model dimension, index and half-point count"))
@@ -595,6 +595,8 @@ def main(argv=None) -> int:
             spec = build_case(case)
             with open(args.forms, "r", encoding="utf-8") as fh:
                 forms = parse_section_file(fh.read(), spec.vars)
+            if not forms:
+                raise ValueError("the forms file holds no linear form")
             primes = tuple(dict.fromkeys(int(SmallPrime(int(x)))
                                          for x in args.primes.split(",")))
             w = cut(spec, SectionSpec(case, forms))

@@ -134,10 +134,8 @@ def proportional(a: Sequence[int], b: Sequence[int], p: int) -> bool:
 
 @dataclass(frozen=True)
 class _FiberCase:
-    """The coordinate layout of one resolution: the catalog id of the model,
-    the slices of its key blocks (the blocks that name a base point) and the
-    slice of the free vector that the base points' linear forms act on."""
-    model: str
+    """The coordinate layout of one resolution: the slices of the key blocks
+    (which name a base point) and of the free vector the base forms act on."""
     keys: tuple
     free: slice
 
@@ -146,21 +144,21 @@ class _FiberCase:
 # the trace-zero matrix; g6q: z | x | y, the forms act on the whole row (the
 # fiber annihilator on z, the pairing y.s on y); g5: x | y1 y2 y3.
 _CASES = {
-    "g8": _FiberCase("g8_sigma_bar", (slice(5, 12),), slice(0, 5)),
-    "g4": _FiberCase("g4_sigma_bar", (slice(0, 3), slice(3, 6)), slice(6, 14)),
-    "g6q": _FiberCase("g6q_sigma_bar", (slice(4, 9),), slice(0, 14)),
-    "g5": _FiberCase("g5_sigma_bar", (slice(0, 4),), slice(4, 16)),
+    "g8": _FiberCase((slice(5, 12),), slice(0, 5)),
+    "g4": _FiberCase((slice(0, 3), slice(3, 6)), slice(6, 14)),
+    "g6q": _FiberCase((slice(4, 9),), slice(0, 14)),
+    "g5": _FiberCase((slice(0, 4),), slice(4, 16)),
 }
 FIBER_CASES = tuple(_CASES)
 
 
-def _fiber_case(case: str) -> _FiberCase:
-    try:
-        return _CASES[case]
-    except KeyError:
+def _fiber_model(case: str):
+    """The catalog spec of a fiber case's model, after the case is checked."""
+    if case not in _CASES:
         raise KeyError(f"unsupported fiber case {case!r}: the fiber cases are "
                        f"{', '.join(FIBER_CASES)} (the g6c resolution base has "
-                       "no pinned equations)") from None
+                       "no pinned equations)")
+    return build_case(case)
 
 
 class BasePoints(tuple):
@@ -205,7 +203,7 @@ def base_points(case: str, p: int) -> BasePoints:
     key = (case, int(p))
     base = _BASE_POINTS.get(key)
     if base is None:
-        model = build_case(_fiber_case(case).model)
+        model = _fiber_model(case)
         p = SmallPrime(p)
         _check_base_budget(case, p)
         base = _BASE_POINTS[key] = BasePoints(_build_base_points(case, p), model)
@@ -316,7 +314,7 @@ def fiber_over(case: str, t: PointAffineRep, p: int) -> FiberReport:
     g6q's dual vertex plane {z = x = 0}, where a count equal to
     g6q_vertex_fiber_oracle names the quadric-surface fiber "surface"."""
     base = _BASE_POINTS.get((case, p))
-    spec = build_case(_fiber_case(case).model) if base is None else base.model
+    spec = _fiber_model(case) if base is None else base.model
     coords = t.coords
     if min(coords) < 0 or max(coords) >= p:
         raise ValueError(f"coordinates must be residues in [0, {p})")
@@ -517,8 +515,8 @@ def fiber_birationality_check(case: str, p: int):
     construction, so they go to the hit routine with no model check. They
     become Python tuples one block of GRID_CHUNK_POINTS rows at a time.
     Returns (#checked, #violations)."""
-    layout = _fiber_case(case)
-    spec = build_case(layout.model)
+    spec = _fiber_model(case)
+    layout = _CASES[case]
     pts = point_set(ScanPlan(spec.ambient_dim, SmallPrime(p)), spec.generators)
     base = base_points(case, p)
     checked = violations = 0

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .catalog import CASE_SHORT, build_case
+from .catalog import CASE_SHORT
 
 
 @dataclass(frozen=True)
@@ -218,32 +218,26 @@ class CaseConstants:
     half_point_count: int
 
 
-_MODEL_DIM_INDEX = {"g8": (5, 3), "g5": (12, 10)}
+_MODEL_DIM = {"g8": 5, "g5": 12}
 
 
 def case_table_check(case_id: str) -> CaseConstants:
-    """Framework constants with every arithmetic identity re-evaluated."""
+    """Framework constants with the framework inequality re-evaluated. The
+    index is the M-coefficient of -K's normal form in the case's key
+    lattice; a case with no key lattice raises KeyError."""
     short = CASE_SHORT.get(case_id, case_id)
-    if short in BUNDLE_CONSTANTS:
-        c = BUNDLE_CONSTANTS[short]
-        dim_A, f_A, d, l, N = c["dim_A"], c["f_A"], c["d"], c["l"], c["N"]
-        consts = CaseConstants(short, dim_A, f_A, d, l, N,
-                               dim_A + N, dim_A + N - 2, l)
-        if consts.d != consts.f_A - (consts.dim_A - 2) or consts.d <= 0:
-            raise AssertionError("framework inequality violated")
-        if consts.dim_Sigma != consts.dim_A + consts.N:
-            raise AssertionError("model dimension mismatch")
-        if consts.fano_index_r != consts.dim_A + consts.N - 2:
-            raise AssertionError("index mismatch")
-    elif short in _MODEL_DIM_INDEX:
-        dim, r = _MODEL_DIM_INDEX[short]
-        consts = CaseConstants(short, None, None, None, 1, None, dim, r, 1)
-    else:
-        raise KeyError(f"unknown case {case_id!r}")
-    record = build_case(f"{short}_sigma_bar").metadata
-    if record is None or consts.half_point_count != record.num_half_points_N:
-        raise AssertionError("half-point count disagrees with the case table")
-    return consts
+    c = BUNDLE_CONSTANTS.get(short)
+    index = reduce_expression(lattice_by_name(f"{short}.key"),
+                              {"mK": Fraction(1)})[0]["M"]
+    if index.denominator != 1:
+        raise AssertionError(f"non-integral index {index}")
+    if c is None:
+        return CaseConstants(short, None, None, None, 1, None,
+                             _MODEL_DIM[short], int(index), 1)
+    if c["d"] != c["f_A"] - (c["dim_A"] - 2) or c["d"] <= 0:
+        raise AssertionError("framework inequality violated")
+    return CaseConstants(short, c["dim_A"], c["f_A"], c["d"], c["l"], c["N"],
+                         c["dim_A"] + c["N"], int(index), c["l"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import time
@@ -5,10 +6,11 @@ from collections import Counter
 
 import pytest
 
-from keyvariety import incidence, invariants, projspace
+from keyvariety import catalog, incidence, invariants, projspace
 from keyvariety.cli import (ConfigError, RunConfig, emit_report, exit_code,
                             main, parse_config, run)
 from keyvariety.incidence import base_points
+from keyvariety.numerology import case_table_check
 
 
 def _write(tmp_path, text, name="cfg.txt"):
@@ -314,6 +316,27 @@ def test_cli_section_rejects_forms_dependent_modulo_a_prime(tmp_path, capsys,
     assert captured.err == f"error: the section forms are dependent modulo {bad}\n"
 
 
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "\n  \n# x2 - p24\n"],
+                         ids=["empty", "comment", "blank-and-comment"])
+def test_cli_section_without_forms_exits_2_before_any_scan(tmp_path, capsys,
+                                                           monkeypatch, text):
+    """A forms file that holds no linear form (empty, or only comments and
+    blank lines) ends the command with exit 2 and one stderr line before any
+    scan, instead of reporting the uncut variety."""
+    chunks = []
+    real = projspace._grid_chunk
+    monkeypatch.setattr(projspace, "_grid_chunk",
+                        lambda *a: chunks.append(a[1:]) or real(*a))
+    forms = tmp_path / "forms.txt"
+    forms.write_text(text)
+    assert main(["section", "--case", "g8", "--forms", str(forms),
+                 "--primes", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the forms file holds no linear form\n"
+    assert chunks == []
+
+
 @pytest.mark.parametrize("where", ["missing/r.json", "."])
 def test_run_with_unwritable_report_exits_2_before_any_check(where, tmp_path,
                                                              capsys, monkeypatch):
@@ -465,3 +488,44 @@ def test_singular_records_of_g6q_g6c_and_g8_p2():
         ("g8_sigma_bar", "pass", {"equals_veronese": True, "size": 7},
          {"equals_veronese": True, "size": 7}),
     ]
+
+
+@pytest.fixture
+def declare(monkeypatch):
+    """declare(case, **fields) replaces fields of a main case's CaseRecord
+    in the catalog for one test; the specs are rebuilt from the declaration
+    after each change and after the test."""
+    def declare(case, **fields):
+        record = dataclasses.replace(catalog._TABLE[case], **fields)
+        monkeypatch.setitem(catalog._TABLE, case, record)
+        catalog._build_case.cache_clear()
+    yield declare
+    catalog._build_case.cache_clear()
+
+
+@pytest.mark.parametrize("case,fields,failing", [
+    ("g6q_sigma_bar", {"genus": 7}, ("degrees", "g6q_sigma_bar")),
+    ("g8_sigma_bar", {"genus": 9}, ("degrees", "g8_sigma_bar")),
+    ("g4_sigma_bar", {"num_half_points_N": 1}, ("ledger", "g4")),
+    ("g5_sigma_bar", {"num_half_points_N": 2}, ("ledger", "g5")),
+], ids=["genus-g6q", "genus-g8", "half-points-g4", "half-points-g5"])
+def test_a_wrong_declaration_fails_exactly_its_record(declare, case, fields,
+                                                      failing):
+    """The catalog is the one declaration of genus and half-point count: a
+    wrong value there fails exactly the degrees or ledger record that reads
+    it, leaves every other record as it was, raises nothing, and changes no
+    observed value (case_table_check returns the same constants)."""
+    config = RunConfig(cases=("g8_sigma_bar",), primes=(2,),
+                       checks=("degrees", "ledger"))
+    before = run(config)["records"]
+    consts = case_table_check(catalog.CASE_SHORT[case])
+    declare(case, **fields)
+    after = run(config)["records"]
+    assert case_table_check(catalog.CASE_SHORT[case]) == consts
+    assert len(after) == len(before)
+    changed = [(b, a) for b, a in zip(before, after) if a != b]
+    assert [(a["check"], a["case"], a["verdict"]) for _, a in changed] == [
+        (*failing, "fail")]
+    [(b, a)] = changed
+    assert b["verdict"] == "pass" and a["observed"] == b["observed"]
+    assert all(r["verdict"] == "pass" for r in before)

@@ -1,10 +1,8 @@
 """The narrow lanes of the singular classification: the term loop's int16 and
 int64 lanes, the mod_p remainder, bit planes in the narrowest word and the
 rank mask, which evaluates and ranks each block of points once at full
-width; its masks are checked against the pointwise oracles. The two
-test_prefix_exit_* tests keep the names they had when the mask ranked a
-column prefix first. CI runs this file with -W error::RuntimeWarning on the
-numpy 1.x and 2.x legs."""
+width; its masks are checked against the pointwise oracles. CI runs this
+file with -W error::RuntimeWarning on the numpy 1.x and 2.x legs."""
 import tracemalloc
 
 import numpy as np
@@ -147,7 +145,7 @@ def test_bit_planes_use_the_narrowest_word_and_rank_exactly(p, c):
 
 
 @pytest.mark.parametrize("case,p", list(FROZEN_COUNTS))
-def test_prefix_exit_masks_equal_full_rank_masks(case, p):
+def test_rank_masks_equal_pointwise_oracles(case, p):
     """On the nine frozen cases, the Jacobian mask (rank < codim) and the
     rank-locus mask (rank <= bound on a branch whose zero block vanishes)
     equal the pointwise oracles jacobian_rank and rank_locus_member at every
@@ -172,7 +170,7 @@ def test_prefix_exit_masks_equal_full_rank_masks(case, p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_prefix_exit_ranks_the_full_matrix_where_the_prefix_falls_short(p):
+def test_rank_mask_counts_rank_from_every_column(p):
     """A crafted batch of 2 x 4 matrices [x0 x1 x2 x3; x4 x5 x6 x7] at t = 2:
     rows whose first two columns are zero or of rank 1 but whose full rank
     is 2 are not below t, rows of full rank 1 or 0 are."""
