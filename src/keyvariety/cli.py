@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .algebra import PointAffineRep, SmallPrime
@@ -25,13 +25,12 @@ from .incidence import (FIBER_CASES, base_points, clear_base_points,
                         g5_plane_fiber_dichotomy, g6q_vertex_fiber_oracle,
                         g8_plane_fiber_profile, count_two_subspaces,
                         gaussian_binomial_2, projected_veronese_points)
-from .invariants import (BudgetExceeded, _on_zero_block, ci_degree,
-                         estimate_dimension, grassmann_degree,
-                         hilbert_ci_degree, singular_scan,
+from .invariants import (_on_zero_block, ci_degree, estimate_dimension,
+                         grassmann_degree, hilbert_ci_degree, singular_scan,
                          two_path_count_check)
 from .numerology import (case_table_check, normal_bundle_ledger,
                          primitivity_checks, run_ledger)
-from .projspace import clear_point_sets
+from .projspace import BudgetExceeded, ScanPlan, clear_point_sets, scan_system
 from .sections import (DEFAULT_SECTION_SEEDS, SectionSpec,
                        _forms_independent_mod_p, cut, parse_section_file,
                        random_section, section_report)
@@ -95,6 +94,42 @@ def _rec(check, case, prime, expected, observed, anchor,
                        "pass" if ok else "fail", anchor)
 
 
+def _config_list(text: str, read, every: tuple) -> tuple:
+    """The items of a comma-separated config value, each stripped and read
+    by read, which returns its value or raises ConfigError; "all" stands for
+    every when every is nonempty. Repeats are dropped in first-seen order."""
+    out = []
+    for item in text.split(","):
+        item = item.strip()
+        out.extend(every if every and item == "all" else [read(item)])
+    return tuple(dict.fromkeys(out))
+
+
+def _read_case(item: str) -> str:
+    case = CASE_ALIASES.get(item, item)
+    if case not in ALL_CASES:
+        raise ConfigError(f"unknown case {item!r}")
+    return case
+
+
+def _read_prime(item: str) -> int:
+    try:
+        return int(SmallPrime(int(item)))
+    except ValueError as exc:
+        raise ConfigError(f"invalid prime {item!r}: {exc}") from exc
+
+
+def _read_check(item: str) -> str:
+    if item not in ALL_CHECKS:
+        raise ConfigError(f"unknown check {item!r}")
+    return item
+
+
+# each list key of a config: its item reader and what "all" stands for
+_CONFIG_LISTS = {"cases": (_read_case, ALL_CASES), "primes": (_read_prime, ()),
+                 "checks": (_read_check, ALL_CHECKS)}
+
+
 def parse_config(path: str) -> RunConfig:
     """Flat key=value config with comma-separated lists."""
     try:
@@ -115,48 +150,13 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
         seen[key] = lineno
         values[key] = val
-    known = {"cases", "primes", "checks", "output_path"}
-    unknown = set(values) - known
+    unknown = set(values) - {*_CONFIG_LISTS, "output_path"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    cases = MAIN_CASES
-    if "cases" in values:
-        names = []
-        for item in values["cases"].split(","):
-            item = item.strip()
-            if item == "all":
-                names.extend(ALL_CASES)
-                continue
-            cid = CASE_ALIASES.get(item, item)
-            if cid not in ALL_CASES:
-                raise ConfigError(f"unknown case {item!r}")
-            names.append(cid)
-        cases = tuple(dict.fromkeys(names))
-    primes = (2, 3)
-    if "primes" in values:
-        out = []
-        for item in values["primes"].split(","):
-            try:
-                out.append(int(SmallPrime(int(item.strip()))))
-            except ValueError as exc:
-                raise ConfigError(f"invalid prime {item.strip()!r}: {exc}") from exc
-        primes = tuple(dict.fromkeys(out))
-    checks = ALL_CHECKS
-    if "checks" in values:
-        out = []
-        for item in values["checks"].split(","):
-            item = item.strip()
-            if item == "all":
-                out.extend(ALL_CHECKS)
-                continue
-            if item not in ALL_CHECKS:
-                raise ConfigError(f"unknown check {item!r}")
-            out.append(item)
-        checks = tuple(dict.fromkeys(out))
-        if not checks:
-            raise ConfigError("checks must be nonempty")
-    return RunConfig(cases, primes, checks, values.get("output_path"))
+    lists = {key: _config_list(values[key], read, every)
+             for key, (read, every) in _CONFIG_LISTS.items() if key in values}
+    return RunConfig(**lists, output_path=values.get("output_path"))
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +568,9 @@ def main(argv=None) -> int:
         if args.command == "count":
             case = CASE_ALIASES.get(args.case, args.case)
             spec = build_case(case)
-            from .invariants import count_points
-            n = count_points(spec, SmallPrime(args.prime))
+            # a count-only scan: the points are counted, never held
+            n = scan_system(ScanPlan(spec.ambient_dim, args.prime),
+                            spec.generators).matched
             print(json.dumps({"case": case, "prime": args.prime, "count": n}))
             return 0
         if args.command == "fiber":

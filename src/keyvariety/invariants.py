@@ -11,8 +11,7 @@ import numpy as np
 
 from .algebra import SmallPrime, _jacobian_partials, matrix_rank_mod_p_batch
 from .catalog import VarietySpec, RankLocusSpec, pinned_coordinate_change
-from .projspace import (BudgetExceeded,  # noqa: F401
-                        CompiledSystem, ScanPlan, lane_dtype, point_batches,
+from .projspace import (CompiledSystem, ScanPlan, lane_dtype, point_batches,
                         point_set, proj_point_count, row_dtype, scan_system)
 
 _RANK_BLOCK = 1 << 13

@@ -72,6 +72,34 @@ def test_parse_config_rejects_unknown_case_and_check(tmp_path):
         parse_config(_write(tmp_path, "cases=g5\nchecks=zap\n"))
 
 
+_LIST_ERRORS = [
+    ("cases=zzz", "unknown case 'zzz'"),
+    ("cases=", "unknown case ''"),
+    ("cases=g8,", "unknown case ''"),
+    ("primes=4", "invalid prime '4': not prime: 4"),
+    ("primes=all", "invalid prime 'all': invalid literal for int() with "
+                   "base 10: 'all'"),
+    ("primes=2,,3", "invalid prime '': invalid literal for int() with "
+                    "base 10: ''"),
+    ("checks=zap", "unknown check 'zap'"),
+    ("checks=", "unknown check ''"),
+    ("checks=,", "unknown check ''"),
+]
+
+
+@pytest.mark.parametrize("line,message", _LIST_ERRORS,
+                         ids=[line for line, _ in _LIST_ERRORS])
+def test_config_list_error_exits_2_without_a_report(tmp_path, capsys, line,
+                                                    message):
+    """Each bad item of a config list, an empty one included, is refused
+    with its own message before any check runs, and no report is written."""
+    out = tmp_path / "report.json"
+    path = _write(tmp_path, f"{line}\noutput_path={out}\n")
+    assert main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_parse_config_removes_duplicates(tmp_path):
     text = "cases=Q3_g6q,Q3_g6q\nprimes=2,2\nchecks=count,dimension,count\n"
     cfg = parse_config(_write(tmp_path, text))
@@ -152,6 +180,14 @@ def test_cli_count_command(capsys):
     assert main(["count", "--case", "grass_2_5", "--prime", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["count"] == 155
+
+
+def test_cli_count_holds_no_point_set(capsys):
+    """keyvariety count only counts: the scan holds no row, so the
+    point-set memo stays empty."""
+    assert main(["count", "--case", "g6q", "--prime", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 39_001
+    assert projspace._POINT_SETS == {}
 
 
 def test_cli_count_rejects_bad_prime(capsys):

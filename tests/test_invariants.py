@@ -5,11 +5,12 @@ import pytest
 
 from keyvariety import invariants, projspace
 from keyvariety.catalog import RankLocusSpec, build_case
-from keyvariety.invariants import (BudgetExceeded, bracket_dimension,
-                                   ci_degree, count_points, estimate_dimension,
-                                   grassmann_degree, hilbert_ci_degree,
-                                   singular_scan, two_path_count_check)
-from keyvariety.projspace import ScanPlan, point_set, proj_point_count
+from keyvariety.invariants import (bracket_dimension, ci_degree, count_points,
+                                   estimate_dimension, grassmann_degree,
+                                   hilbert_ci_degree, singular_scan,
+                                   two_path_count_check)
+from keyvariety.projspace import (BudgetExceeded, ScanPlan, point_set,
+                                  proj_point_count)
 from keyvariety.sections import section_report
 
 # frozen by exhaustive scans; regression-guarded here

@@ -733,25 +733,42 @@ def test_scan_batches_check_budget_and_arity_at_the_call(monkeypatch):
         point_batches(ScanPlan(3, SmallPrime(2)), spec.generators)
 
 
+def _fresh_python(code, **env_set):
+    """stdout of code run in a fresh interpreter that imports keyvariety from
+    this source tree, with OPENBLAS_NUM_THREADS unset unless env_set sets
+    it."""
+    src = str(Path(projspace.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_set)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60).stdout
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs /proc/self/task")
 @pytest.mark.parametrize("preset", [None, "2"])
 def test_import_starts_no_blas_threads(preset):
-    """Importing keyvariety sets OPENBLAS_NUM_THREADS=1 before numpy starts
-    OpenBLAS, so a fresh interpreter holds one thread; a value already set
-    is kept."""
-    src = str(Path(projspace.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
-    out = subprocess.run(
-        [sys.executable, "-c", "import keyvariety, os; "
-         "print(len(os.listdir('/proc/self/task')), "
-         "os.environ['OPENBLAS_NUM_THREADS'])"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
-    threads, value = out.stdout.split()
+    """The package root sets OPENBLAS_NUM_THREADS=1 before keyvariety.cli
+    imports numpy, which starts OpenBLAS, so a fresh interpreter holds one
+    thread; a value already set is kept."""
+    env_set = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    out = _fresh_python("import keyvariety.cli, os; "
+                        "print(len(os.listdir('/proc/self/task')), "
+                        "os.environ['OPENBLAS_NUM_THREADS'])", **env_set)
+    threads, value = out.split()
     if preset is None:
         assert (threads, value) == ("1", "1")
     else:
         assert value == preset
+
+
+def test_package_import_loads_no_module():
+    """The package root re-exports nothing: importing it loads no keyvariety
+    module and not numpy, so a launch compiles only what its own imports
+    reach."""
+    out = _fresh_python("import keyvariety, sys; print(sorted(m for m in "
+                        "sys.modules if m.startswith('keyvariety') "
+                        "or m.split('.')[0] == 'numpy'))")
+    assert out.split() == ["['keyvariety']"]
