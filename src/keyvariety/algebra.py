@@ -28,11 +28,13 @@ class OffVarietyError(ValueError):
 
 
 class SmallPrime(int):
-    """A prime modulus 2 <= p <= 2^31, checked by trial division."""
+    """A prime modulus 2 <= p <= 181, checked by trial division. 181 is the
+    largest prime whose (p - 1)^2, the product of two residues, fits in
+    int16, the lane in which projspace evaluates polynomials."""
 
     def __new__(cls, p: int) -> "SmallPrime":
         p = int(p)
-        if not 2 <= p <= 2**31:
+        if not 2 <= p <= 181:
             raise ValueError(f"prime out of range: {p}")
         if p % 2 == 0 and p != 2:
             raise ValueError(f"not prime: {p}")
@@ -433,18 +435,14 @@ def mod_p(x: np.ndarray, p: int) -> np.ndarray:
     return np.subtract(x, q, out=q)
 
 
-def _inverse_mod_p(v: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise v^(p-2) mod p by square-and-multiply: the inverse of each
-    nonzero residue (Fermat), and 0 for v = 0 when p > 2."""
-    result = np.ones_like(v)
-    base = v
-    e = p - 2
-    while e:
-        if e & 1:
-            result = mod_p(result * base, p)
-        base = mod_p(base * base, p)
-        e >>= 1
-    return result
+@lru_cache(maxsize=None)
+def _inverses(p: int) -> np.ndarray:
+    """The inverse of each residue mod p by Fermat, v^(p-2) mod p, indexed
+    by the residue (0 for 0 when p > 2): a read-only int64 table of p
+    entries, shared by every caller."""
+    table = np.array([pow(v, p - 2, p) for v in range(p)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
 
 
 def _bit_planes(T: np.ndarray, p: int) -> list:
@@ -531,12 +529,12 @@ def matrix_rank_mod_p_batch(mats: np.ndarray, p: int) -> np.ndarray:
     narrowest unsigned word that holds a row, packed from the batch-last
     view in its own integer dtype, so a (B, r, c) view whose batch axis is
     the last in memory is read without a copy (_rank_bitsliced). Otherwise
-    the entries are widened to int64, reduced by mod_p, and the pivot is
-    inverted by Fermat's little theorem (v^(p-2)): residues stay below p and
-    products below p^2 < 2^62, so every prime SmallPrime accepts (p < 2^31)
-    is exact, and no memory of size p is allocated. The result,
-    int64, matches matrix_rank_mod_p row by row.
+    the entries are widened to int64, reduced by mod_p, and the pivots are
+    inverted through the table _inverses(p). The result, int64, matches
+    matrix_rank_mod_p row by row. p must be a SmallPrime: a larger one
+    raises ValueError, rather than build a table of p entries.
     """
+    SmallPrime(p)
     A = np.asarray(mats)
     T = A.transpose(1, 2, 0)
     if T.shape[0] > T.shape[1]:
@@ -559,7 +557,7 @@ def matrix_rank_mod_p_batch(mats: np.ndarray, p: int) -> np.ndarray:
         pivot = np.take_along_axis(row, piv[:, 0], axis=1)[:, 0]
         below = A[:, i + 1:, :]
         factors = np.take_along_axis(below, piv, axis=2)[:, :, 0]
-        factors = mod_p(factors * _inverse_mod_p(pivot, p)[:, None], p)
+        factors = mod_p(factors * _inverses(p)[pivot][:, None], p)
         below -= factors[:, :, None] * row[:, None, :]
         below[...] = mod_p(below, p)
     return rank

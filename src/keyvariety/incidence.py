@@ -23,10 +23,13 @@ from .algebra import (OffVarietyError, PointAffineRep, SmallPrime, _echelon,
                       nullspace_mod_p)
 from .catalog import (build_case, g8_dual_net_matrix, g8_lift_to_wedge,
                       pair_labels, plucker_ideal, trace_zero_matrix)
-from .projspace import (DEFAULT_POINT_BUDGET, GRID_CHUNK_POINTS,
-                        BudgetExceeded, CompiledSystem, ScanPlan,
-                        _check_budget, _zero_mod, point_set, points_block,
-                        proj_point_count)
+from .projspace import (GRID_CHUNK_POINTS, BudgetExceeded, CompiledSystem,
+                        ScanPlan, _check_budget, _zero_mod, point_set,
+                        points_block, proj_point_count)
+
+# The most points held in one Python list here. A base point with its forms
+# costs about 0.9 KB: the g5 base at p = 97, 922,180 points, took 844 MB.
+_LIST_BUDGET = 1_000_000
 
 @dataclass(frozen=True)
 class FiberReport:
@@ -199,7 +202,7 @@ def base_points(case: str, p: int) -> BasePoints:
     """Rational points of the resolution base, with fiber-subspace data, the
     probe index and the model spec. Built once per (case, prime) and held
     until clear_base_points(). Raises BudgetExceeded before any enumeration
-    when the base would enumerate more than DEFAULT_POINT_BUDGET points."""
+    when the base would list more than _LIST_BUDGET points."""
     key = (case, int(p))
     base = _BASE_POINTS.get(key)
     if base is None:
@@ -214,19 +217,26 @@ def clear_base_points() -> None:
     _BASE_POINTS.clear()
 
 
+def _check_list(what: str, total: int) -> None:
+    """Raise BudgetExceeded when what, a list of total points, would hold
+    more than _LIST_BUDGET of them."""
+    if total > _LIST_BUDGET:
+        raise BudgetExceeded(f"{what}: {total} points, list budget {_LIST_BUDGET}")
+
+
 def _check_base_budget(case: str, p: int) -> None:
-    """Raise BudgetExceeded when the base of g5 (P^3) or g4 (the pairs of
-    P^2 x P^2) would enumerate more than DEFAULT_POINT_BUDGET points. The g8
-    and g6q bases come from point_set, whose scan checks the budget."""
+    """Raise BudgetExceeded when the base of g5 (P^3) or g4 (the
+    (p^2 + p + 1)(p + 1) incident pairs of P^2 x P^2) would list more than
+    _LIST_BUDGET points. The g8 and g6q bases come from point_set, whose
+    scan budget keeps them below it."""
     if case == "g5":
         space, total = f"P^3(F_{p})", proj_point_count(3, p)
     elif case == "g4":
-        space, total = f"P^2(F_{p}) x P^2(F_{p})", proj_point_count(2, p) ** 2
+        space = f"the incident pairs of P^2(F_{p}) x P^2(F_{p})"
+        total = proj_point_count(2, p) * (p + 1)
     else:
         return
-    if total > DEFAULT_POINT_BUDGET:
-        raise BudgetExceeded(f"the {case} fiber base enumerates {space}: "
-                             f"{total} points, budget {DEFAULT_POINT_BUDGET}")
+    _check_list(f"the {case} fiber base enumerates {space}", total)
 
 
 def _all_points(n: int, p: int) -> list:
@@ -312,7 +322,9 @@ def fiber_over(case: str, t: PointAffineRep, p: int) -> FiberReport:
     corresponding model, with entries in [0, p); both are checked before
     the base is built. The shape is named from the count alone, except over
     g6q's dual vertex plane {z = x = 0}, where a count equal to
-    g6q_vertex_fiber_oracle names the quadric-surface fiber "surface"."""
+    g6q_vertex_fiber_oracle names the quadric-surface fiber "surface"; the
+    oracle runs first, so that its list budget fails before the base is
+    built."""
     base = _BASE_POINTS.get((case, p))
     spec = _fiber_model(case) if base is None else base.model
     coords = t.coords
@@ -322,13 +334,12 @@ def fiber_over(case: str, t: PointAffineRep, p: int) -> FiberReport:
         if g.eval_mod(coords, p):
             raise OffVarietyError(
                 f"{t.serialize()} is not on {spec.case_id} mod {p}")
+    vertex = case == "g6q" and not any(coords[:9])
+    oracle = g6q_vertex_fiber_oracle(t, p) if vertex else None
     if base is None:
         base = base_points(case, p)
     hits = tuple(_hits(case, base, coords, p))
-    shape = _classify(len(hits), p)
-    if (case == "g6q" and not any(coords[:9])
-            and len(hits) == g6q_vertex_fiber_oracle(t, p)):
-        shape = "surface"
+    shape = "surface" if len(hits) == oracle else _classify(len(hits), p)
     return FiberReport(hits, len(hits), shape)
 
 
@@ -497,7 +508,11 @@ def g4_intersection_plane_fiber_check(p: int):
 def g6q_vertex_fiber_oracle(t: PointAffineRep, p: int) -> int:
     """Independent count of the quadric-surface fiber over a point of the
     dual vertex plane {z = x = 0}: the hyperplane section of the base
-    quadric 3-fold cut by the dual pairing with t's y-block."""
+    quadric 3-fold cut by the dual pairing with t's y-block. Raises
+    BudgetExceeded before any enumeration when the list of P^4(F_p) would
+    pass _LIST_BUDGET."""
+    _check_list(f"the g6q vertex oracle enumerates P^4(F_{p})",
+                proj_point_count(4, p))
     y = t.coords[9:]
     spec = build_case("Q3_g6q")
     count = 0

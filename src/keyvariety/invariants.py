@@ -11,8 +11,8 @@ import numpy as np
 
 from .algebra import SmallPrime, _jacobian_partials, matrix_rank_mod_p_batch
 from .catalog import VarietySpec, RankLocusSpec, pinned_coordinate_change
-from .projspace import (CompiledSystem, ScanPlan, lane_dtype, point_batches,
-                        point_set, proj_point_count, row_dtype, scan_system)
+from .projspace import (LANE_DTYPE, ROW_DTYPE, CompiledSystem, ScanPlan,
+                        point_batches, point_set, proj_point_count, scan_system)
 
 _RANK_BLOCK = 1 << 13
 
@@ -179,20 +179,20 @@ class SingularScanReport:
 def _rank_mask(matrix, pts: np.ndarray, p: int, t: int) -> np.ndarray:
     """Whether the F_p rank is below t at each row of pts, for a matrix of
     polynomials given as its rows. The points go one _RANK_BLOCK block at a
-    time, copied column-major into the term loop's lane (lane_dtype(p)), so
+    time, copied column-major into the term loop's lane (LANE_DTYPE), so
     that each column the entries read is contiguous and needs no further
     copy; a block is small enough that its values and bit planes stay in
     cache. Each block is evaluated once over every entry and ranked once at
     full width: the bit-sliced rank holds a whole row of up to 64 columns in
     one word, so ranking part of the columns would cost about as much. The
-    row_dtype(p) values of eval_block reach the batch rank as (B, rows,
+    ROW_DTYPE values of eval_block reach the batch rank as (B, rows,
     columns) views of their batch-last arrays, so no int64 value slab is
     made."""
     rows, cols = len(matrix), len(matrix[0])
     system = CompiledSystem([e for row in matrix for e in row])
     out = np.zeros(pts.shape[0], dtype=bool)
     for s in range(0, pts.shape[0], _RANK_BLOCK):
-        block = np.asfortranarray(pts[s:s + _RANK_BLOCK], dtype=lane_dtype(p))
+        block = np.asfortranarray(pts[s:s + _RANK_BLOCK], dtype=LANE_DTYPE)
         vals = system.eval_block(block, p).reshape(rows, cols, -1)
         out[s:s + block.shape[0]] = (
             matrix_rank_mod_p_batch(vals.transpose(2, 0, 1), p) < t)
@@ -239,7 +239,7 @@ def singular_scan(spec: VarietySpec, p: int) -> SingularScanReport:
     """
     p = SmallPrime(p)
     locus = spec.rank_locus
-    empty = np.zeros((0, spec.ambient_dim + 1), dtype=row_dtype(p))
+    empty = np.zeros((0, spec.ambient_dim + 1), dtype=ROW_DTYPE)
     count, sing_rows, diff_rows = 0, [empty], [empty]
     for pts in point_batches(ScanPlan(spec.ambient_dim, p), spec.generators):
         count += pts.shape[0]

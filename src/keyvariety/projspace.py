@@ -10,34 +10,31 @@ ranges of it.
 One routine evaluates polynomials on rows of residues: the term loop
 _term_sum, which reads the values of each monomial from a monomial builder
 (_Monomials) over a block of rows. A builder computes in one signed lane,
-lane_dtype(p), chosen from p alone: int16 where (p - 1)^2 fits in it
-(p <= 181), else int64. It holds each monomial it has built for the life of
-the block and builds a new one with one multiply, from the monomial with its
-last nonzero exponent lowered by 1 and the column of that variable; the
-constant monomial is a row of ones and a degree-1 one is its column, cast to
-the lane once. Each term of the loop is a raw product of its coefficient and
-monomial in the lane, added raw into the sum. Python-int bounds on the
-entries of every held monomial, term and sum decide when to reduce mod p,
-only where the next product or addition could pass the lane's largest value
-(2^15 - 1 or 2^63 - 1); one reduction ends the sum where its bound is p or
-more. The lane holds the
-product of two residues, so a term of reduced factors always fits, and every
-value is exact for every SmallPrime. At p = 2 and 3 nothing is reduced
-before the end for the catalog's degrees, and at p = 181 and at the largest
-SmallPrime a product is reduced about once per factor. Every array
-reduction here is algebra.mod_p, x - p*(x // p) in one temporary, which
-numpy runs with libdivide where x % p does not.
+LANE_DTYPE = int16, which holds (p - 1)^2 for every SmallPrime (p <= 181).
+It holds each monomial it has built for the life of the block and builds a
+new one with one multiply, from the monomial with its last nonzero exponent
+lowered by 1 and the column of that variable; the constant monomial is a row
+of ones and a degree-1 one is its column, cast to the lane once. Each term
+of the loop is a raw product of its coefficient and monomial in the lane,
+added raw into the sum. Python-int bounds on the entries of every held
+monomial, term and sum decide when to reduce mod p, only where the next
+product or addition could pass 2^15 - 1; one reduction ends the sum where
+its bound is p or more. A term of reduced factors always fits, so every
+value is exact. At p = 2 and 3 nothing is reduced before the end for the
+catalog's degrees, and at p = 181 a product is reduced about once per
+factor. Every array reduction here is algebra.mod_p, x - p*(x // p) in one
+temporary, which numpy runs with libdivide where x % p does not.
 
 One routine tests products: _zero_mod(a, b, p) is (a @ b) % p == 0 for
 entries in [0, p). An entry of a @ b is at most L(p-1)^2 for inner length L.
-Where L(p-1)^2 + p < 2^24 (so p <= 4096) the product runs in float32 on BLAS,
-in row blocks small enough to stay on the calling thread, and is exact: every
-product and partial sum is an integer below 2^24, so the result is the same
-in any summation order, with or without FMA. The test x == p*rint(x/p) is
-exact too: if p divides x, x/p is exact; otherwise p*rint(x/p) is a
-representable multiple of p, so it differs from x. Where the bound fails the
-product is int64, its inner axis cut into slices reduced mod p wherever a sum
-could reach 2^63, so the test is exact for every prime SmallPrime accepts.
+Where L(p-1)^2 + p < 2^24 (at p = 181, L <= 517) the product runs in float32
+on BLAS, in row blocks small enough to stay on the calling thread, and is
+exact: every product and partial sum is an integer below 2^24, so the result
+is the same in any summation order, with or without FMA. The test
+x == p*rint(x/p) is exact too: if p divides x, x/p is exact; otherwise
+p*rint(x/p) is a representable multiple of p, so it differs from x. Where
+the bound fails the product is int64, which holds L(p-1)^2 for any L below
+2^48.
 
 Scans use a grid kernel. Group k is the full grid F_p^m, m = n - k, with its
 most significant digits first; split into s = ceil(m/2) outer and m - s inner
@@ -76,18 +73,18 @@ scan finds them. So a caller reads the rows of a set it does not hold a
 batch at a time and never holds the set whole.
 
 Point sets are narrow: the rows of a collect scan, of point_set and of a
-batch are in row_dtype(p), the narrowest unsigned dtype that holds p - 1
-(uint8 up to p = 251, an eighth of int64). They are widened to the term
-loop's lane or to int64 only inside arithmetic, and never a whole set at
-once: the monomial builder casts each column it reads, vanishing_mask gets
-at most GRID_CHUNK_POINTS rows, _matmul_mod casts its operands and
-_float32_zero casts to float32. A scan holds each chunk's matches as offsets
-in the narrowest dtype that holds a chunk, with its group's inner digits,
-and writes every row of a batch once into one row_dtype(p) array of the
-batch's count. A group's inner digits and the values of eval_block are in
-row_dtype(p) as well, so the value slabs of the rank loci stay narrow up to
-the rank. The outer digit grid of a chunk is built in the term loop's lane,
-so that its builder casts no column, and points_block stays int64.
+batch are in ROW_DTYPE = uint8, which holds every residue, an eighth of
+int64. They are widened to the term loop's lane or to int64 only inside
+arithmetic, and never a whole set at once: the monomial builder casts each
+column it reads, vanishing_mask gets at most GRID_CHUNK_POINTS rows,
+_matmul_mod casts its operands and _float32_zero casts to float32. A scan
+holds each chunk's matches as offsets in the narrowest dtype that holds a
+chunk, with its group's inner digits, and writes every row of a batch once
+into one ROW_DTYPE array of the batch's count. A group's inner digits and
+the values of eval_block are in ROW_DTYPE as well, so the value slabs of the
+rank loci stay narrow up to the rank. The outer digit grid of a chunk is
+built in the lane, so that its builder casts no column, and points_block
+stays int64.
 """
 from __future__ import annotations
 
@@ -99,8 +96,9 @@ import numpy as np
 from .algebra import Polynomial, SmallPrime, mod_p
 
 DEFAULT_POINT_BUDGET = 100_000_000
-_INT64_MAX = (1 << 63) - 1
-_INT16_MAX = (1 << 15) - 1
+LANE_DTYPE = np.dtype(np.int16)
+ROW_DTYPE = np.dtype(np.uint8)
+_LANE_MAX = int(np.iinfo(LANE_DTYPE).max)
 
 
 class BudgetExceeded(RuntimeError):
@@ -140,21 +138,6 @@ def _check_budget(plan: ScanPlan) -> None:
                              f"{plan.total} points, budget {DEFAULT_POINT_BUDGET}")
 
 
-def row_dtype(p: int) -> np.dtype:
-    """The narrowest unsigned dtype that holds every residue mod p: uint8 up
-    to p = 251, uint16 up to 65521, uint32 above. Scanned and held point
-    sets are stored in it."""
-    return np.min_scalar_type(p - 1)
-
-
-def lane_dtype(p: int) -> np.dtype:
-    """The signed dtype the term loop computes in at p: int16 where the
-    product (p - 1)^2 of two residues fits (p <= 181), else int64. There is
-    no int32 lane: it reduces far more often than int64 above p = 181, and
-    one made a P^2(F_4099) scan no faster."""
-    return np.dtype(np.int16 if (p - 1) ** 2 <= _INT16_MAX else np.int64)
-
-
 def points_block(n: int, p: int, start: int, stop: int) -> np.ndarray:
     """Normalized representatives with indices [start, stop), one per row."""
     out = np.zeros((stop - start, n + 1), dtype=np.int64)
@@ -167,7 +150,7 @@ def points_block(n: int, p: int, start: int, stop: int) -> np.ndarray:
             rows = slice(pos, pos + hi - lo)
             out[rows, k] = 1
             out[rows, k + 1:] = _digit_grid(p, lo - gstart, hi - gstart, n - k,
-                                            row_dtype(p))
+                                            ROW_DTYPE)
             pos += hi - lo
         gstart = gend
     return out
@@ -191,19 +174,18 @@ def _digit_grid(p: int, start: int, stop: int, width: int,
 
 class _Monomials:
     """Values of monomials on every row of pts, held for one block in the
-    lane lane_dtype(p), whose largest value is limit: each exponent tuple
-    over the columns of pts maps to (values, hi), hi bounding the entries.
-    The constant monomial is a row of ones and a degree-1 monomial is its
-    column, cast to the lane once (no copy for rows in the lane); any other
-    is built with one multiply from the monomial with its last nonzero
-    exponent lowered by 1, which is reduced mod p first (and held reduced)
-    only where the product could pass limit."""
+    lane LANE_DTYPE: each exponent tuple over the columns of pts maps to
+    (values, hi), hi bounding the entries. The constant monomial is a row of
+    ones and a degree-1 monomial is its column, cast to the lane once (no
+    copy for rows in the lane); any other is built with one multiply from
+    the monomial with its last nonzero exponent lowered by 1, which is
+    reduced mod p first (and held reduced) only where the product could pass
+    the lane's largest value. p must be a SmallPrime: a larger one raises
+    ValueError, since a product of two residues would overflow the lane."""
 
     def __init__(self, pts: np.ndarray, p: int):
-        self.pts, self.p = pts, p
+        self.pts, self.p = pts, SmallPrime(p)
         self.size = pts.shape[0]
-        self.lane = lane_dtype(p)
-        self.limit = _INT16_MAX if self.lane == np.int16 else _INT64_MAX
         self._held: dict = {}
 
     def __getitem__(self, e: tuple) -> tuple:
@@ -225,27 +207,27 @@ class _Monomials:
         while v >= 0 and not e[v]:
             v -= 1
         if v < 0:
-            return np.ones(self.size, dtype=self.lane), 1
+            return np.ones(self.size, dtype=LANE_DTYPE), 1
         unit = (0,) * v + (1,) + (0,) * (len(e) - v - 1)
         if e == unit:
-            return self.pts[:, v].astype(self.lane, copy=False), top
+            return self.pts[:, v].astype(LANE_DTYPE, copy=False), top
         lower = e[:v] + (e[v] - 1,) + e[v + 1:]
         values, hi = self[lower]
-        if hi * top > self.limit:
+        if hi * top > _LANE_MAX:
             values, hi = self.reduced(lower), top
         return values * self[unit][0], hi * top
 
 
 def _term_sum(terms, monomials: _Monomials, p: int) -> np.ndarray:
     """The term loop: sum c * M_e mod p over the (e, c) pairs of terms, M_e
-    read from monomials, as residues in the builder's lane. Each term is a
-    raw product of its coefficient and monomial in the lane, added raw into
-    the sum, which starts as the first term; hi and acc_hi bound the entries
-    of term and acc, and the monomial or acc is reduced mod p (by mod_p)
-    only where the next product or sum could pass the lane's limit, and the
-    sum at the end only where acc_hi shows it may not be a residue yet. The
-    lane holds (p - 1)^2, so a term of reduced factors always fits."""
-    top, limit = p - 1, monomials.limit
+    read from monomials, as residues in LANE_DTYPE. Each term is a raw
+    product of its coefficient and monomial in the lane, added raw into the
+    sum, which starts as the first term; hi and acc_hi bound the entries of
+    term and acc, and the monomial or acc is reduced mod p (by mod_p) only
+    where the next product or sum could pass the lane's largest value, and
+    the sum at the end only where acc_hi shows it may not be a residue yet.
+    The lane holds (p - 1)^2, so a term of reduced factors always fits."""
+    top, limit = p - 1, _LANE_MAX
     acc, acc_hi = None, 0
     for e, c in terms:
         c %= p
@@ -268,7 +250,7 @@ def _term_sum(terms, monomials: _Monomials, p: int) -> np.ndarray:
         acc += term
         acc_hi += hi
     if acc is None:
-        return np.zeros(monomials.size, dtype=monomials.lane)
+        return np.zeros(monomials.size, dtype=LANE_DTYPE)
     return acc if acc_hi < p else mod_p(acc, p)
 
 
@@ -284,11 +266,11 @@ class CompiledSystem:
 
     def eval_block(self, pts: np.ndarray, p: int) -> np.ndarray:
         """Values of all generators on a block of points as residues in
-        row_dtype(p): shape (ngens, npts), their monomials built once for the
+        ROW_DTYPE: shape (ngens, npts), their monomials built once for the
         block. A generator with no terms (an identically zero partial) gets
         a zero row without running the term loop."""
         monomials = _Monomials(pts, p)
-        out = np.empty((len(self.compiled), pts.shape[0]), dtype=row_dtype(p))
+        out = np.empty((len(self.compiled), pts.shape[0]), dtype=ROW_DTYPE)
         for g, gen in enumerate(self.compiled):
             out[g] = _term_sum(gen, monomials, p) if gen else 0
         return out
@@ -319,18 +301,9 @@ GRID_CHUNK_POINTS = 1 << 16
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) % p for integer matrices with entries in [0, p), widened to
-    int64, exact: an entry of a @ b is at most (inner length)*(p-1)^2, so
-    the inner axis is cut into slices whose products stay below 2^63,
-    reduced mod p between slices."""
-    a = a.astype(np.int64, copy=False)
-    b = b.astype(np.int64, copy=False)
-    step = max(1, _INT64_MAX // (p - 1) ** 2)
-    if a.shape[1] <= step:
-        return mod_p(a @ b, p)
-    out = 0
-    for lo in range(0, a.shape[1], step):
-        out = mod_p(out + mod_p(a[:, lo:lo + step] @ b[lo:lo + step], p), p)
-    return out
+    int64, exact: an entry of a @ b is at most (inner length)*(p-1)^2,
+    below 2^63 for any inner length below 2^48."""
+    return mod_p(a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False), p)
 
 
 _FLOAT32_EXACT = 1 << 24
@@ -382,11 +355,11 @@ class _GridGroup:
     monomials M_j and its fused table F, whose row j is P_j on the inner
     digits: the generator's value at outer row o and inner point i is
     sum_j M_j(o) F[j, i] mod p. F is float32 where _fits_float32 holds for
-    its row count, else int64."""
+    its row count, else in the lane."""
     k: int
     s: int
     width: int
-    inner_digits: np.ndarray  # (width, m - s), in row_dtype(p)
+    inner_digits: np.ndarray  # (width, m - s), in ROW_DTYPE
     outer: tuple
     gens: tuple
 
@@ -405,7 +378,7 @@ def _grid_group(polys: Sequence[Polynomial], n: int, k: int, p: int) -> _GridGro
     s = max((m + 1) // 2,
             next(s for s in range(m + 1) if p ** (m - s) <= GRID_CHUNK_POINTS))
     width = p ** (m - s)
-    inner_digits = _digit_grid(p, 0, width, m - s, row_dtype(p))
+    inner_digits = _digit_grid(p, 0, width, m - s, ROW_DTYPE)
     inner = _Monomials(inner_digits, p)
     outer: dict = {}
     gens = []
@@ -434,7 +407,7 @@ def _grid_chunk(group: _GridGroup, p: int, r0: int, r1: int) -> np.ndarray:
     its fused table. Returns the match mask of the chunk's points in index
     order, flat: a count reads only its number of matches, so that no
     offsets are made for it."""
-    outer = _digit_grid(p, r0, r1, group.s, lane_dtype(p))
+    outer = _digit_grid(p, r0, r1, group.s, LANE_DTYPE)
     monomials = _Monomials(outer, p)
     values = np.array([monomials.reduced(e) for e in group.outer]).T
     mask = np.ones((r1 - r0, group.width), dtype=bool)
@@ -448,12 +421,12 @@ def _grid_chunk(group: _GridGroup, p: int, r0: int, r1: int) -> np.ndarray:
 
 def _collected_rows(pieces: list, n: int, p: int, count: int) -> np.ndarray:
     """The count matched rows of pieces, each written once into one
-    row_dtype(p) array. pieces holds, per chunk with a match, its group's
+    ROW_DTYPE array. pieces holds, per chunk with a match, its group's
     (k, s, width, inner digits), its first outer row r0 and its offsets h:
     a row has its leading 1 at k, the inner digits of h % width and the s
     base-p digits of outer row r0 + h // width, the least significant last.
     One int64 copy of a chunk's offsets is divided in place."""
-    rows = np.zeros((count, n + 1), dtype=row_dtype(p))
+    rows = np.zeros((count, n + 1), dtype=ROW_DTYPE)
     pos = 0
     for (k, s, width, inner), r0, hits in pieces:
         block = rows[pos:pos + hits.size]
@@ -495,7 +468,7 @@ def _scan_pieces(plan: ScanPlan, polys: Sequence[Polynomial]):
 
 
 def _batches(plan: ScanPlan, polys: Sequence[Polynomial], size: int | None):
-    """The common zeros of polys as row_dtype(p) batches in index order,
+    """The common zeros of polys as ROW_DTYPE batches in index order,
     yielded as the scan finds them. A batch decodes the pieces of
     consecutive chunks, each row written once, as soon as at least size rows
     have gathered (the last batch may be shorter, and an empty set yields
@@ -523,7 +496,7 @@ def scan_system(plan: ScanPlan, polys: Sequence[Polynomial], *,
     """Scan for common zeros of a polynomial system with the grid kernel.
 
     Returns a ScanResult, or (ScanResult, matched_points_array) with
-    collect=True, the rows in row_dtype(p). Chunks run in index order, so the
+    collect=True, the rows in ROW_DTYPE. Chunks run in index order, so the
     rows are in index order. Raises BudgetExceeded before any work when
     P^n(F_p) exceeds DEFAULT_POINT_BUDGET.
     """
@@ -544,7 +517,7 @@ _POINT_SETS: dict = {}
 
 def point_batches(plan: ScanPlan, polys: Sequence[Polynomial]):
     """The common zeros of polys in P^n(F_p) in index order as batches of
-    row_dtype(p) rows, read through the memo without adding to it: slices
+    ROW_DTYPE rows, read through the memo without adding to it: slices
     of _SCAN_BATCH rows of the held set when point_set holds it; else those
     slices of the set of the longest held leading part of polys (a cut's
     base), each filtered by the other generators; else the batches of a
@@ -567,7 +540,7 @@ def point_batches(plan: ScanPlan, polys: Sequence[Polynomial]):
 
 
 def point_set(plan: ScanPlan, polys: Sequence[Polynomial]) -> np.ndarray:
-    """Common zeros of polys in P^n(F_p) as read-only row_dtype(p) rows, in
+    """Common zeros of polys in P^n(F_p) as read-only ROW_DTYPE rows, in
     index order. The first call per (plan, generators) finds them with one
     collect=True scan and holds them; later calls return the held array
     until clear_point_sets()."""

@@ -10,7 +10,8 @@ from keyvariety.catalog import (ALL_CASES, MAIN_CASES, UnknownCaseError,
                                 build_case, normalize_pairing, pinned_coordinate_change,
                                 plane_containment_check, plucker_ideal,
                                 rank_locus_member, spec_dump)
-from keyvariety.projspace import ScanPlan, scan_system
+from keyvariety.projspace import (DEFAULT_POINT_BUDGET, ScanPlan,
+                                  proj_point_count, scan_system)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -185,6 +186,18 @@ def test_rank_locus_g6q_vertex_plane():
     assert rank_locus_member(spec.rank_locus, pt, 2)
     # cross-check: the Jacobian rank drops below the codimension there
     assert jacobian_rank(list(spec.generators), pt, 2) < 13 - 9
+
+
+def test_every_case_is_over_the_point_budget_at_101():
+    """No catalog scan runs above p = 97: at p = 101 the ambient space of
+    every case, Q3_g6q's P^4 the smallest at 105,101,005 points, is over the
+    point budget. So SmallPrime's range (p <= 181) already holds every
+    prime a scan can reach."""
+    for case in ALL_CASES:
+        n = build_case(case).ambient_dim
+        assert proj_point_count(n, 101) > DEFAULT_POINT_BUDGET
+    q3 = build_case("Q3_g6q").ambient_dim
+    assert proj_point_count(q3, 97) <= DEFAULT_POINT_BUDGET
 
 
 def test_b5_smoothness_probe():

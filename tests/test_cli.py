@@ -81,6 +81,7 @@ _LIST_ERRORS = [
                    "base 10: 'all'"),
     ("primes=2,,3", "invalid prime '': invalid literal for int() with "
                     "base 10: ''"),
+    ("primes=191", "invalid prime '191': prime out of range: 191"),
     ("checks=zap", "unknown check 'zap'"),
     ("checks=", "unknown check ''"),
     ("checks=,", "unknown check ''"),
@@ -256,10 +257,15 @@ def test_cli_fiber_names_the_g6q_vertex_fiber_a_surface(capsys):
 
 
 @pytest.mark.parametrize("case,prime,point", [
-    ("g5", 65537, "1:0:0:0:0:1:0:0:0:0:1:0:0:0:0:1"),
+    ("g5", 101, "1:0:0:0:0:1:0:0:0:0:1:0:0:0:0:1"),
     ("g4", 101, "0:0:0:0:0:0:1:0:0:0:0:0:0:0"),
+    ("g6q", 37, "0:0:0:0:0:0:0:0:0:1:0:0:0:0"),
 ])
 def test_cli_fiber_base_over_budget_exits_2(capsys, case, prime, point):
+    """A fiber probe whose base, or for g6q's vertex plane whose oracle,
+    would hold a Python list of more than 10^6 points ends with exit 2 and
+    one stderr line within seconds."""
+    what = "the g6q vertex oracle" if case == "g6q" else f"the {case} fiber base"
     t0 = time.perf_counter()
     assert main(["fiber", "--case", case, "--prime", str(prime),
                  "--point", point]) == 2
@@ -268,7 +274,26 @@ def test_cli_fiber_base_over_budget_exits_2(capsys, case, prime, point):
     err = captured.err.strip().splitlines()
     assert captured.out == ""
     assert len(err) == 1
-    assert err[0].startswith(f"error: the {case} fiber base enumerates ")
+    assert err[0].startswith(f"error: {what} enumerates ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--case", "g8", "--prime", "191"],
+    ["fiber", "--case", "g5", "--prime", "191",
+     "--point", "1:0:0:0:0:1:0:0:0:0:1:0:0:0:0:1"],
+    ["section", "--case", "g8", "--forms", "FORMS", "--primes", "2,191"],
+], ids=["count", "fiber", "section"])
+def test_cli_refuses_a_prime_past_the_lane(tmp_path, capsys, argv):
+    """191, the first prime past SmallPrime's range, ends every command
+    that takes a prime with exit 2 and one stderr line, and prints
+    nothing."""
+    forms = tmp_path / "forms.txt"
+    forms.write_text("x2\n")
+    argv = [str(forms) if a == "FORMS" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: prime out of range: 191\n"
 
 
 def test_cli_fiber_rejects_non_residue(capsys):

@@ -401,18 +401,30 @@ def test_off_model_probe_message_before_and_after_the_base():
 
 
 def test_base_budget_fails_before_any_enumeration(monkeypatch):
+    """The Python point lists of the g5 and g4 bases and of the g6q vertex
+    oracle are held to 10^6 entries before any point is listed: from
+    p = 101 for the bases (1,040,604 points of P^3 and 1,050,906 incident
+    pairs) and from p = 37 for the oracle (1,926,221 points of P^4)."""
     def boom(*args, **kwargs):
-        raise AssertionError("base enumeration started over the budget")
+        raise AssertionError("enumeration started over the list budget")
 
-    monkeypatch.setattr(incidence, "_build_base_points", boom)
-    for case, p in (("g5", 65537), ("g4", 101)):
+    for name in ("_build_base_points", "points_block", "point_set"):
+        monkeypatch.setattr(incidence, name, boom)
+    for case, p in (("g5", 101), ("g4", 101)):
         with pytest.raises(BudgetExceeded, match=f"the {case} fiber base"):
             base_points(case, p)
     t = PointAffineRep((1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1))
-    with pytest.raises(BudgetExceeded, match=re.escape("P^3(F_65537)")):
-        fiber_over("g5", t, 65537)
-    # just under the budget: #P^2(F_97)^2 = 90,383,049 pairs
+    with pytest.raises(BudgetExceeded, match=re.escape("P^3(F_101): 1040604")):
+        fiber_over("g5", t, 101)
+    vertex = PointAffineRep((0,) * 9 + (1, 0, 0, 0, 0))
+    with pytest.raises(BudgetExceeded,
+                       match=re.escape("vertex oracle enumerates P^4(F_37)")):
+        fiber_over("g6q", vertex, 37)
+    # just under the list budget: 922,180 points and 931,686 pairs at p = 97,
+    # 954,305 points of P^4 at p = 31
+    incidence._check_base_budget("g5", 97)
     incidence._check_base_budget("g4", 97)
+    assert proj_point_count(4, 31) <= incidence._LIST_BUDGET
 
 
 @pytest.mark.parametrize("check,p,space", [

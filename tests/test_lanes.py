@@ -1,5 +1,5 @@
-"""The narrow lanes of the singular classification: the term loop's int16 and
-int64 lanes, the mod_p remainder, bit planes in the narrowest word and the
+"""The narrow lanes of the singular classification: the term loop's int16
+lane, the mod_p remainder, bit planes in the narrowest word and the
 rank mask, which evaluates and ranks each block of points once at full
 width; its masks are checked against the pointwise oracles. CI runs this
 file with -W error::RuntimeWarning on the numpy 1.x and 2.x legs."""
@@ -8,13 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from keyvariety import invariants, projspace
-from keyvariety.algebra import (PointAffineRep, Polynomial, _bit_planes,
-                                jacobian_rank, matrix_rank_mod_p,
+from keyvariety import invariants
+from keyvariety.algebra import (PointAffineRep, Polynomial, SmallPrime,
+                                _bit_planes, jacobian_rank, matrix_rank_mod_p,
                                 matrix_rank_mod_p_batch, mod_p)
 from keyvariety.catalog import build_case, rank_locus_member
-from keyvariety.projspace import (CompiledSystem, ScanPlan, _Monomials,
-                                  _term_sum, lane_dtype, point_set)
+from keyvariety.projspace import (LANE_DTYPE, ROW_DTYPE, CompiledSystem,
+                                  ScanPlan, _Monomials, _term_sum, point_set)
 
 from test_invariants import FROZEN_COUNTS
 
@@ -22,21 +22,23 @@ _RING = ("x0", "x1", "x2", "x3")
 
 
 @pytest.mark.parametrize("p,lane", [(2, np.int16), (3, np.int16),
-                                    (181, np.int16), (191, np.int64),
-                                    (4099, np.int64), (2**31 - 1, np.int64)])
+                                    (181, np.int16)])
 def test_lane_is_int16_exactly_where_a_product_of_residues_fits(p, lane):
-    assert lane_dtype(p) == lane
-    assert ((p - 1) ** 2 <= np.iinfo(np.int16).max) == (lane == np.int16)
+    """Every SmallPrime, up to 181, has its product of two residues in the
+    int16 lane; 191, the next prime, has not."""
+    assert SmallPrime(p) == p and LANE_DTYPE == lane
+    assert (p - 1) ** 2 <= np.iinfo(LANE_DTYPE).max < (191 - 1) ** 2
 
 
-@pytest.mark.parametrize("p", [181, 191])
+@pytest.mark.parametrize("p", [181])
 def test_term_loop_matches_eval_mod_at_the_lane_edge(p):
-    """181 is the last int16 prime and 191 the first int64 one. Random
-    polynomials of degree <= 6 with coefficients far outside [0, p), and a
-    sum of 30 terms (p - 1) * x_i^2 * x_j whose raw value at the all-(p-1)
-    row passes 2^15 many times over, equal eval_mod on random rows, the
-    all-(p-1) row and the zero row, through eval_block and through the
-    term loop on rows of the narrow dtype gathered by an index."""
+    """181 is the largest SmallPrime, the last whose product of two residues
+    fits in the int16 lane. Random polynomials of degree <= 6 with
+    coefficients far outside [0, p), and a sum of 30 terms
+    (p - 1) * x_i^2 * x_j whose raw value at the all-(p-1) row passes 2^15
+    many times over, equal eval_mod on random rows, the all-(p-1) row and
+    the zero row, through eval_block and through the term loop on rows of
+    the narrow dtype gathered by an index."""
     rng = np.random.default_rng(p)
     polys = []
     for _ in range(6):
@@ -58,14 +60,32 @@ def test_term_loop_matches_eval_mod_at_the_lane_edge(p):
     want = [[f.eval_mod(row, p) for row in wide.tolist()] for f in polys]
     values = CompiledSystem(polys).eval_block(wide, p)
     assert values.tolist() == want
-    narrow = wide.astype(projspace.row_dtype(p))
+    narrow = wide.astype(ROW_DTYPE)
     assert np.array_equal(CompiledSystem(polys).eval_block(narrow, p), values)
     idx = np.array([0, 7, 1, 7, 49], dtype=np.int64)
     for f, row in zip(polys, want):
         gen = tuple(f.terms.items())
         got = _term_sum(gen, _Monomials(narrow[idx], p), p)
-        assert got.dtype == lane_dtype(p)
+        assert got.dtype == LANE_DTYPE
         assert got.tolist() == [row[i] for i in idx]
+
+
+def test_kernels_refuse_a_prime_past_the_lane():
+    """The two kernels that take a raw p, the term loop (through eval_block
+    and vanishing_mask) and the batched rank, raise ValueError at 191, the
+    first prime whose product of two residues passes int16, before any
+    arithmetic; at 181 they run."""
+    rows = np.zeros((3, 4), dtype=ROW_DTYPE)
+    system = CompiledSystem([Polynomial.variable(_RING, "x0")])
+    mats = np.eye(2, dtype=np.int64)[None]
+    for p in (191, 2**31 - 1):
+        for call in (system.eval_block, system.vanishing_mask):
+            with pytest.raises(ValueError, match=f"prime out of range: {p}"):
+                call(rows, p)
+        with pytest.raises(ValueError, match=f"prime out of range: {p}"):
+            matrix_rank_mod_p_batch(mats, p)
+    assert system.vanishing_mask(rows, 181).all()
+    assert matrix_rank_mod_p_batch(mats, 181).tolist() == [2]
 
 
 _INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
@@ -184,7 +204,7 @@ def test_rank_mask_counts_rank_from_every_column(p):
         [0, 0, 0, 0, 0, 0, 0, 0],   # rank 0
         [1, 0, 0, 0, 0, 1, 0, 0],   # prefix rank 2
         [0, 1, 0, 0, 0, 1, 0, 1],   # prefix rank 1, full rank 2
-    ], dtype=projspace.row_dtype(p))
+    ], dtype=ROW_DTYPE)
     low = invariants._rank_mask(matrix, pts, p, 2)
     want = [matrix_rank_mod_p([row[:4], row[4:]], p) < 2 for row in pts.tolist()]
     assert low.tolist() == want == [False, False, True, True, False, False]

@@ -13,8 +13,9 @@ from keyvariety import projspace
 from keyvariety.algebra import (PointAffineRep, Polynomial, SmallPrime,
                                 parse_poly)
 from keyvariety.catalog import build_case, plucker_ideal
-from keyvariety.projspace import (GRID_CHUNK_POINTS, CompiledSystem,
-                                  ScanPlan, ScanResult, _fits_float32,
+from keyvariety.projspace import (GRID_CHUNK_POINTS, LANE_DTYPE, ROW_DTYPE,
+                                  CompiledSystem, ScanPlan, ScanResult,
+                                  _fits_float32,
                                   _matmul_mod, _term_sum, _zero_mod,
                                   clear_point_sets, point_batches, point_set,
                                   points_block, proj_point_count, scan_system)
@@ -183,9 +184,9 @@ def _oracle_rows(plan, polys):
 def _systems(draw):
     """(n, p, generators): 1-3 polynomials of degree <= 3 in n + 1 variables,
     coefficients in [-8, 8] (some of them 0 mod p). n stops at 3 for p = 13
-    and at 1 for p = 4099, the first prime whose fused tables stay int64,
-    which keeps the pointwise oracle below P^5(F_7) (19,608 points)."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 13, 4099]))
+    and at 1 for p = 181, the largest SmallPrime, which keeps the pointwise
+    oracle below P^5(F_7) (19,608 points)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 181]))
     n = draw(st.integers(0, 5 if p < 13 else 3 if p == 13 else 1))
     ring = tuple(f"x{i}" for i in range(n + 1))
     monomial = st.lists(st.integers(0, n), max_size=3).map(
@@ -229,13 +230,16 @@ def test_small_grid_chunks_split_groups(monkeypatch):
 
 
 def test_matmul_mod_exact_at_largest_prime():
-    p = 2**31 - 1
+    """At p = 181, over an inner length past the float32 edge, from operands
+    of the narrow row dtype as from int64 ones."""
+    p, k = 181, 600
     rng = np.random.default_rng(5)
-    a = rng.integers(p - 50, p, (3, 7), dtype=np.int64)
-    b = rng.integers(p - 50, p, (7, 4), dtype=np.int64)
-    want = [[sum(int(a[i, t]) * int(b[t, j]) for t in range(7)) % p
+    a = rng.integers(p - 50, p, (3, k), dtype=np.int64)
+    b = rng.integers(p - 50, p, (k, 4), dtype=np.int64)
+    want = [[sum(int(a[i, t]) * int(b[t, j]) for t in range(k)) % p
              for j in range(4)] for i in range(3)]
     assert _matmul_mod(a, b, p).tolist() == want
+    assert _matmul_mod(a.astype(ROW_DTYPE), b.astype(ROW_DTYPE), p).tolist() == want
 
 
 def _edge(p):
@@ -243,20 +247,22 @@ def _edge(p):
     return (2**24 - p - 1) // (p - 1) ** 2
 
 
-_EDGES = [(p, k, 1, 1, 0) for p in (5, 13) for k in (_edge(p), _edge(p) + 1)]
+_EDGES = [(p, k, 1, 1, 0) for p in (5, 13, 181) for k in (_edge(p), _edge(p) + 1)]
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([2, 3, 5, 13, 65537, 2**31 - 1]).flatmap(
+@given(st.sampled_from([2, 3, 5, 13, 181]).flatmap(
     lambda p: st.tuples(st.just(p),
                         st.integers(1, 64) | st.sampled_from(
-                            [_edge(p), _edge(p) + 1] if p in (5, 13) else [1]),
+                            [_edge(p), _edge(p) + 1] if p > 3 else [1]),
                         st.integers(0, 2), st.integers(0, 2),
                         st.integers(0, 2**32 - 1))))
 @example(_EDGES[0])
 @example(_EDGES[1])
 @example(_EDGES[2])
 @example(_EDGES[3])
+@example(_EDGES[4])
+@example(_EDGES[5])
 def test_zero_mod_matches_matmul_mod(case):
     p, k, rows, cols, seed = case
     rng = np.random.default_rng(seed)
@@ -283,29 +289,20 @@ def test_zero_mod_row_blocks():
 
 
 def test_float32_bound_edges():
-    for p in (5, 13):
+    for p in (5, 13, 181):
         assert _fits_float32(_edge(p), p) and not _fits_float32(_edge(p) + 1, p)
-    for p in (65537, 2**31 - 1):
-        assert not _fits_float32(1, p)
-    assert _fits_float32(1, 4093) and not _fits_float32(1, 4099)
+    assert _edge(181) == 517
 
 
 def test_zero_mod_dispatch(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the wrong product path ran")
 
-    ring = ("x", "y")
-    x, y = (Polynomial.variable(ring, v) for v in ring)
-    big = 2**31 - 1
-    scans = {65537: (ScanPlan(1, SmallPrime(65537)),
-                     (y - x * 40000) * (x - y * 3), 2),
-             big: (ScanPlan(0, SmallPrime(big)),
-                   parse_poly(f"{big - 1}*x^3 + {big - 2}*x^2 + 3*x", ("x",)), 1)}
+    p = 181
     monkeypatch.setattr(projspace, "_float32_zero", boom)
-    for p, (plan, f, matched) in scans.items():
-        a = np.full((2, 3), p - 1, dtype=np.int64)
-        assert _zero_mod(a, a.T, p).tolist() == [[False] * 2] * 2
-        assert scan_system(plan, [f]).matched == matched
+    # past the float32 edge: 518 * 180^2 = 156 mod 181
+    a = np.full((2, _edge(p) + 1), p - 1, dtype=np.int64)
+    assert _zero_mod(a, a.T, p).tolist() == [[False] * 2] * 2
     monkeypatch.undo()
     gens = plucker_ideal(5)
     plan = ScanPlan(len(gens[0].ring_vars) - 1, SmallPrime(3))
@@ -317,7 +314,7 @@ def test_zero_mod_dispatch(monkeypatch):
 
 
 def test_grid_kernel_exact_at_largest_prime_on_p0():
-    p = SmallPrime(2**31 - 1)
+    p = SmallPrime(181)
     ring = ("x",)
     plan = ScanPlan(0, p)
     vanishing = parse_poly(f"{p - 1}*x^3 + {p - 2}*x^2 + 3*x", ring)
@@ -328,27 +325,12 @@ def test_grid_kernel_exact_at_largest_prime_on_p0():
     assert scan_system(plan, [vanishing, other]).matched == 0
 
 
-def test_grid_kernel_exact_on_p1_above_2_16():
-    p = SmallPrime(65537)
-    ring = ("x", "y")
-    x, y = (Polynomial.variable(ring, v) for v in ring)
-    # three rational roots: (1 : 40000), (1 : 60001) and (30000 : 1), whose
-    # normalized representative is (1 : 1/30000) = (1 : 57950)
-    f = (y - x * 40000) * (y - x * 60001) * (x - y * 30000)
-    plan = ScanPlan(1, p)
-    res, rows = scan_system(plan, [f], collect=True)
-    want, want_rows = _oracle_rows(plan, [f])
-    assert res.matched == want.matched == 3
-    assert np.array_equal(rows, want_rows)
-    assert rows.tolist() == [[1, 40000], [1, 57950], [1, 60001]]
-
-
 @st.composite
 def _rows_and_systems(draw):
     """(p, rows, index rows, generators): 1-3 polynomials of degree <= 6 in
     1-5 variables with coefficients up to 10^12 in size, and 1-12 residue
     rows plus the all-zero and the all-(p-1) row."""
-    p = draw(st.sampled_from([2, 3, 65537, 2**31 - 1]))
+    p = draw(st.sampled_from([2, 3, 181]))
     nvars = draw(st.integers(1, 5))
     ring = tuple(f"x{i}" for i in range(nvars))
     monomial = st.lists(st.integers(0, nvars - 1), max_size=6).map(
@@ -384,16 +366,16 @@ def test_compiled_system_matches_eval_mod(case):
     assert np.array_equal(system.vanishing_mask(pts, p), (want == 0).all(axis=0))
 
 
-@pytest.mark.parametrize("p", [2, 3, 4099, 65537, 2**31 - 1])
+@pytest.mark.parametrize("p", [2, 3, 181])
 def test_monomial_builder_matches_eval_mod(p):
     """Every monomial of degree <= 6 in three variables equals eval_mod at
     random residue rows and the all-(p-1) row, over the whole SmallPrime
-    range: the raw values are in the lane lane_dtype(p) and lie in [0, hi]
-    with hi at most the lane's largest value, and reduced()
-    gives the residues. Monomials are asked for in ascending and in
-    descending degree (a high one first builds the lower ones it needs), on
-    int64 rows and on rows of the narrow dtype gathered by an index. At p = 4099,
-    65537 and 2^31 - 1 the bound forces reductions from degree 6, 4 and 3."""
+    range: the raw values are in the lane and lie in [0, hi] with hi at most
+    the lane's largest value, and reduced() gives the residues. Monomials
+    are asked for in ascending and in descending degree (a high one first
+    builds the lower ones it needs), on int64 rows and on rows of the narrow
+    dtype gathered by an index. At p = 181 the bound forces reductions from
+    degree 3."""
     rng = np.random.default_rng(p)
     ring = ("x0", "x1", "x2")
     wide = rng.integers(0, p, (12, 3), dtype=np.int64)
@@ -403,15 +385,15 @@ def test_monomial_builder_matches_eval_mod(p):
                   key=sum)
     for order in (exps, exps[::-1]):
         for pts, want_rows in ((wide, wide),
-                               (wide.astype(projspace.row_dtype(p))[idx], wide[idx])):
+                               (wide.astype(ROW_DTYPE)[idx], wide[idx])):
             want = {e: [Polynomial(ring, {e: 1}).eval_mod(r, p)
                         for r in want_rows.tolist()]
                     for e in order}
             monomials = projspace._Monomials(pts, p)
             for e in order:
                 values, hi = monomials[e]
-                lane = projspace.lane_dtype(p)
-                assert values.dtype == lane and hi <= np.iinfo(lane).max
+                assert values.dtype == LANE_DTYPE
+                assert hi <= np.iinfo(LANE_DTYPE).max
                 assert 0 <= values.min() and values.max() <= hi
                 assert (values % p).tolist() == want[e]
             for e in order:
@@ -526,26 +508,25 @@ def test_section_report_of_an_unheld_cut_stays_narrow_in_memory():
     assert peak < 344_452 * 16
 
 
-@pytest.mark.parametrize("p,dtype", [(251, np.uint8), (257, np.uint16),
-                                     (4099, np.uint16)])
-def test_narrow_rows_equal_int64_rows_at_dtype_edges(p, dtype):
-    """Rows held in the narrowest dtype give every kernel the results of the
-    same rows as int64. p = 251 holds 250 in uint8, p = 257 needs uint16,
-    and at p = 4099 the products leave float32 for _matmul_mod. Each kernel
-    widens by an explicit cast, so this holds under the promotion rules of
-    numpy 1.x and 2.x alike."""
+def test_narrow_rows_equal_int64_rows_at_the_largest_prime():
+    """Rows held in ROW_DTYPE give every kernel the results of the same rows
+    as int64 at p = 181, the largest SmallPrime, and products of inner
+    length 3p leave float32 for _matmul_mod. Each kernel widens by an
+    explicit cast, so this holds under the promotion rules of numpy 1.x and
+    2.x alike."""
     from keyvariety.algebra import matrix_rank_mod_p
     from keyvariety.incidence import _trace_zero_rows
     from keyvariety.invariants import _rank_mask
 
+    p, dtype = 181, ROW_DTYPE
     rng = np.random.default_rng(p)
     wide = rng.integers(0, p, (40, 8), dtype=np.int64)
     wide[0], wide[1] = 0, p - 1
     # every other row on x0 = x1, x2*x3 = x4*x5, so that the mask holds both
     wide[::2, 1] = wide[::2, 0]
     wide[::2, 4:6] = wide[::2, 2:4]
-    narrow = wide.astype(projspace.row_dtype(p))
-    assert narrow.dtype == dtype and narrow.max() == p - 1
+    narrow = wide.astype(dtype)
+    assert narrow.max() == p - 1
     assert np.array_equal(narrow, wide)
 
     ring = tuple(f"x{i}" for i in range(8))
@@ -572,10 +553,11 @@ def test_narrow_rows_equal_int64_rows_at_dtype_edges(p, dtype):
     assert np.array_equal(traced, _trace_zero_rows(wide, p))
     assert traced[:, 8].tolist() == [-(r[0] + r[4]) % p for r in wide.tolist()]
 
-    # the all-(p-1) row against the all-(p-1) column: p(p-1)^2 = 0 mod p
-    b = rng.integers(0, p, (p, 3), dtype=np.int64)
+    # the all-(p-1) row against the all-(p-1) column: 3p(p-1)^2 = 0 mod p
+    assert not _fits_float32(3 * p, p)
+    b = rng.integers(0, p, (3 * p, 3), dtype=np.int64)
     b[:, 0] = p - 1
-    a = rng.integers(0, p, (4, p), dtype=np.int64)
+    a = rng.integers(0, p, (4, 3 * p), dtype=np.int64)
     a[-1] = p - 1
     zero = _zero_mod(a.astype(dtype), b.astype(dtype), p)
     assert np.array_equal(zero, _zero_mod(a, b, p))
@@ -588,10 +570,9 @@ def test_narrow_rows_equal_int64_rows_at_dtype_edges(p, dtype):
     assert rows.dtype == dtype and rows.tolist() == [[1, p - 1], [0, 1]]
 
 
-@pytest.mark.parametrize("p,dtype", [(2, np.uint8), (251, np.uint8),
-                                     (257, np.uint16), (65537, np.uint32)])
+@pytest.mark.parametrize("p,dtype", [(2, np.uint8), (181, np.uint8)])
 def test_eval_block_gives_narrow_residues(p, dtype, monkeypatch):
-    """eval_block returns residues in row_dtype(p), equal to eval_mod per
+    """eval_block returns residues in ROW_DTYPE, equal to eval_mod per
     generator, and a generator with no terms gives a zero row without a run
     of the term loop."""
     ring = tuple(f"x{i}" for i in range(4))
@@ -606,7 +587,7 @@ def test_eval_block_gives_narrow_residues(p, dtype, monkeypatch):
                         lambda terms, *a: loops.append(terms) or real(terms, *a))
     for pts in (wide, wide.astype(dtype)):
         values = CompiledSystem(polys).eval_block(pts, p)
-        assert values.dtype == dtype == projspace.row_dtype(p)
+        assert values.dtype == dtype == ROW_DTYPE
         assert values.tolist() == [[f.eval_mod(row, p) for row in wide.tolist()]
                                    for f in polys]
         assert not values[1].any() and not values[3].any()
@@ -627,14 +608,14 @@ def test_collect_rows_equal_brute_force_mask(p, n, monkeypatch):
     for chunk_points in (8, 27, 64):
         monkeypatch.setattr(projspace, "GRID_CHUNK_POINTS", chunk_points)
         res, rows = scan_system(plan, polys, collect=True)
-        assert rows.dtype == projspace.row_dtype(p)
+        assert rows.dtype == ROW_DTYPE
         assert res.matched == len(want) and np.array_equal(rows, want)
 
 
 def test_jacobian_value_slabs_stay_narrow_in_memory():
     """The traced peak of the Jacobian mask of g6q at p = 3 (39,001 points,
     84 partials of which 45 are zero) stays below 4 MiB: it is about
-    1.5 MiB with row_dtype(p) value slabs in blocks of 8192 points, and
+    1.5 MiB with ROW_DTYPE value slabs in blocks of 8192 points, and
     about 9 MiB when eval_block returns int64 slabs."""
     import tracemalloc
 
@@ -705,7 +686,7 @@ def test_scan_batches_join_to_the_collected_rows(case, p, chunk_points, batch,
     assert len(batches) > 2
     assert all(len(b) >= batch for b in batches[:-1])
     assert 0 < len(batches[-1])
-    assert all(b.dtype == projspace.row_dtype(p) for b in batches)
+    assert all(b.dtype == ROW_DTYPE for b in batches)
     assert np.array_equal(np.concatenate(batches), want)
     assert projspace._POINT_SETS == {}
 
